@@ -7,17 +7,16 @@ and verifies the governing identities exhaustively on small posets.
 """
 
 from .classify import (IDENTITY, PAYLOAD_KEYS, ZERO, NormalForm, classify_dim0,
-                       classify_dim1, classify_dim2, form_instances,
-                       normal_form, normal_form_dim0, shape_of)
+                       classify_dim1, classify_dim2, classify_family,
+                       form_instances, normal_form, normal_form_dim0, shape_of)
 from .families import (EMPTY_FAMILY, ChainFamily, Thread, chains_meeting,
-                       compose, compose_tuple, family, principal,
-                       singleton_tuple, thread_sets, threads)
+                       compose, family, principal, singleton_tuple,
+                       thread_sets, threads)
 from .poset import Poset, bits, build_poset
 from .tuples import (ZERO_TUPLE, canonical, collapse, is_collapsed,
                      is_concatenated, is_downward_concatenated,
                      is_upward_concatenated, is_zero, prune_downward,
-                     prune_to_threads, prune_to_threads_direct, prune_upward,
-                     restrict)
+                     prune_to_threads, prune_upward, restrict)
 from .verify import (Bounds, VerificationReport, all_posets, default_corpus,
                      run_suite, verify_classifier, verify_conjecture,
                      verify_operator_laws, verify_thread_monoid)
@@ -26,16 +25,15 @@ __version__ = "0.1.0"
 
 __all__ = [
     "Poset", "build_poset", "bits",
-    "prune_upward", "prune_downward", "prune_to_threads",
-    "prune_to_threads_direct", "collapse", "canonical", "restrict",
+    "prune_upward", "prune_downward", "prune_to_threads", "collapse",
+    "canonical", "restrict",
     "is_upward_concatenated", "is_downward_concatenated", "is_concatenated",
     "is_collapsed", "is_zero", "ZERO_TUPLE",
     "Thread", "ChainFamily", "EMPTY_FAMILY", "threads", "thread_sets",
-    "chains_meeting", "principal", "compose", "compose_tuple", "family",
-    "singleton_tuple",
+    "chains_meeting", "principal", "compose", "family", "singleton_tuple",
     "NormalForm", "IDENTITY", "ZERO", "PAYLOAD_KEYS", "shape_of",
-    "normal_form", "normal_form_dim0", "classify_dim0", "classify_dim1",
-    "classify_dim2", "form_instances",
+    "normal_form", "normal_form_dim0", "classify_family", "classify_dim0",
+    "classify_dim1", "classify_dim2", "form_instances",
     "Bounds", "VerificationReport", "verify_operator_laws",
     "verify_thread_monoid", "verify_conjecture", "verify_classifier",
     "run_suite", "all_posets", "default_corpus",

@@ -3,9 +3,10 @@
 For the proved spectrum shapes (dimension 0, dimension 1 with a unique
 maximal prime, dimension 2 with unique maximal and minimal primes) the
 collection of thread sets pins down a unique normal form, and the
-classifiers reconstruct the form from the family alone.  Outside these
-shapes the engine never guesses: ``normal_form`` returns ``Unresolved``
-carrying the canonical reduction of the tuple.
+classifiers reconstruct the form from the family alone; ``classify_family``
+is the one dispatch over the shapes.  Outside these shapes the engine never
+guesses: it returns ``Unresolved`` carrying the canonical reduction of the
+tuple.
 
 Equal thread sets is a *sufficient* condition for two tuples to name
 isomorphic localizations; distinct thread sets are not claimed to separate
@@ -261,19 +262,29 @@ def _verified(P: Poset, F: ChainFamily, form: NormalForm) -> NormalForm:
     return form
 
 
-def normal_form(P: Poset, parts: SubsetTuple) -> NormalForm:
-    """Dispatch on the poset shape; never guesses beyond the proved cases."""
-    reduced = canonical(P, parts)
-    if reduced == ZERO_TUPLE:
+def classify_family(P: Poset, F: ChainFamily,
+                    reduced: SubsetTuple) -> NormalForm:
+    """Normal form of the tuples with thread sets ``F``; dispatches on shape.
+
+    ``reduced`` is the canonical form of such a tuple; it is returned as the
+    ``Unresolved`` payload outside the proved shapes, where the engine never
+    guesses.  The empty family is ``Zero`` on every shape.
+    """
+    if F.is_empty():
         return ZERO
     shape = shape_of(P)
     if shape == DIM0:
-        return classify_dim0(P, thread_sets(P, parts))
+        return classify_dim0(P, F)
     if shape == DIM1_IRREDUCIBLE:
-        return classify_dim1(P, thread_sets(P, parts))
+        return classify_dim1(P, F)
     if shape == DIM2_UNIQUE_EXTREMES:
-        return classify_dim2(P, thread_sets(P, parts))
+        return classify_dim2(P, F)
     return NormalForm("Unresolved", reduced)
+
+
+def normal_form(P: Poset, parts: SubsetTuple) -> NormalForm:
+    """Normal form of a tuple, classified from its thread sets."""
+    return classify_family(P, thread_sets(P, parts), canonical(P, parts))
 
 
 def _submasks(mask: int):

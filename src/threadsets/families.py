@@ -5,7 +5,9 @@ part; a thread set is any chain containing the support of a thread.  The
 collection of thread sets of a tuple is upward closed under chain
 inclusion, so it is stored by its inclusion-minimal generators.  These
 families form a monoid under ``compose``, mirroring composition of the
-underlying localizations.
+underlying localizations, and ``thread_sets`` computes a tuple's family as
+the ``compose`` fold of its per-part families; ``threads`` enumerates the
+threads themselves.
 """
 
 from __future__ import annotations
@@ -100,7 +102,9 @@ def threads(P: Poset, parts: SubsetTuple) -> Iterator[Thread]:
 
     Repeated elements are allowed along a thread; the support chain
     deduplicates them.  The stream is empty exactly when pruning the tuple
-    to its threads empties every part.
+    to its threads empties every part.  The number of threads can grow
+    exponentially with the tuple length; ``thread_sets`` does not enumerate
+    them.
     """
     _check(parts)
     down = P.down
@@ -120,9 +124,17 @@ def threads(P: Poset, parts: SubsetTuple) -> Iterator[Thread]:
 
 
 def thread_sets(P: Poset, parts: SubsetTuple) -> ChainFamily:
-    """Family of thread sets of a tuple: minimal supports of its threads."""
-    supports = {t.support for t in threads(P, parts)}
-    return ChainFamily(minimize(supports))
+    """Family of thread sets of a tuple: minimal supports of its threads.
+
+    Computed as the fold of ``compose`` over the per-part families
+    ``chains_meeting``; no thread is enumerated, so the cost follows the
+    number of generators rather than the number of threads.
+    """
+    _check(parts)
+    acc = chains_meeting(P, parts[0])
+    for part in parts[1:]:
+        acc = compose(P, acc, chains_meeting(P, part))
+    return acc
 
 
 def chains_meeting(P: Poset, subset: int) -> ChainFamily:
@@ -141,18 +153,6 @@ def principal(P: Poset, chain: int) -> ChainFamily:
     return ChainFamily(frozenset((chain,)))
 
 
-def above(P: Poset, upper: int, lower: int) -> bool:
-    """Every member of chain ``upper`` lies above every member of ``lower``.
-
-    This is the compatibility relation of ``compose``; it is inherited by
-    subchains, which is what makes composing generator pairs sufficient.
-    """
-    floor = P.full
-    for i in bits(upper):
-        floor &= P.down[i]
-    return lower & ~floor == 0
-
-
 def compose(P: Poset, U: ChainFamily, V: ChainFamily) -> ChainFamily:
     """Monoid product of chain families.
 
@@ -160,7 +160,8 @@ def compose(P: Poset, U: ChainFamily, V: ChainFamily) -> ChainFamily:
     and ``D`` of ``V`` with ``C`` entirely above ``D``.  Because the
     compatibility relation passes to subchains, the unions of compatible
     *generator* pairs generate the same family; the definitional form is
-    kept as a brute-force oracle in the tests.
+    kept as a brute-force oracle in the tests.  ``thread_sets`` is the fold
+    of this product over a tuple's per-part families.
     """
     out = set()
     for C in U.generators:
@@ -171,15 +172,6 @@ def compose(P: Poset, U: ChainFamily, V: ChainFamily) -> ChainFamily:
             if D & ~floor == 0:
                 out.add(C | D)
     return ChainFamily(minimize(out))
-
-
-def compose_tuple(P: Poset, parts: SubsetTuple) -> ChainFamily:
-    """Fold of ``compose`` over the per-part families ``chains_meeting``."""
-    _check(parts)
-    acc = chains_meeting(P, parts[0])
-    for part in parts[1:]:
-        acc = compose(P, acc, chains_meeting(P, part))
-    return acc
 
 
 def singleton_tuple(P: Poset, chain: int) -> SubsetTuple:

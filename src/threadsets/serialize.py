@@ -110,7 +110,7 @@ def tuple_from_lists(P: Poset, data: Any) -> SubsetTuple:
     for part in data:
         if not isinstance(part, list):
             raise ParseError(f"tuple part {part!r} is not an array")
-        if len(set(part)) != len(part):
+        if len(set(_labels(part, "tuple part"))) != len(part):
             raise ParseError(f"tuple part {part!r} repeats an element")
         parts.append(P.subset(part))
     return tuple(parts)
@@ -129,7 +129,7 @@ def family_from_dict(P: Poset, data: Any) -> ChainFamily:
     for g in data["generators"]:
         if not isinstance(g, list) or not g:
             raise ParseError(f"generator {g!r} is not a non-empty array")
-        gens.append(P.subset(g))
+        gens.append(P.subset(_labels(g, "generator")))
     return family(P, gens)
 
 
@@ -158,11 +158,20 @@ def form_from_dict(P: Poset, data: Any) -> NormalForm:
         part = data.get(key)
         if not isinstance(part, list):
             raise ParseError(f"form {tag} needs the subset field {key!r}")
-        payload.append(P.subset(part))
+        payload.append(P.subset(_labels(part, f"form field {key!r}")))
     return NormalForm(tag, tuple(payload))
 
 
 # -- shared helpers
+
+def _labels(items: list, what: str) -> list:
+    """Reject an array of element labels holding a non-string leaf."""
+    for item in items:
+        if not isinstance(item, str):
+            raise ParseError(f"{what} {items!r} holds {item!r}, "
+                             "which is not an element label")
+    return items
+
 
 def dumps(data: Any) -> str:
     return json.dumps(data, indent=2, sort_keys=False) + "\n"

@@ -53,22 +53,18 @@ def prune_downward(P: Poset, parts: SubsetTuple) -> SubsetTuple:
 def prune_to_threads(P: Poset, parts: SubsetTuple) -> SubsetTuple:
     """Keep in each part exactly the elements lying on a full thread.
 
-    Computed as prune_downward(prune_upward(t)); the two operators commute
-    and agree with the direct per-element search, which is cross-checked
-    here when assertions are enabled.
+    Computed as prune_downward(prune_upward(t)).  The two operators commute
+    and agree with the direct per-element search; the operator-laws
+    verification suite checks both laws.
     """
-    result = prune_downward(P, prune_upward(P, parts))
-    if __debug__:
-        assert result == prune_upward(P, prune_downward(P, parts))
-        assert result == prune_to_threads_direct(P, parts)
-    return result
+    return prune_downward(P, prune_upward(P, parts))
 
 
 def prune_to_threads_direct(P: Poset, parts: SubsetTuple) -> SubsetTuple:
     """Direct form of prune_to_threads: per-element search for a full thread.
 
-    Quadratic in the tuple; kept as an independent cross-check of the
-    recursive computation.
+    Quadratic in the tuple; the reference that verification compares
+    ``prune_to_threads`` against.
     """
     _check(parts)
     out = []

@@ -12,16 +12,16 @@ from __future__ import annotations
 
 import random
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from itertools import product
 from typing import Callable, Iterable, Iterator
 
 from . import catalog as _catalog
 from .classify import (DIM0, DIM1_IRREDUCIBLE, DIM2_UNIQUE_EXTREMES, ZERO,
-                       NormalForm, classify_dim0, classify_dim1, classify_dim2,
-                       form_instances, shape_of)
-from .errors import BudgetExceeded
-from .families import EMPTY_FAMILY, ChainFamily, chains_meeting, compose, thread_sets
+                       NormalForm, classify_family, form_instances, shape_of)
+from .errors import BadParameter, BudgetExceeded
+from .families import (EMPTY_FAMILY, ChainFamily, chains_meeting, compose,
+                       minimize, thread_sets, threads)
 from .poset import Poset, bits
 from .serialize import poset_to_dict, tuple_to_lists
 from .tuples import (ZERO_TUPLE, SubsetTuple, canonical, collapse,
@@ -41,7 +41,13 @@ class Bounds:
     exhaustive: bool | None = None  # None: auto by budget; True: forced
     seed: int = 0
     samples: int = 2048
-    dedup: bool = False
+
+    def __post_init__(self):
+        for name in ("max_k", "budget", "samples"):
+            value = getattr(self, name)
+            if not isinstance(value, int) or value < 1:
+                raise BadParameter(f"{name} must be a positive integer, "
+                                   f"got {value!r}")
 
 
 @dataclass
@@ -143,8 +149,6 @@ class _Session:
         if exhaustive and space > b.budget:
             raise BudgetExceeded(
                 f"exhaustive mode forced on {space} tuples with budget {b.budget}")
-        seen_canonical: set[SubsetTuple] = set()
-        raw = 0
         if exhaustive:
             self.mode = "exhaustive"
             source: Iterable[SubsetTuple] = _all_tuples(P.n, b.max_k)
@@ -155,17 +159,8 @@ class _Session:
             source = (_decode_tuple(rng.randrange(space), P.n)
                       for _ in range(b.samples))
         for t in source:
-            raw += 1
-            if b.dedup:
-                key = canonical(P, t)
-                if key in seen_canonical:
-                    continue
-                seen_canonical.add(key)
             self.cases += 1
             yield t
-        if b.dedup:
-            self.details["raw_cases"] = raw
-            self.details["deduplicated"] = raw - self.cases
 
     def report(self) -> VerificationReport:
         return VerificationReport(
@@ -258,10 +253,10 @@ def verify_thread_monoid(P: Poset, bounds: Bounds = Bounds(),
     for t in s.corpus():
         inputs = s.tuple_inputs(t)
         F = thread_sets(P, t)
-        fold = meeting(t[0])
-        for part in t[1:]:
-            fold = compose(P, fold, meeting(part))
-        s.check("thread_sets_decompose", inputs, F, fold)
+        # threads() is the reference: minimal supports of the enumerated
+        # threads, computed without compose
+        enumerated = ChainFamily(minimize({th.support for th in threads(P, t)}))
+        s.check("thread_sets_decompose", inputs, enumerated, F)
         for j in range(1, len(t)):
             s.check("thread_sets_of_concatenation", inputs, F,
                     compose(P, thread_sets(P, t[:j]), thread_sets(P, t[j:])))
@@ -315,19 +310,6 @@ def _associativity(s: _Session, meeting: Callable[[int], ChainFamily]) -> None:
     s.details["associativity_triples"] = total
 
 
-def _classify_family(P: Poset, F: ChainFamily, reduced: SubsetTuple,
-                     shape: str) -> NormalForm:
-    if F.is_empty():
-        return ZERO
-    if shape == DIM0:
-        return classify_dim0(P, F)
-    if shape == DIM1_IRREDUCIBLE:
-        return classify_dim1(P, F)
-    if shape == DIM2_UNIQUE_EXTREMES:
-        return classify_dim2(P, F)
-    return NormalForm("Unresolved", reduced)
-
-
 def verify_conjecture(P: Poset, bounds: Bounds = Bounds(),
                       name: str = "") -> VerificationReport:
     """Bucket tuples by thread sets; equal thread sets must mean equal form.
@@ -350,7 +332,7 @@ def verify_conjecture(P: Poset, bounds: Bounds = Bounds(),
         sizes[F] = sizes.get(F, 0) + 1
         if not supported:
             continue
-        nf = _classify_family(P, F, reduced, shape)
+        nf = classify_family(P, F, reduced)
         held = buckets.get(F)
         if held is None:
             buckets[F] = (nf, t)
@@ -375,7 +357,6 @@ def verify_classifier(P: Poset, bounds: Bounds = Bounds(),
     """
     s = _Session("classifier", P, bounds, name)
     s.mode = "exhaustive"
-    shape = shape_of(P)
     seen: dict[ChainFamily, NormalForm] = {}
     for inst in form_instances(P):
         s.cases += 1
@@ -383,7 +364,7 @@ def verify_classifier(P: Poset, bounds: Bounds = Bounds(),
         inputs = {"form": inst.describe(P),
                   "tuple": tuple_to_lists(P, defining)}
         F = thread_sets(P, defining)
-        got = _classify_family(P, F, canonical(P, defining), shape)
+        got = classify_family(P, F, canonical(P, defining))
         s.check("classifier_round_trip", inputs, inst, got)
         other = seen.get(F)
         if other is not None:
@@ -392,7 +373,7 @@ def verify_classifier(P: Poset, bounds: Bounds = Bounds(),
             seen[F] = inst
     s.cases += 1
     s.check("zero_from_empty_family", {"form": "Zero"}, ZERO,
-            _classify_family(P, EMPTY_FAMILY, ZERO_TUPLE, shape))
+            classify_family(P, EMPTY_FAMILY, ZERO_TUPLE))
     return s.report()
 
 
@@ -456,8 +437,7 @@ def default_corpus() -> list[tuple[str, Poset]]:
 def deepened(bounds: Bounds, P: Poset) -> Bounds:
     """Bounds used on the default corpus: small posets get deeper tuples."""
     if P.n <= 3 and bounds.max_k < 3:
-        return Bounds(max_k=3, budget=bounds.budget, exhaustive=bounds.exhaustive,
-                      seed=bounds.seed, samples=bounds.samples, dedup=bounds.dedup)
+        return replace(bounds, max_k=3)
     return bounds
 
 

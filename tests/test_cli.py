@@ -205,6 +205,27 @@ def test_unknown_element_error_code(write, capsys):
     assert json.loads(out)["error"]["code"] == "UnknownElement"
 
 
+@pytest.mark.parametrize("document", [[[["t"]]], [[{"x": 1}]]])
+def test_non_string_leaf_is_parse_error(write, capsys, document):
+    poset = write("p.json", DIAMOND)
+    t = write("t.json", document)
+    code, out, _ = run(capsys, "tset", "--poset", poset, "--tuple", t,
+                       "--format", "json")
+    assert code == 2
+    assert json.loads(out)["error"]["code"] == "ParseError"
+
+
+@pytest.mark.parametrize("bounds", [["monoid", "--max-k", "0"],
+                                    ["operator-laws", "--max-k", "-3",
+                                     "--budget", "-1"]])
+def test_verify_rejects_non_positive_bounds(write, capsys, bounds):
+    poset = write("p.json", DIAMOND)
+    code, out, err = run(capsys, "verify", *bounds, "--poset", poset)
+    assert code == 2
+    assert "BadParameter" in err
+    assert out == ""
+
+
 def test_missing_tuple_is_usage_error(write, capsys):
     poset = write("p.json", ANTICHAIN3)
     code, _, err = run(capsys, "tset", "--poset", poset)

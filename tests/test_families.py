@@ -9,9 +9,10 @@ from oracles import (brute_chains, brute_compose_members,
                      minimal_members)
 from test_poset import random_posets
 from test_tuples import poset_and_tuple
+from threadsets.catalog import catalog
 from threadsets.errors import EmptyChain, NotAChain
 from threadsets.families import (EMPTY_FAMILY, ChainFamily, chains_meeting,
-                                 compose, compose_tuple, family, principal,
+                                 compose, family, minimize, principal,
                                  singleton_tuple, thread_sets, threads)
 from threadsets.tuples import ZERO_TUPLE, canonical
 from threadsets.verify import all_posets
@@ -236,11 +237,25 @@ def test_compose_with_empty(diamond):
     assert compose(diamond, EMPTY_FAMILY, U) == EMPTY_FAMILY
 
 
+def _enumerated_thread_sets(P, t):
+    """Minimal supports of the enumerated threads: the non-fold reference."""
+    return frozenset(minimize({th.support for th in threads(P, t)}))
+
+
 def test_compose_decomposes_thread_sets_small():
     for P in all_posets(3):
         for a in range(1 << P.n):
             for b in range(1 << P.n):
-                assert compose_tuple(P, (a, b)) == thread_sets(P, (a, b))
+                assert thread_sets(P, (a, b)).generators == \
+                    _enumerated_thread_sets(P, (a, b))
+
+
+def test_thread_sets_match_enumerated_threads_long_chain():
+    # 170 544 threads on chain(15) with seven full parts: the regime where
+    # the fold and the enumeration differ most in cost
+    P = catalog("chain", 15).poset
+    t = (P.full,) * 7
+    assert thread_sets(P, t).generators == _enumerated_thread_sets(P, t)
 
 
 @settings(max_examples=100, deadline=None)
@@ -303,7 +318,7 @@ def test_compose_associative_random(data):
 def test_concatenation_law_random(pt):
     P, t = pt
     F = thread_sets(P, t)
-    assert F == compose_tuple(P, t)
+    assert F.generators == _enumerated_thread_sets(P, t)
     for j in range(1, len(t)):
         assert F == compose(P, thread_sets(P, t[:j]), thread_sets(P, t[j:]))
 

@@ -95,6 +95,9 @@ def test_tuple_rejects_bad_documents(diamond):
         tuple_from_lists(diamond, [["a", "a"]])
     with pytest.raises(ParseError):
         tuple_from_lists(diamond, ["a"])
+    for leaf in (["a"], {"x": 1}, 1, None):
+        with pytest.raises(ParseError):
+            tuple_from_lists(diamond, [[leaf]])
 
 
 def test_empty_part_is_allowed(diamond):
@@ -120,6 +123,8 @@ def test_family_rejects_bad_documents(diamond):
         family_from_dict(diamond, {})
     with pytest.raises(ParseError):
         family_from_dict(diamond, {"generators": [[]]})
+    with pytest.raises(ParseError):
+        family_from_dict(diamond, {"generators": [[["a"]]]})
 
 
 def test_form_round_trip(diamond):
@@ -152,6 +157,11 @@ def test_form_rejects_bad_documents(diamond):
         form_from_dict(diamond, {"form": "D2_Form7", "A1": ["a"]})
     with pytest.raises(ParseError):
         form_from_dict(diamond, {})
+    with pytest.raises(ParseError):
+        form_from_dict(diamond, {"form": "D2_Form7", "A1": [{"x": 1}],
+                                 "B1": ["b"]})
+    with pytest.raises(ParseError):
+        form_from_dict(diamond, {"form": "Unresolved", "canonical": [[["a"]]]})
 
 
 def test_payload_keys_cover_all_tags():

@@ -3,7 +3,7 @@ from __future__ import annotations
 import pytest
 
 from threadsets.catalog import catalog
-from threadsets.errors import BudgetExceeded
+from threadsets.errors import BadParameter, BudgetExceeded
 from threadsets.poset import build_poset
 from threadsets.verify import (Bounds, Failure, _Session, all_posets, deepened,
                                default_corpus, labeled_corpus, run_suite,
@@ -86,12 +86,11 @@ def test_sampled_mode_is_deterministic(diamond):
     assert first.to_dict() == second.to_dict()
 
 
-def test_dedup_reports_counts(diamond):
-    report = verify_conjecture(diamond, Bounds(max_k=1, dedup=True))
-    assert report.passed
-    assert report.details["raw_cases"] == 16
-    assert report.details["raw_cases"] - report.details["deduplicated"] == \
-        report.cases
+@pytest.mark.parametrize("field", ["max_k", "budget", "samples"])
+def test_bounds_reject_non_positive(field):
+    for value in (0, -3):
+        with pytest.raises(BadParameter):
+            Bounds(**{field: value})
 
 
 def test_failure_records_carry_inputs(diamond):
