@@ -2,7 +2,9 @@
 
 Exit codes: 0 on success or when every checked property holds, 1 on a
 property failure (a failing verification suite, or ``eq`` deciding
-"unequal"), 2 on usage or parse errors.  With ``--format json`` errors are
+"unequal"), 2 on usage or parse errors, 3 on an internal error (any
+exception that is not a ``SpectrumError``, reported with the code
+``InternalError`` and no traceback).  With ``--format json`` errors are
 emitted as ``{"error": {"code": ..., "message": ...}}``.
 """
 
@@ -10,6 +12,7 @@ from __future__ import annotations
 
 import argparse
 import sys
+import traceback
 from pathlib import Path
 
 from . import catalog as catalog_mod
@@ -245,12 +248,22 @@ def main(argv: list[str] | None = None) -> int:
     try:
         return _COMMANDS[args.command](args)
     except SpectrumError as exc:
-        if getattr(args, "format", "text") == "json":
-            sys.stdout.write(serialize.dumps(
-                {"error": {"code": exc.code, "message": str(exc)}}))
-        else:
-            sys.stderr.write(f"error[{exc.code}]: {exc}\n")
+        _error(args, exc.code, str(exc))
         return 2
+    except Exception as exc:  # a defect, not bad input: one line, exit 3
+        where = traceback.extract_tb(exc.__traceback__)[-1]
+        _error(args, "InternalError",
+               f"{type(exc).__name__}: {exc} (at {Path(where.filename).name}"
+               f":{where.lineno} in {where.name})")
+        return 3
+
+
+def _error(args, code: str, message: str) -> None:
+    if getattr(args, "format", "text") == "json":
+        sys.stdout.write(serialize.dumps(
+            {"error": {"code": code, "message": message}}))
+    else:
+        sys.stderr.write(f"error[{code}]: {message}\n")
 
 
 if __name__ == "__main__":

@@ -70,11 +70,21 @@ def _chain_key(mask: int) -> tuple[int, ...]:
 
 
 def minimize(chains: Iterable[int]) -> frozenset[int]:
-    """Inclusion-minimal members of a collection of chains."""
-    ordered = sorted(set(chains), key=lambda m: (m.bit_count(), m))
+    """Inclusion-minimal members of a collection of chains.
+
+    Members are taken by ascending size, so a chain's proper subchains are
+    all seen before it; two distinct chains of one size never contain each
+    other, so no tie-break is needed.
+    """
+    distinct = set(chains)
+    if len(distinct) < 2:
+        return frozenset(distinct)
     kept: list[int] = []
-    for c in ordered:
-        if not any(g & c == g for g in kept):
+    for c in sorted(distinct, key=int.bit_count):
+        for g in kept:
+            if g & c == g:
+                break
+        else:
             kept.append(c)
     return frozenset(kept)
 
@@ -143,8 +153,14 @@ def chains_meeting(P: Poset, subset: int) -> ChainFamily:
     Equals the thread sets of the 1-uple ``(subset,)``; the generators are
     the singletons of ``subset``.
     """
-    P.check_subset(subset)
-    return ChainFamily(frozenset(1 << i for i in bits(subset)))
+    if subset & ~P.full:
+        P.check_subset(subset)
+    singletons = []
+    while subset:
+        low = subset & -subset
+        singletons.append(low)
+        subset ^= low
+    return ChainFamily(frozenset(singletons))
 
 
 def principal(P: Poset, chain: int) -> ChainFamily:
@@ -163,11 +179,15 @@ def compose(P: Poset, U: ChainFamily, V: ChainFamily) -> ChainFamily:
     kept as a brute-force oracle in the tests.  ``thread_sets`` is the fold
     of this product over a tuple's per-part families.
     """
+    down = P.down
     out = set()
     for C in U.generators:
         floor = P.full
-        for i in bits(C):
-            floor &= P.down[i]
+        rest = C
+        while rest:
+            low = rest & -rest
+            floor &= down[low.bit_length() - 1]
+            rest ^= low
         for D in V.generators:
             if D & ~floor == 0:
                 out.add(C | D)

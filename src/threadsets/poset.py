@@ -108,18 +108,26 @@ class Poset:
 
     def down_set(self, mask: int) -> int:
         """Elements below some member of ``mask`` (the generated family)."""
-        self.check_subset(mask)
+        if mask & ~self.full:
+            self.check_subset(mask)
+        down = self.down
         out = 0
-        for i in bits(mask):
-            out |= self.down[i]
+        while mask:
+            low = mask & -mask
+            out |= down[low.bit_length() - 1]
+            mask ^= low
         return out
 
     def up_set(self, mask: int) -> int:
         """Elements above some member of ``mask`` (the generated cofamily)."""
-        self.check_subset(mask)
+        if mask & ~self.full:
+            self.check_subset(mask)
+        up = self.up
         out = 0
-        for i in bits(mask):
-            out |= self.up[i]
+        while mask:
+            low = mask & -mask
+            out |= up[low.bit_length() - 1]
+            mask ^= low
         return out
 
     def not_below(self, mask: int) -> int:
@@ -156,11 +164,13 @@ class Poset:
 
     def is_chain(self, mask: int) -> bool:
         """True when the members of ``mask`` are pairwise comparable."""
-        self.check_subset(mask)
-        rest = mask
-        for i in bits(mask):
-            rest &= ~(1 << i)
-            if rest & ~self._comp[i]:
+        if mask & ~self.full:
+            self.check_subset(mask)
+        comp = self._comp
+        while mask:
+            low = mask & -mask
+            mask ^= low
+            if mask & ~comp[low.bit_length() - 1]:
                 return False
         return True
 

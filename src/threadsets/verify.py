@@ -13,6 +13,7 @@ from __future__ import annotations
 import random
 import time
 from dataclasses import dataclass, field, replace
+from functools import partial
 from itertools import product
 from typing import Callable, Iterable, Iterator
 
@@ -30,6 +31,8 @@ from .tuples import (ZERO_TUPLE, SubsetTuple, canonical, collapse,
                      prune_downward, prune_to_threads_direct, prune_upward)
 
 FAILURE_CAP = 50  # recorded per report; the failure count is always exact
+
+Inputs = dict | Callable[[], dict]
 
 
 @dataclass(frozen=True)
@@ -125,13 +128,20 @@ class _Session:
         self.seed_used: int | None = None
         self.start = time.perf_counter()
 
-    def fail(self, prop: str, inputs: dict, expected, actual) -> None:
+    def fail(self, prop: str, inputs: Inputs, expected, actual) -> None:
+        """Count a failure and record the first FAILURE_CAP of them.
+
+        ``inputs`` is the failing input as a dict, or a zero-argument
+        callable returning it, called only when the failure is recorded.
+        """
         self.failure_count += 1
         if len(self.failures) < FAILURE_CAP:
+            if callable(inputs):
+                inputs = inputs()
             self.failures.append(
                 Failure(prop, inputs, repr(expected), repr(actual)))
 
-    def check(self, prop: str, inputs: dict, expected, actual) -> bool:
+    def check(self, prop: str, inputs: Inputs, expected, actual) -> bool:
         if expected != actual:
             self.fail(prop, inputs, expected, actual)
             return False
@@ -202,7 +212,7 @@ def verify_operator_laws(P: Poset, bounds: Bounds = Bounds(),
     """Idempotence, commutation and confluence of the reduction operators."""
     s = _Session("operator-laws", P, bounds, name)
     for t in s.corpus():
-        inputs = s.tuple_inputs(t)
+        inputs = partial(s.tuple_inputs, t)
         upward = prune_upward(P, t)
         downward = prune_downward(P, t)
         s.check("prune_upward_idempotent", inputs, upward,
@@ -242,16 +252,8 @@ def verify_thread_monoid(P: Poset, bounds: Bounds = Bounds(),
                          name: str = "") -> VerificationReport:
     """Thread-set decomposition, composition laws and reduction shadows."""
     s = _Session("monoid", P, bounds, name)
-    memo: dict[int, ChainFamily] = {}
-
-    def meeting(a: int) -> ChainFamily:
-        got = memo.get(a)
-        if got is None:
-            got = memo[a] = chains_meeting(P, a)
-        return got
-
     for t in s.corpus():
-        inputs = s.tuple_inputs(t)
+        inputs = partial(s.tuple_inputs, t)
         F = thread_sets(P, t)
         # threads() is the reference: minimal supports of the enumerated
         # threads, computed without compose
@@ -271,42 +273,69 @@ def verify_thread_monoid(P: Poset, bounds: Bounds = Bounds(),
                     thread_sets(P, (a & P.up_set(b), b)))
             s.check("tail_restricts_to_downset", inputs, F,
                     thread_sets(P, (a, b & P.down_set(a))))
-    _associativity(s, meeting)
+    _associativity(s)
     return s.report()
 
 
-def _associativity(s: _Session, meeting: Callable[[int], ChainFamily]) -> None:
+def _associativity(s: _Session) -> None:
+    """``compose`` is associative on the families ``chains_meeting(P, a)``.
+
+    Families are interned as ints: ``family[i]`` is the family with id
+    ``i``, ``gen[a]`` the id of ``chains_meeting(P, a)`` and
+    ``products[x][y]`` the id of ``compose`` of families ``x`` and ``y``,
+    so each distinct pair is composed once and the triple loop hashes and
+    compares ints only.  Failures map the ids back to families.
+    """
     P, b = s.P, s.bounds
     space = (1 << P.n) ** 3
-    cache: dict[tuple[ChainFamily, ChainFamily], ChainFamily] = {}
-
-    def cached(U: ChainFamily, V: ChainFamily) -> ChainFamily:
-        key = (U, V)
-        got = cache.get(key)
-        if got is None:
-            got = cache[key] = compose(P, U, V)
-        return got
-
     if space <= b.budget:
-        triples: Iterable[tuple[int, int, int]] = product(range(1 << P.n),
-                                                          repeat=3)
+        subsets: Iterable[int] = range(1 << P.n)
+        triples: Iterable[tuple[int, int, int]] = product(subsets, repeat=3)
         total = space
     else:
         rng = random.Random(b.seed)
         s.seed_used = b.seed
-        triples = ((rng.randrange(1 << P.n), rng.randrange(1 << P.n),
-                    rng.randrange(1 << P.n)) for _ in range(b.samples))
+        triples = [(rng.randrange(1 << P.n), rng.randrange(1 << P.n),
+                    rng.randrange(1 << P.n)) for _ in range(b.samples)]
+        subsets = sorted(set().union(*triples))
         total = b.samples
-    checked = 0
+    ids: dict[ChainFamily, int] = {}
+    family: list[ChainFamily] = []
+    products: list[dict[int, int]] = []
+
+    def intern(F: ChainFamily) -> int:
+        i = ids.get(F)
+        if i is None:
+            i = ids[F] = len(family)
+            family.append(F)
+            products.append({})
+        return i
+
+    def composed(x: int, y: int) -> int:
+        z = products[x][y] = intern(compose(P, family[x], family[y]))
+        return z
+
+    gen = {a: intern(chains_meeting(P, a)) for a in subsets}
     for a, bb, c in triples:
-        checked += 1
-        left = cached(cached(meeting(a), meeting(bb)), meeting(c))
-        right = cached(meeting(a), cached(meeting(bb), meeting(c)))
+        x, y, z = gen[a], gen[bb], gen[c]
+        xy = products[x].get(y)
+        if xy is None:
+            xy = composed(x, y)
+        left = products[xy].get(z)
+        if left is None:
+            left = composed(xy, z)
+        yz = products[y].get(z)
+        if yz is None:
+            yz = composed(y, z)
+        right = products[x].get(yz)
+        if right is None:
+            right = composed(x, yz)
         if left != right:
             s.fail("compose_associative",
                    {"subsets": [list(P.labels(a)), list(P.labels(bb)),
-                                list(P.labels(c))]}, left, right)
-    s.cases += checked
+                                list(P.labels(c))]},
+                   family[left], family[right])
+    s.cases += total
     s.details["associativity_triples"] = total
 
 
@@ -324,7 +353,7 @@ def verify_conjecture(P: Poset, bounds: Bounds = Bounds(),
     buckets: dict[ChainFamily, tuple[NormalForm, SubsetTuple]] = {}
     sizes: dict[ChainFamily, int] = {}
     for t in s.corpus():
-        inputs = s.tuple_inputs(t)
+        inputs = partial(s.tuple_inputs, t)
         F = thread_sets(P, t)
         reduced = canonical(P, t)
         s.check("canonical_preserves_thread_sets", inputs, F,

@@ -1,9 +1,14 @@
 from __future__ import annotations
 
+import contextlib
+import io
 import json
 
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
+from threadsets import cli
 from threadsets.cli import main
 from threadsets.serialize import dumps
 
@@ -243,3 +248,110 @@ def test_cycle_error_code(write, capsys):
     code, _, err = run(capsys, "dot", "--poset", poset)
     assert code == 2
     assert "CycleDetected" in err
+
+
+# -- internal errors and fuzzing of main()
+
+def _broken(args):
+    raise RuntimeError("boom")
+
+
+def test_internal_error_text_mode(write, capsys, monkeypatch):
+    monkeypatch.setitem(cli._COMMANDS, "tset", _broken)
+    poset = write("p.json", ANTICHAIN3)
+    code, out, err = run(capsys, "tset", "--poset", poset)
+    assert code == 3
+    assert out == ""
+    lines = err.splitlines()
+    assert len(lines) == 1
+    assert lines[0].startswith("error[InternalError]: RuntimeError: boom")
+    assert "Traceback" not in err
+
+
+def test_internal_error_json_mode(write, capsys, monkeypatch):
+    monkeypatch.setitem(cli._COMMANDS, "tset", _broken)
+    poset = write("p.json", ANTICHAIN3)
+    code, out, err = run(capsys, "tset", "--poset", poset, "--format", "json")
+    assert code == 3
+    assert err == ""
+    error = json.loads(out)["error"]
+    assert error["code"] == "InternalError"
+    assert error["message"].startswith("RuntimeError: boom")
+
+
+_NAMES = st.sampled_from(["a", "b", "c", "zz"])
+_ABC = st.sampled_from(["a", "b", "c"])
+_JSON = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats() | st.text(max_size=4),
+    lambda inner: st.lists(inner, max_size=3)
+    | st.dictionaries(st.text(max_size=3), inner, max_size=3),
+    max_leaves=8)
+
+
+def _mostly(valid, junk):
+    """Three draws in four from ``valid``, the rest from ``junk``."""
+    return st.sampled_from([True, True, True, False]).flatmap(
+        lambda ok: valid if ok else junk)
+
+
+_VALID_POSETS = st.builds(
+    lambda rels: {"elements": ["a", "b", "c"], "relations": rels},
+    st.lists(st.builds("{} < {}".format, _ABC, _ABC), max_size=2))
+_BAD_POSETS = st.builds(
+    lambda els, rels: {"elements": els, "relations": rels},
+    st.lists(_NAMES, max_size=3),
+    st.lists(st.builds("{} < {}".format, _NAMES, _NAMES), max_size=2))
+_POSETS = _mostly(_VALID_POSETS, st.one_of(
+    st.none(), _BAD_POSETS, _JSON, st.text(max_size=12)))
+# at most 3 elements: a text poset names one element per line, and one
+# line names at most two
+_SMALL_POSETS = _mostly(_VALID_POSETS, st.one_of(
+    _BAD_POSETS, _JSON, st.text(alphabet="ab <#{}[]\",:", max_size=12)))
+_TUPLES = _mostly(
+    st.lists(st.lists(_ABC, max_size=3, unique=True), min_size=1, max_size=4),
+    st.one_of(st.lists(st.lists(_NAMES, max_size=3), max_size=4),
+              st.builds(lambda gens: {"generators": gens},
+                        st.lists(st.lists(_ABC, max_size=2), max_size=3)),
+              _JSON, st.text(max_size=12)))
+
+
+@settings(max_examples=120, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(command=st.sampled_from(["reduce", "threads", "tset", "eq",
+                                "classify", "verify"]),
+       data=st.data(),
+       tuples=st.lists(_TUPLES, min_size=1, max_size=2),
+       fmt=st.sampled_from(["text", "json"]),
+       suite=st.sampled_from(["all", "operator-laws", "monoid",
+                              "conjecture", "classifier"]),
+       max_k=st.integers(min_value=-3, max_value=2),
+       budget=st.integers(min_value=-1, max_value=64))
+def test_main_fuzz_exits_cleanly(tmp_path, command, data, tuples, fmt, suite,
+                                 max_k, budget):
+    def write(name, document):
+        path = tmp_path / name
+        text = document if isinstance(document, str) else json.dumps(document)
+        path.write_text(text, encoding="utf-8")
+        return str(path)
+
+    argv = [command]
+    if command == "verify":
+        # always a poset of at most 3 elements: without one, verify runs
+        # the whole default corpus
+        poset = data.draw(_SMALL_POSETS)
+        argv += [suite, "--max-k", str(max_k), "--budget", str(budget)]
+    else:
+        poset = data.draw(_POSETS)
+        for i, t in enumerate(tuples):
+            argv += ["--tuple", write(f"tuple{i}.json", t)]
+    if poset is not None:
+        argv += ["--poset", write("poset.json", poset)]
+    argv += ["--format", fmt]
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main(argv)
+    # 1 is reserved for a property failure, which only eq may report here
+    assert code in ({0, 1, 2} if command == "eq" else {0, 2})
+    assert "Traceback" not in err.getvalue()
+    if code == 2 and fmt == "json":
+        assert "code" in json.loads(out.getvalue())["error"]

@@ -10,7 +10,7 @@ from oracles import (brute_chains, brute_compose_members,
 from test_poset import random_posets
 from test_tuples import poset_and_tuple
 from threadsets.catalog import catalog
-from threadsets.errors import EmptyChain, NotAChain
+from threadsets.errors import EmptyChain, NotAChain, UnknownElement
 from threadsets.families import (EMPTY_FAMILY, ChainFamily, chains_meeting,
                                  compose, family, minimize, principal,
                                  singleton_tuple, thread_sets, threads)
@@ -101,6 +101,23 @@ def test_family_minimizes_and_validates(diamond):
         family(diamond, [0])
 
 
+# masks of one size never contain each other, so inputs dense in one size
+# exercise the tie order of minimize
+_ONE_SIZE = st.integers(min_value=0, max_value=8).flatmap(
+    lambda k: st.lists(st.sampled_from(
+        [m for m in range(1 << 8) if m.bit_count() == k])))
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.one_of(st.lists(st.integers(min_value=0, max_value=(1 << 8) - 1)),
+                 _ONE_SIZE,
+                 st.tuples(_ONE_SIZE, _ONE_SIZE).map(lambda p: p[0] + p[1])))
+def test_minimize_matches_brute_force(masks):
+    expected = minimal_members(set(masks))
+    assert minimize(masks) == expected
+    assert minimize(iter(masks)) == expected
+
+
 def test_membership_upward_closed(diamond):
     F = principal(diamond, diamond.subset(["t", "m"]))
     assert F.member(diamond.subset(["t", "a", "m"]))
@@ -167,6 +184,12 @@ def test_chains_meeting_trivial(diamond):
     assert chains_meeting(diamond, 0) == EMPTY_FAMILY
     p = diamond.subset(["a"])
     assert chains_meeting(diamond, p).generators == frozenset({p})
+
+
+def test_chains_meeting_rejects_outside_bits(diamond):
+    for mask in (1 << diamond.n, diamond.full | 1 << diamond.n, -1):
+        with pytest.raises(UnknownElement):
+            chains_meeting(diamond, mask)
 
 
 def test_chains_meeting_equals_one_uple_thread_sets():

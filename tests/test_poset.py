@@ -69,6 +69,16 @@ def test_subset_unknown_element(diamond):
         diamond.check_subset(1 << diamond.n)
 
 
+@pytest.mark.parametrize("method", ["down_set", "up_set", "is_chain"])
+def test_subset_operators_reject_outside_bits(diamond, method):
+    operator = getattr(diamond, method)
+    for mask in (1 << diamond.n, diamond.full | 1 << diamond.n,
+                 1 << (diamond.n + 60), -1):
+        with pytest.raises(UnknownElement):
+            operator(mask)
+    operator(diamond.full)
+
+
 # -- family and cofamily operators
 
 def test_down_set_diamond(diamond):

@@ -1,14 +1,21 @@
 from __future__ import annotations
 
+import random
+from itertools import product
+
 import pytest
 
+from threadsets import verify
 from threadsets.catalog import catalog
 from threadsets.errors import BadParameter, BudgetExceeded
+from threadsets.families import ChainFamily, chains_meeting
 from threadsets.poset import build_poset
-from threadsets.verify import (Bounds, Failure, _Session, all_posets, deepened,
-                               default_corpus, labeled_corpus, run_suite,
-                               verify_classifier, verify_conjecture,
-                               verify_operator_laws, verify_thread_monoid)
+from threadsets.serialize import tuple_to_lists
+from threadsets.verify import (Bounds, Failure, _associativity, _Session,
+                               all_posets, deepened, default_corpus,
+                               labeled_corpus, run_suite, verify_classifier,
+                               verify_conjecture, verify_operator_laws,
+                               verify_thread_monoid)
 
 
 def test_all_posets_counts():
@@ -105,6 +112,81 @@ def test_failure_records_carry_inputs(diamond):
                                  "inputs": {"tuple": [["a"]]},
                                  "expected": "1", "actual": "2"}
     assert report.to_dict()["poset"]["elements"] == ["t", "a", "b", "m"]
+
+
+def _union(F: ChainFamily) -> int:
+    out = 0
+    for g in F.generators:
+        out |= g
+    return out
+
+
+@pytest.mark.parametrize("budget", [1 << 20, 100])
+def test_associativity_failures_map_back_to_families(chain2, monkeypatch,
+                                                     budget):
+    # set difference of the supports is not associative: (a-b)-c misses
+    # a&c, which a-(b-c) keeps
+    calls = []
+
+    def difference(P, U, V):
+        calls.append((U, V))
+        return chains_meeting(P, _union(U) & ~_union(V))
+
+    monkeypatch.setattr(verify, "compose", difference)
+    bounds = Bounds(budget=budget, seed=5, samples=64)
+    session = _Session("monoid", chain2, bounds)
+    _associativity(session)
+    report = session.report()
+
+    size = 1 << chain2.n
+    if size ** 3 <= budget:
+        triples = list(product(range(size), repeat=3))
+    else:
+        rng = random.Random(bounds.seed)
+        triples = [(rng.randrange(size), rng.randrange(size),
+                    rng.randrange(size)) for _ in range(bounds.samples)]
+    assert report.cases == report.details["associativity_triples"] \
+        == len(triples)
+    pairs, failing = set(), []
+    for a, b, c in triples:
+        A, B, C = (chains_meeting(chain2, m) for m in (a, b, c))
+        AB, BC = difference(chain2, A, B), difference(chain2, B, C)
+        left, right = difference(chain2, AB, C), difference(chain2, A, BC)
+        pairs |= {(A, B), (AB, C), (B, C), (A, BC)}
+        if left != right:
+            failing.append(((a, b, c), left, right))
+    calls_by_check = len(calls) - 4 * len(triples)
+    # each distinct pair of families is composed exactly once
+    assert calls_by_check == len(pairs)
+
+    assert failing and report.failure_count == len(failing)
+    assert {f.prop for f in report.failures} == {"compose_associative"}
+    for failure, (subsets, left, right) in zip(report.failures, failing):
+        assert failure.expected == repr(left)
+        assert failure.actual == repr(right)
+        assert failure.expected.startswith("ChainFamily<")
+        assert failure.inputs == {"subsets": [list(chain2.labels(m))
+                                              for m in subsets]}
+
+
+def test_corpus_failure_inputs_are_the_labeled_tuple(chain1, monkeypatch):
+    monkeypatch.setattr(verify, "collapse", lambda t: t + t)
+    report = verify_operator_laws(chain1, Bounds(max_k=1))
+    tuples = [(m,) for m in range(1 << chain1.n)]
+    recorded = [f.inputs for f in report.failures
+                if f.prop == "collapse_idempotent"]
+    assert recorded == [{"tuple": tuple_to_lists(chain1, t)} for t in tuples]
+    assert all(isinstance(f.inputs, dict) for f in report.failures)
+
+
+def test_passing_run_builds_no_failure_inputs(diamond, monkeypatch):
+    def unused(P, parts):
+        raise AssertionError("failure inputs built for a passing case")
+
+    monkeypatch.setattr(verify, "tuple_to_lists", unused)
+    for suite in (verify_operator_laws, verify_thread_monoid,
+                  verify_conjecture):
+        assert suite(diamond, Bounds(max_k=2)).passed
 
 
 def test_report_json_omits_elapsed(diamond):
