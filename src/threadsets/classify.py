@@ -8,6 +8,13 @@ is the one dispatch over the shapes.  Outside these shapes the engine never
 guesses: it returns ``Unresolved`` carrying the canonical reduction of the
 tuple.
 
+Each form is one row of the table ``_FORMS``: its shape, its payload keys,
+its defining tuple built from the top ``t``, the bottom ``m`` and payload
+subsets of the stratum between them, and its side condition on the payload
+(non-empty, a proper inclusion, or none).  ``PAYLOAD_KEYS``, ``as_tuple``
+and ``form_instances`` read that table; the decision trees
+``classify_dim1``/``classify_dim2`` state the theorem.
+
 Equal thread sets is a *sufficient* condition for two tuples to name
 isomorphic localizations; distinct thread sets are not claimed to separate
 them.  See the README caveat.
@@ -16,6 +23,8 @@ them.  See the README caveat.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import product
+from typing import Callable, NamedTuple
 
 from .errors import Inconsistent, ShapeMismatch
 from .families import ChainFamily, thread_sets
@@ -26,30 +35,59 @@ DIM0 = "Dim0"
 DIM1_IRREDUCIBLE = "Dim1Irreducible"
 DIM2_UNIQUE_EXTREMES = "Dim2UniqueExtremes"
 FINITE = "Finite"
-OTHER = "Other"
 
-SHAPES = (DIM0, DIM1_IRREDUCIBLE, DIM2_UNIQUE_EXTREMES, FINITE, OTHER)
+#: The shapes with a proved classification, in dimension order.
+CLASSIFIED_SHAPES = (DIM0, DIM1_IRREDUCIBLE, DIM2_UNIQUE_EXTREMES)
+
+
+class _Form(NamedTuple):
+    """One normal form: ``build(t, m, *payload)`` is its defining tuple (t
+    and m are 0 where the shape uses no top or bottom), ``valid(*payload)``
+    its side condition, None where there is none."""
+    shape: str
+    keys: tuple[str, ...]
+    build: Callable[..., SubsetTuple]
+    valid: Callable[..., bool] | None = None
+
+
+def _proper(a: int, b: int) -> bool:
+    """``a`` is a proper subset of ``b``."""
+    return a | b == b and a != b
+
+
+_D1, _D2 = DIM1_IRREDUCIBLE, DIM2_UNIQUE_EXTREMES
+
+# a payload mask is non-empty exactly when it is truthy, hence ``bool``
+_FORMS = {
+    "D0Smash": _Form(DIM0, ("A",), lambda t, m, a: (a,), bool),
+    "D1_Lambda": _Form(_D1, ("C",), lambda t, m, c: (c,), bool),
+    "D1_TopSmash": _Form(_D1, ("C",), lambda t, m, c: (t | c,)),
+    "D1_Mixed": _Form(_D1, ("C", "D"), lambda t, m, c, d: (t | c, d), _proper),
+    "D2_Form1": _Form(_D2, ("A1",), lambda t, m, a: (a,), bool),
+    "D2_Form2": _Form(_D2, ("A1",), lambda t, m, a: (t | a,)),
+    "D2_Form3": _Form(_D2, ("A1",), lambda t, m, a: (a | m,)),
+    "D2_Form4": _Form(_D2, ("A1",), lambda t, m, a: (t | a | m,)),
+    "D2_Form5": _Form(_D2, ("A1", "B1"), lambda t, m, a, b: (t | a, b),
+                      _proper),
+    "D2_Form6": _Form(_D2, ("A1", "B1"), lambda t, m, a, b: (a, b | m),
+                      lambda a, b: _proper(b, a)),
+    "D2_Form7": _Form(_D2, ("A1", "B1"), lambda t, m, a, b: (t | a, b | m)),
+    "D2_Form8": _Form(_D2, ("A1", "B1"),
+                      lambda t, m, a, b: (t | a, t | b | m),
+                      lambda a, b: _proper(b, a)),
+    "D2_Form9": _Form(_D2, ("A1", "B1"),
+                      lambda t, m, a, b: (t | a | m, b | m), _proper),
+    "D2_Form10": _Form(_D2, ("A1", "B1", "C1"),
+                       lambda t, m, a, b, c: (t | a, b, c | m),
+                       lambda a, b, c: _proper(a, b) and _proper(c, b)),
+    "D2_Form11": _Form(_D2, ("A1", "B1", "C1"),
+                       lambda t, m, a, b, c: (t | a, t | b | m, c | m),
+                       lambda a, b, c: _proper(b, a & c)),
+}
 
 #: Payload field names per form tag, in payload order.
-PAYLOAD_KEYS = {
-    "Identity": (),
-    "Zero": (),
-    "D0Smash": ("A",),
-    "D1_Lambda": ("C",),
-    "D1_TopSmash": ("C",),
-    "D1_Mixed": ("C", "D"),
-    "D2_Form1": ("A1",),
-    "D2_Form2": ("A1",),
-    "D2_Form3": ("A1",),
-    "D2_Form4": ("A1",),
-    "D2_Form5": ("A1", "B1"),
-    "D2_Form6": ("A1", "B1"),
-    "D2_Form7": ("A1", "B1"),
-    "D2_Form8": ("A1", "B1"),
-    "D2_Form9": ("A1", "B1"),
-    "D2_Form10": ("A1", "B1", "C1"),
-    "D2_Form11": ("A1", "B1", "C1"),
-}
+PAYLOAD_KEYS = {"Identity": (), "Zero": (),
+                **{tag: form.keys for tag, form in _FORMS.items()}}
 
 
 @dataclass(frozen=True)
@@ -72,33 +110,8 @@ class NormalForm:
             return ZERO_TUPLE
         if self.tag == "Unresolved":
             return self.payload
-        if self.tag == "D0Smash":
-            return (self.payload[0],)
-        if self.tag.startswith("D1_"):
-            t = _unique(P.maximal_elements(), P, "maximal")
-            if self.tag == "D1_Lambda":
-                return (self.payload[0],)
-            if self.tag == "D1_TopSmash":
-                return (t | self.payload[0],)
-            c, d = self.payload
-            return (t | c, d)
-        t = _unique(P.maximal_elements(), P, "maximal")
-        m = _unique(P.minimal_elements(), P, "minimal")
-        p = self.payload
-        shapes = {
-            "D2_Form1": lambda: (p[0],),
-            "D2_Form2": lambda: (t | p[0],),
-            "D2_Form3": lambda: (p[0] | m,),
-            "D2_Form4": lambda: (t | p[0] | m,),
-            "D2_Form5": lambda: (t | p[0], p[1]),
-            "D2_Form6": lambda: (p[0], p[1] | m),
-            "D2_Form7": lambda: (t | p[0], p[1] | m),
-            "D2_Form8": lambda: (t | p[0], t | p[1] | m),
-            "D2_Form9": lambda: (t | p[0] | m, p[1] | m),
-            "D2_Form10": lambda: (t | p[0], p[1], p[2] | m),
-            "D2_Form11": lambda: (t | p[0], t | p[1] | m, p[2] | m),
-        }
-        return shapes[self.tag]()
+        form = _FORMS[self.tag]
+        return form.build(*_extremes(P, form.shape), *self.payload)
 
     def describe(self, P: Poset) -> str:
         if not self.payload or self.tag == "Identity":
@@ -121,6 +134,20 @@ def _unique(mask: int, P: Poset, kind: str) -> int:
     if mask.bit_count() != 1:
         raise ShapeMismatch(f"poset does not have a unique {kind} element")
     return mask
+
+
+def _extremes(P: Poset, shape: str) -> tuple[int, int]:
+    """Top and bottom of ``P`` as the forms of ``shape`` use them.
+
+    Dimension 0 uses neither and dimension 1 only the top; each one used
+    must be unique.
+    """
+    if shape == DIM0:
+        return 0, 0
+    t = _unique(P.maximal_elements(), P, "maximal")
+    if shape == DIM1_IRREDUCIBLE:
+        return t, 0
+    return t, _unique(P.minimal_elements(), P, "minimal")
 
 
 def shape_of(P: Poset) -> str:
@@ -299,56 +326,21 @@ def _submasks(mask: int):
 def form_instances(P: Poset) -> list[NormalForm]:
     """Every syntactic normal-form instance valid over ``P``.
 
-    Enumerates payload subsets over the appropriate stratum with the side
-    conditions enforced (proper inclusions where required, non-empty
-    payloads where emptiness would degenerate to Zero).
+    Each form of the shape of ``P`` takes every payload of subsets of the
+    stratum strictly between its top and bottom that meets the form's side
+    condition (proper inclusions where required, non-empty payloads where
+    emptiness would degenerate to Zero).
     """
     shape = shape_of(P)
-    out: list[NormalForm] = []
-    if shape == DIM0:
-        for a in _submasks(P.full):
-            if a:
-                out.append(NormalForm("D0Smash", (a,)))
-    elif shape == DIM1_IRREDUCIBLE:
-        rest = P.full & ~P.maximal_elements()
-        for c in _submasks(rest):
-            if c:
-                out.append(NormalForm("D1_Lambda", (c,)))
-            out.append(NormalForm("D1_TopSmash", (c,)))
-            for d in _submasks(rest):
-                if c | d == d and c != d:
-                    out.append(NormalForm("D1_Mixed", (c, d)))
-    elif shape == DIM2_UNIQUE_EXTREMES:
-        mids = P.full & ~P.maximal_elements() & ~P.minimal_elements()
-        subs = list(_submasks(mids))
-        for a in subs:
-            if a:
-                out.append(NormalForm("D2_Form1", (a,)))
-            out.append(NormalForm("D2_Form2", (a,)))
-            out.append(NormalForm("D2_Form3", (a,)))
-            out.append(NormalForm("D2_Form4", (a,)))
-        for a in subs:
-            for b in subs:
-                proper = a | b == b and a != b
-                if proper:
-                    out.append(NormalForm("D2_Form5", (a, b)))
-                    out.append(NormalForm("D2_Form6", (b, a)))
-                    out.append(NormalForm("D2_Form8", (b, a)))
-                    out.append(NormalForm("D2_Form9", (a, b)))
-                out.append(NormalForm("D2_Form7", (a, b)))
-        for b in subs:
-            for a in subs:
-                if not (a | b == b and a != b):
-                    continue
-                for c in subs:
-                    if c | b == b and c != b:
-                        out.append(NormalForm("D2_Form10", (a, b, c)))
-        for a in subs:
-            for c in subs:
-                meet = a & c
-                for b in subs:
-                    if b | meet == meet and b != meet:
-                        out.append(NormalForm("D2_Form11", (a, b, c)))
-    else:
+    if shape not in CLASSIFIED_SHAPES:
         raise ShapeMismatch(f"no classified forms for shape {shape}")
+    t, m = _extremes(P, shape)
+    stratum = list(_submasks(P.full & ~t & ~m))
+    out: list[NormalForm] = []
+    for tag, form in _FORMS.items():
+        if form.shape != shape:
+            continue
+        for payload in product(stratum, repeat=len(form.keys)):
+            if form.valid is None or form.valid(*payload):
+                out.append(NormalForm(tag, payload))
     return out

@@ -159,7 +159,7 @@ def _cmd_catalog(args) -> int:
 
 def _cmd_verify(args) -> int:
     bounds = verify.Bounds(max_k=args.max_k, budget=args.budget,
-                           exhaustive=True if args.exhaustive else None,
+                           exhaustive=args.exhaustive,
                            seed=args.seed)
     posets = None
     if args.poset:
@@ -221,7 +221,8 @@ def build_parser() -> argparse.ArgumentParser:
     ver.add_argument("--format", choices=("text", "json"), default="text")
     ver.add_argument("--seed", type=int, default=0)
     ver.add_argument("--exhaustive", action="store_true",
-                     help="force exhaustive enumeration (may exceed budget)")
+                     help="never sample tuples or associativity triples; "
+                          "fail with BudgetExceeded beyond --budget")
     ver.add_argument("--max-k", type=int, default=2, dest="max_k")
     ver.add_argument("--budget", type=int, default=1 << 20)
     return parser

@@ -112,30 +112,6 @@ def collapse(parts: SubsetTuple) -> SubsetTuple:
     return tuple(out)
 
 
-def collapse_results_all_orders(parts: SubsetTuple) -> frozenset[SubsetTuple]:
-    """Collapsed tuples reachable by every removal order (confluence probe)."""
-    seen: set[SubsetTuple] = set()
-    results: set[SubsetTuple] = set()
-    stack = [tuple(_check(parts))]
-    while stack:
-        t = stack.pop()
-        if t in seen:
-            continue
-        seen.add(t)
-        moves = []
-        for i in range(len(t) - 1):
-            a, b = t[i], t[i + 1]
-            if a | b == b:
-                moves.append(t[:i + 1] + t[i + 2:])
-            if b | a == a:
-                moves.append(t[:i] + t[i + 1:])
-        if moves:
-            stack.extend(moves)
-        else:
-            results.add(t)
-    return frozenset(results)
-
-
 def canonical(P: Poset, parts: SubsetTuple) -> SubsetTuple:
     """Collapsed concatenated canonical form of a tuple.
 

@@ -18,17 +18,17 @@ from itertools import product
 from typing import Callable, Iterable, Iterator
 
 from . import catalog as _catalog
-from .classify import (DIM0, DIM1_IRREDUCIBLE, DIM2_UNIQUE_EXTREMES, ZERO,
-                       NormalForm, classify_family, form_instances, shape_of)
+from .classify import (CLASSIFIED_SHAPES, ZERO, NormalForm, classify_family,
+                       form_instances, shape_of)
 from .errors import BadParameter, BudgetExceeded
 from .families import (EMPTY_FAMILY, ChainFamily, chains_meeting, compose,
                        minimize, thread_sets, threads)
 from .poset import Poset, bits
 from .serialize import poset_to_dict, tuple_to_lists
 from .tuples import (ZERO_TUPLE, SubsetTuple, canonical, collapse,
-                     collapse_results_all_orders, is_collapsed, is_concatenated,
-                     is_downward_concatenated, is_upward_concatenated,
-                     prune_downward, prune_to_threads_direct, prune_upward)
+                     is_collapsed, is_concatenated, is_downward_concatenated,
+                     is_upward_concatenated, prune_downward,
+                     prune_to_threads_direct, prune_upward)
 
 FAILURE_CAP = 50  # recorded per report; the failure count is always exact
 
@@ -41,7 +41,7 @@ class Bounds:
 
     max_k: int = 2
     budget: int = 1 << 20
-    exhaustive: bool | None = None  # None: auto by budget; True: forced
+    exhaustive: bool = False  # True: never sample, beyond budget raise
     seed: int = 0
     samples: int = 2048
 
@@ -155,11 +155,7 @@ class _Session:
     def corpus(self) -> Iterator[SubsetTuple]:
         P, b = self.P, self.bounds
         space = _tuple_space(P.n, b.max_k)
-        exhaustive = space <= b.budget if b.exhaustive is None else b.exhaustive
-        if exhaustive and space > b.budget:
-            raise BudgetExceeded(
-                f"exhaustive mode forced on {space} tuples with budget {b.budget}")
-        if exhaustive:
+        if _exhaustive(space, "tuples", b):
             self.mode = "exhaustive"
             source: Iterable[SubsetTuple] = _all_tuples(P.n, b.max_k)
         else:
@@ -178,6 +174,17 @@ class _Session:
             mode=self.mode, cases=self.cases, failure_count=self.failure_count,
             failures=self.failures, elapsed=time.perf_counter() - self.start,
             seed=self.seed_used, details=self.details)
+
+
+def _exhaustive(space: int, what: str, b: Bounds) -> bool:
+    """Enumerate ``space`` cases when they fit the budget, else sample them;
+    forced exhaustive mode raises ``BudgetExceeded`` instead of sampling."""
+    if space <= b.budget:
+        return True
+    if b.exhaustive:
+        raise BudgetExceeded(
+            f"exhaustive mode forced on {space} {what} with budget {b.budget}")
+    return False
 
 
 def _tuple_space(n: int, max_k: int) -> int:
@@ -207,6 +214,31 @@ def _decode_tuple(index: int, n: int) -> SubsetTuple:
     return tuple(parts)
 
 
+def _collapse_results_all_orders(
+        parts: SubsetTuple) -> frozenset[SubsetTuple]:
+    """Collapsed tuples reachable by every removal order (confluence probe)."""
+    seen: set[SubsetTuple] = set()
+    results: set[SubsetTuple] = set()
+    stack = [parts]
+    while stack:
+        t = stack.pop()
+        if t in seen:
+            continue
+        seen.add(t)
+        moves = []
+        for i in range(len(t) - 1):
+            a, b = t[i], t[i + 1]
+            if a | b == b:
+                moves.append(t[:i + 1] + t[i + 2:])
+            if b | a == a:
+                moves.append(t[:i] + t[i + 1:])
+        if moves:
+            stack.extend(moves)
+        else:
+            results.add(t)
+    return frozenset(results)
+
+
 def verify_operator_laws(P: Poset, bounds: Bounds = Bounds(),
                          name: str = "") -> VerificationReport:
     """Idempotence, commutation and confluence of the reduction operators."""
@@ -233,7 +265,7 @@ def verify_operator_laws(P: Poset, bounds: Bounds = Bounds(),
         s.check("collapse_idempotent", inputs, collapsed, collapse(collapsed))
         s.check("collapse_collapses", inputs, True, is_collapsed(collapsed))
         s.check("collapse_confluent", inputs, frozenset((collapsed,)),
-                collapse_results_all_orders(t))
+                _collapse_results_all_orders(t))
         if is_upward_concatenated(P, t):
             s.check("collapse_preserves_upward", inputs, True,
                     is_upward_concatenated(P, collapsed))
@@ -288,7 +320,7 @@ def _associativity(s: _Session) -> None:
     """
     P, b = s.P, s.bounds
     space = (1 << P.n) ** 3
-    if space <= b.budget:
+    if _exhaustive(space, "triples", b):
         subsets: Iterable[int] = range(1 << P.n)
         triples: Iterable[tuple[int, int, int]] = product(subsets, repeat=3)
         total = space
@@ -349,7 +381,7 @@ def verify_conjecture(P: Poset, bounds: Bounds = Bounds(),
     """
     s = _Session("conjecture", P, bounds, name)
     shape = shape_of(P)
-    supported = shape in (DIM0, DIM1_IRREDUCIBLE, DIM2_UNIQUE_EXTREMES)
+    supported = shape in CLASSIFIED_SHAPES
     buckets: dict[ChainFamily, tuple[NormalForm, SubsetTuple]] = {}
     sizes: dict[ChainFamily, int] = {}
     for t in s.corpus():
@@ -486,12 +518,8 @@ def run_suite(suite: str, posets: list[tuple[str, Poset]] | None = None,
     reports = []
     for which in suites:
         for name, P in posets:
+            if which == "classifier" and shape_of(P) not in CLASSIFIED_SHAPES:
+                continue
             effective = deepened(bounds, P) if adapt else bounds
-            if which == "classifier":
-                if shape_of(P) not in (DIM0, DIM1_IRREDUCIBLE,
-                                       DIM2_UNIQUE_EXTREMES):
-                    continue
-                reports.append(verify_classifier(P, effective, name=name))
-            else:
-                reports.append(_SUITES[which](P, effective, name=name))
+            reports.append(_SUITES[which](P, effective, name=name))
     return reports

@@ -1,12 +1,16 @@
 from __future__ import annotations
 
+from collections import Counter
+
 import pytest
 
+from threadsets import classify
 from threadsets.classify import (DIM0, DIM1_IRREDUCIBLE,
                                  DIM2_UNIQUE_EXTREMES, FINITE, IDENTITY,
-                                 ZERO, NormalForm, classify_dim0,
-                                 classify_dim1, classify_dim2, form_instances,
-                                 normal_form, normal_form_dim0, shape_of)
+                                 PAYLOAD_KEYS, ZERO, NormalForm, classify_dim0,
+                                 classify_dim1, classify_dim2, classify_family,
+                                 form_instances, normal_form, normal_form_dim0,
+                                 shape_of)
 from threadsets.errors import Inconsistent, ShapeMismatch
 from threadsets.families import EMPTY_FAMILY, family, thread_sets
 from threadsets.poset import build_poset
@@ -223,15 +227,43 @@ def test_normal_form_five_element_two_maximal():
 
 # -- the NormalForm value itself
 
-def test_as_tuple_forms(diamond, star2):
-    t, m = diamond.subset(["t"]), diamond.subset(["m"])
-    a, b = diamond.subset(["a"]), diamond.subset(["b"])
-    assert NormalForm("D2_Form8", (a, 0)).as_tuple(diamond) == (t | a, t | m)
-    assert NormalForm("D2_Form11", (a, 0, b)).as_tuple(diamond) == (
-        t | a, t | m, b | m)
-    assert NormalForm("D1_Mixed", (0, star2.subset(["a"]))).as_tuple(
-        star2) == (star2.subset(["t"]), star2.subset(["a"]))
+# tag -> (poset fixture, payload, defining tuple); each string spells one
+# subset by its one-letter element labels
+AS_TUPLE = {
+    "D0Smash": ("antichain3", ["pq"], ["pq"]),
+    "D1_Lambda": ("star2", ["a"], ["a"]),
+    "D1_TopSmash": ("star2", ["a"], ["ta"]),
+    "D1_Mixed": ("star2", ["a", "ab"], ["ta", "ab"]),
+    "D2_Form1": ("diamond", ["a"], ["a"]),
+    "D2_Form2": ("diamond", ["a"], ["ta"]),
+    "D2_Form3": ("diamond", ["a"], ["am"]),
+    "D2_Form4": ("diamond", ["a"], ["tam"]),
+    "D2_Form5": ("diamond", ["a", "b"], ["ta", "b"]),
+    "D2_Form6": ("diamond", ["a", "b"], ["a", "bm"]),
+    "D2_Form7": ("diamond", ["a", "b"], ["ta", "bm"]),
+    "D2_Form8": ("diamond", ["a", "b"], ["ta", "tbm"]),
+    "D2_Form9": ("diamond", ["a", "b"], ["tam", "bm"]),
+    "D2_Form10": ("diamond", ["a", "ab", "b"], ["ta", "ab", "bm"]),
+    "D2_Form11": ("diamond", ["a", "ab", "b"], ["ta", "tabm", "bm"]),
+}
+
+
+def test_as_tuple_forms(request, diamond):
+    assert set(AS_TUPLE) == set(PAYLOAD_KEYS) - {"Identity", "Zero"}
+    for tag, (fixture, payload, expected) in AS_TUPLE.items():
+        P = request.getfixturevalue(fixture)
+        nf = NormalForm(tag, tuple(P.subset(list(part)) for part in payload))
+        assert nf.as_tuple(P) == tuple(P.subset(list(part))
+                                       for part in expected), tag
     assert ZERO.as_tuple(diamond) == ZERO_TUPLE
+
+
+def test_as_tuple_needs_unique_extremes(star2, two_chains):
+    with pytest.raises(ShapeMismatch):
+        NormalForm("D2_Form1", (star2.subset(["a"]),)).as_tuple(star2)
+    with pytest.raises(ShapeMismatch):
+        NormalForm("D1_Lambda", (two_chains.subset(["p2"]),)).as_tuple(
+            two_chains)
 
 
 def test_identity_has_no_tuple(diamond):
@@ -248,9 +280,29 @@ def test_describe(diamond):
 
 # -- syntactic instances
 
-def test_form_instances_counts(diamond, star2):
-    assert len(form_instances(star2)) == 12
-    assert len(form_instances(diamond)) == 71
+def test_form_instances_counts(diamond, star2, antichain3):
+    assert Counter(nf.tag for nf in form_instances(diamond)) == {
+        "D2_Form1": 3, "D2_Form2": 4, "D2_Form3": 4, "D2_Form4": 4,
+        "D2_Form5": 5, "D2_Form6": 5, "D2_Form7": 16, "D2_Form8": 5,
+        "D2_Form9": 5, "D2_Form10": 11, "D2_Form11": 9}
+    assert Counter(nf.tag for nf in form_instances(star2)) == {
+        "D1_Lambda": 3, "D1_TopSmash": 4, "D1_Mixed": 5}
+    assert Counter(nf.tag for nf in form_instances(antichain3)) == {
+        "D0Smash": 7}
+
+
+def test_classify_family_dispatches_through_module_globals(
+        monkeypatch, antichain3, star2, diamond):
+    # per-layer tracing rebinds these module attributes; the dispatch must
+    # look them up at call time
+    calls = []
+    for name in ("classify_dim0", "classify_dim1", "classify_dim2"):
+        monkeypatch.setattr(classify, name,
+                            lambda P, F, name=name: calls.append(name) or ZERO)
+    for P in (antichain3, star2, diamond):
+        whole = (P.full,)
+        classify_family(P, thread_sets(P, whole), canonical(P, whole))
+    assert calls == ["classify_dim0", "classify_dim1", "classify_dim2"]
 
 
 def test_form_instances_round_trip(diamond, star2, antichain3):

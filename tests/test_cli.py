@@ -185,6 +185,15 @@ def test_verify_budget_error(write, capsys):
     assert "BudgetExceeded" in err
 
 
+def test_verify_exhaustive_covers_associativity_triples(write, capsys):
+    # 16 + 256 tuples fit the budget, 16^3 triples do not: never sampled
+    poset = write("p.json", DIAMOND)
+    code, out, err = run(capsys, "verify", "monoid", "--poset", poset,
+                         "--exhaustive", "--budget", "1000")
+    assert code == 2
+    assert "BudgetExceeded" in err
+
+
 def test_parse_error_text_mode(write, capsys):
     poset = write("p.json", '{"elements": [}')
     code, out, err = run(capsys, "dot", "--poset", poset)

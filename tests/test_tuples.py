@@ -7,13 +7,12 @@ from hypothesis import strategies as st
 from oracles import brute_thread_prune
 from test_poset import random_posets
 from threadsets.errors import NotUpwardClosed
-from threadsets.tuples import (ZERO_TUPLE, canonical, collapse,
-                               collapse_results_all_orders, is_collapsed,
+from threadsets.tuples import (ZERO_TUPLE, canonical, collapse, is_collapsed,
                                is_concatenated, is_downward_concatenated,
                                is_upward_concatenated, is_zero,
                                prune_downward, prune_to_threads,
                                prune_to_threads_direct, prune_upward, restrict)
-from threadsets.verify import all_posets
+from threadsets.verify import _collapse_results_all_orders, all_posets
 
 
 @st.composite
@@ -120,7 +119,7 @@ def test_collapse_empty_parts_reduce_to_zero():
 @given(st.lists(st.integers(min_value=0, max_value=15), min_size=1, max_size=5))
 def test_collapse_confluent_random(parts):
     t = tuple(parts)
-    results = collapse_results_all_orders(t)
+    results = _collapse_results_all_orders(t)
     assert results == frozenset((collapse(t),))
     assert is_collapsed(collapse(t))
     assert collapse(collapse(t)) == collapse(t)

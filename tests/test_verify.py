@@ -83,6 +83,15 @@ def test_budget_exceeded_when_forced(diamond):
                                              exhaustive=True))
 
 
+def test_forced_exhaustive_never_samples_triples(chain2):
+    # the 8 + 64 tuples fit the budget, the 8^3 associativity triples do not
+    with pytest.raises(BudgetExceeded, match="triples"):
+        verify_thread_monoid(chain2, Bounds(budget=100, exhaustive=True))
+    report = verify_thread_monoid(chain2, Bounds(budget=100))
+    assert report.mode == "exhaustive"
+    assert report.details["associativity_triples"] == Bounds().samples
+
+
 def test_sampled_mode_is_deterministic(diamond):
     bounds = Bounds(max_k=2, budget=10, seed=7, samples=40)
     first = verify_operator_laws(diamond, bounds)
