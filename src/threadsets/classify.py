@@ -314,6 +314,24 @@ def normal_form(P: Poset, parts: SubsetTuple) -> NormalForm:
     return classify_family(P, thread_sets(P, parts), canonical(P, parts))
 
 
+def form_defect(P: Poset, tag: str, payload: tuple[int, ...]) -> str | None:
+    """Why ``NormalForm(tag, payload)`` is not among ``form_instances(P)``,
+    or None if it is; tags without a row in the table are not checked."""
+    form = _FORMS.get(tag)
+    if form is None:
+        return None
+    shape = shape_of(P)
+    if form.shape != shape:
+        return f"form {tag} needs a {form.shape} poset, not {shape}"
+    t, m = _extremes(P, shape)
+    if any(part & (t | m) for part in payload):
+        return f"form {tag} takes subsets strictly between top and bottom"
+    if form.valid is not None and not form.valid(*payload):
+        return (f"form {tag} needs a non-empty payload or a proper "
+                "inclusion of its subsets")
+    return None
+
+
 def _submasks(mask: int):
     sub = mask
     while True:

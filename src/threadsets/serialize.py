@@ -10,7 +10,7 @@ from __future__ import annotations
 import json
 from typing import Any
 
-from .classify import PAYLOAD_KEYS, NormalForm
+from .classify import PAYLOAD_KEYS, NormalForm, form_defect
 from .errors import ParseError
 from .families import ChainFamily, family
 from .poset import Poset, build_poset
@@ -88,11 +88,11 @@ def poset_from_text(text: str) -> Poset:
 
 
 def poset_to_dot(P: Poset) -> str:
+    ids = ['"%s"' % e.replace("\\", "\\\\").replace('"', '\\"')
+           for e in P.elements]
     lines = ["digraph poset {"]
-    for e in P.elements:
-        lines.append(f'  "{e}";')
-    for i, j in P.covers:
-        lines.append(f'  "{P.elements[i]}" -> "{P.elements[j]}";')
+    lines += [f"  {e};" for e in ids]
+    lines += [f"  {ids[i]} -> {ids[j]};" for i, j in P.covers]
     lines.append("}")
     return "\n".join(lines) + "\n"
 
@@ -159,6 +159,9 @@ def form_from_dict(P: Poset, data: Any) -> NormalForm:
         if not isinstance(part, list):
             raise ParseError(f"form {tag} needs the subset field {key!r}")
         payload.append(P.subset(_labels(part, f"form field {key!r}")))
+    defect = form_defect(P, tag, tuple(payload))
+    if defect:
+        raise ParseError(defect)
     return NormalForm(tag, tuple(payload))
 
 

@@ -3,9 +3,10 @@
 Each suite checks one family of identities over a poset and a generated
 tuple corpus: operator laws of the reduction calculus, the thread-set
 monoid decomposition, the bucket form of the isomorphism conjecture, and
-classifier soundness.  Corpora are enumerated exhaustively when the tuple
-space fits the budget and sampled with a reported seed otherwise, so every
-report is reproducible from its inputs and seed.
+classifier soundness.  One sampler per suite run draws the tuples and the
+associativity triples: each space is enumerated when it fits the budget
+and sampled with a reported seed otherwise, so every report is
+reproducible from its inputs and seed.
 """
 
 from __future__ import annotations
@@ -13,9 +14,8 @@ from __future__ import annotations
 import random
 import time
 from dataclasses import dataclass, field, replace
-from functools import partial
-from itertools import product
-from typing import Callable, Iterable, Iterator
+from itertools import chain, product
+from typing import Callable, Iterator
 
 from . import catalog as _catalog
 from .classify import (CLASSIFIED_SHAPES, ZERO, NormalForm, classify_family,
@@ -31,22 +31,26 @@ from .tuples import (ZERO_TUPLE, SubsetTuple, canonical, collapse,
                      prune_to_threads_direct, prune_upward)
 
 FAILURE_CAP = 50  # recorded per report; the failure count is always exact
-
-Inputs = dict | Callable[[], dict]
+SAMPLES = 2048  # cases drawn from a space that exceeds the budget
 
 
 @dataclass(frozen=True)
 class Bounds:
-    """Corpus bounds: tuple length, enumeration budget, sampling controls."""
+    """Corpus bounds.
+
+    Tuples have lengths 1..``max_k``.  A case space (the tuples, or the
+    monoid suite's associativity triples) is enumerated when it has at most
+    ``budget`` cases; otherwise ``SAMPLES`` cases are drawn from it with
+    ``seed``, or ``BudgetExceeded`` is raised when ``exhaustive`` is set.
+    """
 
     max_k: int = 2
     budget: int = 1 << 20
-    exhaustive: bool = False  # True: never sample, beyond budget raise
+    exhaustive: bool = False
     seed: int = 0
-    samples: int = 2048
 
     def __post_init__(self):
-        for name in ("max_k", "budget", "samples"):
+        for name in ("max_k", "budget"):
             value = getattr(self, name)
             if not isinstance(value, int) or value < 1:
                 raise BadParameter(f"{name} must be a positive integer, "
@@ -113,7 +117,7 @@ class VerificationReport:
 
 
 class _Session:
-    """Shared failure collection and corpus iteration for one suite run."""
+    """The case stream and the failure collection of one suite run."""
 
     def __init__(self, suite: str, P: Poset, bounds: Bounds, name: str = ""):
         self.suite = suite
@@ -126,46 +130,54 @@ class _Session:
         self.details: dict = {}
         self.mode = "exhaustive"
         self.seed_used: int | None = None
+        self.case: SubsetTuple = ()
         self.start = time.perf_counter()
 
-    def fail(self, prop: str, inputs: Inputs, expected, actual) -> None:
+    def fail(self, prop: str, expected, actual,
+             inputs: dict | None = None) -> None:
         """Count a failure and record the first FAILURE_CAP of them.
 
-        ``inputs`` is the failing input as a dict, or a zero-argument
-        callable returning it, called only when the failure is recorded.
+        ``inputs`` defaults to the current corpus case, labeled only when
+        the failure is recorded.
         """
         self.failure_count += 1
         if len(self.failures) < FAILURE_CAP:
-            if callable(inputs):
-                inputs = inputs()
+            if inputs is None:
+                inputs = {"tuple": tuple_to_lists(self.P, self.case)}
             self.failures.append(
                 Failure(prop, inputs, repr(expected), repr(actual)))
 
-    def check(self, prop: str, inputs: Inputs, expected, actual) -> bool:
+    def check(self, prop: str, expected, actual,
+              inputs: dict | None = None) -> None:
         if expected != actual:
-            self.fail(prop, inputs, expected, actual)
-            return False
-        return True
+            self.fail(prop, expected, actual, inputs)
 
-    def tuple_inputs(self, *parts_seq: SubsetTuple) -> dict:
-        if len(parts_seq) == 1:
-            return {"tuple": tuple_to_lists(self.P, parts_seq[0])}
-        return {"tuples": [tuple_to_lists(self.P, t) for t in parts_seq]}
+    def draw(self, lengths: range,
+             what: str) -> tuple[int, Iterator[SubsetTuple]]:
+        """The number of cases and the cases: every tuple with a length in
+        ``lengths`` when they fit the budget, else ``SAMPLES`` of them drawn
+        with the seed.  Forced exhaustive mode raises ``BudgetExceeded``
+        instead of drawing."""
+        n, b = self.P.n, self.bounds
+        space = sum((1 << n) ** k for k in lengths)
+        if space <= b.budget:
+            return space, _all_tuples(n, lengths)
+        if b.exhaustive:
+            raise BudgetExceeded(f"exhaustive mode forced on {space} {what} "
+                                 f"with budget {b.budget}")
+        self.seed_used = b.seed
+        rng = random.Random(b.seed)
+        return SAMPLES, (_decode_tuple(rng.randrange(space), n, lengths)
+                         for _ in range(SAMPLES))
 
     def corpus(self) -> Iterator[SubsetTuple]:
-        P, b = self.P, self.bounds
-        space = _tuple_space(P.n, b.max_k)
-        if _exhaustive(space, "tuples", b):
-            self.mode = "exhaustive"
-            source: Iterable[SubsetTuple] = _all_tuples(P.n, b.max_k)
-        else:
-            self.mode = "sampled"
-            self.seed_used = b.seed
-            rng = random.Random(b.seed)
-            source = (_decode_tuple(rng.randrange(space), P.n)
-                      for _ in range(b.samples))
-        for t in source:
-            self.cases += 1
+        """The tuple corpus, each tuple kept as the current case; ``mode``
+        says whether it was sampled."""
+        count, cases = self.draw(range(1, self.bounds.max_k + 1), "tuples")
+        self.mode = "exhaustive" if self.seed_used is None else "sampled"
+        self.cases += count
+        for t in cases:
+            self.case = t
             yield t
 
     def report(self) -> VerificationReport:
@@ -176,41 +188,23 @@ class _Session:
             seed=self.seed_used, details=self.details)
 
 
-def _exhaustive(space: int, what: str, b: Bounds) -> bool:
-    """Enumerate ``space`` cases when they fit the budget, else sample them;
-    forced exhaustive mode raises ``BudgetExceeded`` instead of sampling."""
-    if space <= b.budget:
-        return True
-    if b.exhaustive:
-        raise BudgetExceeded(
-            f"exhaustive mode forced on {space} {what} with budget {b.budget}")
-    return False
-
-
-def _tuple_space(n: int, max_k: int) -> int:
-    block = 1 << n
-    return sum(block ** k for k in range(1, max_k + 1))
-
-
-def _all_tuples(n: int, max_k: int) -> Iterator[SubsetTuple]:
+def _all_tuples(n: int, lengths: range) -> Iterator[SubsetTuple]:
     block = range(1 << n)
-    for k in range(1, max_k + 1):
-        yield from product(block, repeat=k)
+    return chain.from_iterable(product(block, repeat=k) for k in lengths)
 
 
-def _decode_tuple(index: int, n: int) -> SubsetTuple:
+def _decode_tuple(index: int, n: int, lengths: range) -> SubsetTuple:
+    """Tuple number ``index`` of those with a length in ``lengths``: shorter
+    tuples first, the first part in the lowest digit base ``2**n``."""
     block = 1 << n
-    size = block
-    while index >= size:
-        index -= size
-        size *= block
+    for k in lengths:
+        if index < block ** k:
+            break
+        index -= block ** k
     parts = []
-    while True:
+    for _ in range(k):
         index, low = divmod(index, block)
         parts.append(low)
-        if size == block:
-            break
-        size //= block
     return tuple(parts)
 
 
@@ -244,37 +238,35 @@ def verify_operator_laws(P: Poset, bounds: Bounds = Bounds(),
     """Idempotence, commutation and confluence of the reduction operators."""
     s = _Session("operator-laws", P, bounds, name)
     for t in s.corpus():
-        inputs = partial(s.tuple_inputs, t)
         upward = prune_upward(P, t)
         downward = prune_downward(P, t)
-        s.check("prune_upward_idempotent", inputs, upward,
-                prune_upward(P, upward))
-        s.check("prune_upward_concatenates", inputs, True,
+        s.check("prune_upward_idempotent", upward, prune_upward(P, upward))
+        s.check("prune_upward_concatenates", True,
                 is_upward_concatenated(P, upward))
-        s.check("prune_downward_idempotent", inputs, downward,
+        s.check("prune_downward_idempotent", downward,
                 prune_downward(P, downward))
-        s.check("prune_downward_concatenates", inputs, True,
+        s.check("prune_downward_concatenates", True,
                 is_downward_concatenated(P, downward))
         both = prune_downward(P, upward)
-        s.check("prune_order_commutes", inputs, both, prune_upward(P, downward))
-        s.check("thread_prune_matches_direct", inputs, both,
+        s.check("prune_order_commutes", both, prune_upward(P, downward))
+        s.check("thread_prune_matches_direct", both,
                 prune_to_threads_direct(P, t))
-        s.check("thread_prune_idempotent", inputs, both,
+        s.check("thread_prune_idempotent", both,
                 prune_downward(P, prune_upward(P, both)))
         collapsed = collapse(t)
-        s.check("collapse_idempotent", inputs, collapsed, collapse(collapsed))
-        s.check("collapse_collapses", inputs, True, is_collapsed(collapsed))
-        s.check("collapse_confluent", inputs, frozenset((collapsed,)),
+        s.check("collapse_idempotent", collapsed, collapse(collapsed))
+        s.check("collapse_collapses", True, is_collapsed(collapsed))
+        s.check("collapse_confluent", frozenset((collapsed,)),
                 _collapse_results_all_orders(t))
         if is_upward_concatenated(P, t):
-            s.check("collapse_preserves_upward", inputs, True,
+            s.check("collapse_preserves_upward", True,
                     is_upward_concatenated(P, collapsed))
         if is_downward_concatenated(P, t):
-            s.check("collapse_preserves_downward", inputs, True,
+            s.check("collapse_preserves_downward", True,
                     is_downward_concatenated(P, collapsed))
         reduced = collapse(both)
-        s.check("canonical_idempotent", inputs, reduced, canonical(P, reduced))
-        s.check("canonical_shape", inputs, True,
+        s.check("canonical_idempotent", reduced, canonical(P, reduced))
+        s.check("canonical_shape", True,
                 reduced == ZERO_TUPLE
                 or (is_collapsed(reduced) and is_concatenated(P, reduced)))
     return s.report()
@@ -285,25 +277,22 @@ def verify_thread_monoid(P: Poset, bounds: Bounds = Bounds(),
     """Thread-set decomposition, composition laws and reduction shadows."""
     s = _Session("monoid", P, bounds, name)
     for t in s.corpus():
-        inputs = partial(s.tuple_inputs, t)
         F = thread_sets(P, t)
         # threads() is the reference: minimal supports of the enumerated
         # threads, computed without compose
         enumerated = ChainFamily(minimize({th.support for th in threads(P, t)}))
-        s.check("thread_sets_decompose", inputs, enumerated, F)
+        s.check("thread_sets_decompose", enumerated, F)
         for j in range(1, len(t)):
-            s.check("thread_sets_of_concatenation", inputs, F,
+            s.check("thread_sets_of_concatenation", F,
                     compose(P, thread_sets(P, t[:j]), thread_sets(P, t[j:])))
         reduced = canonical(P, t)
-        s.check("canonical_preserves_thread_sets", inputs, F,
-                thread_sets(P, reduced))
-        s.check("no_thread_iff_zero", inputs, F.is_empty(),
-                reduced == ZERO_TUPLE)
+        s.check("canonical_preserves_thread_sets", F, thread_sets(P, reduced))
+        s.check("no_thread_iff_zero", F.is_empty(), reduced == ZERO_TUPLE)
         if len(t) == 2:
             a, b = t
-            s.check("head_restricts_to_upset", inputs, F,
+            s.check("head_restricts_to_upset", F,
                     thread_sets(P, (a & P.up_set(b), b)))
-            s.check("tail_restricts_to_downset", inputs, F,
+            s.check("tail_restricts_to_downset", F,
                     thread_sets(P, (a, b & P.down_set(a))))
     _associativity(s)
     return s.report()
@@ -312,25 +301,15 @@ def verify_thread_monoid(P: Poset, bounds: Bounds = Bounds(),
 def _associativity(s: _Session) -> None:
     """``compose`` is associative on the families ``chains_meeting(P, a)``.
 
-    Families are interned as ints: ``family[i]`` is the family with id
-    ``i``, ``gen[a]`` the id of ``chains_meeting(P, a)`` and
+    The triples ``(a, b, c)`` are drawn as tuples of length 3.  Families
+    are interned as ints: ``family[i]`` is the family with id ``i``,
+    ``gen[a]`` the id of ``chains_meeting(P, a)``, made on first use, and
     ``products[x][y]`` the id of ``compose`` of families ``x`` and ``y``,
     so each distinct pair is composed once and the triple loop hashes and
     compares ints only.  Failures map the ids back to families.
     """
-    P, b = s.P, s.bounds
-    space = (1 << P.n) ** 3
-    if _exhaustive(space, "triples", b):
-        subsets: Iterable[int] = range(1 << P.n)
-        triples: Iterable[tuple[int, int, int]] = product(subsets, repeat=3)
-        total = space
-    else:
-        rng = random.Random(b.seed)
-        s.seed_used = b.seed
-        triples = [(rng.randrange(1 << P.n), rng.randrange(1 << P.n),
-                    rng.randrange(1 << P.n)) for _ in range(b.samples)]
-        subsets = sorted(set().union(*triples))
-        total = b.samples
+    P = s.P
+    total, triples = s.draw(range(3, 4), "triples")
     ids: dict[ChainFamily, int] = {}
     family: list[ChainFamily] = []
     products: list[dict[int, int]] = []
@@ -347,7 +326,12 @@ def _associativity(s: _Session) -> None:
         z = products[x][y] = intern(compose(P, family[x], family[y]))
         return z
 
-    gen = {a: intern(chains_meeting(P, a)) for a in subsets}
+    class Generators(dict):
+        def __missing__(self, a: int) -> int:
+            i = self[a] = intern(chains_meeting(P, a))
+            return i
+
+    gen = Generators()
     for a, bb, c in triples:
         x, y, z = gen[a], gen[bb], gen[c]
         xy = products[x].get(y)
@@ -363,10 +347,8 @@ def _associativity(s: _Session) -> None:
         if right is None:
             right = composed(x, yz)
         if left != right:
-            s.fail("compose_associative",
-                   {"subsets": [list(P.labels(a)), list(P.labels(bb)),
-                                list(P.labels(c))]},
-                   family[left], family[right])
+            s.fail("compose_associative", family[left], family[right],
+                   {"subsets": [list(P.labels(m)) for m in (a, bb, c)]})
     s.cases += total
     s.details["associativity_triples"] = total
 
@@ -385,11 +367,9 @@ def verify_conjecture(P: Poset, bounds: Bounds = Bounds(),
     buckets: dict[ChainFamily, tuple[NormalForm, SubsetTuple]] = {}
     sizes: dict[ChainFamily, int] = {}
     for t in s.corpus():
-        inputs = partial(s.tuple_inputs, t)
         F = thread_sets(P, t)
         reduced = canonical(P, t)
-        s.check("canonical_preserves_thread_sets", inputs, F,
-                thread_sets(P, reduced))
+        s.check("canonical_preserves_thread_sets", F, thread_sets(P, reduced))
         sizes[F] = sizes.get(F, 0) + 1
         if not supported:
             continue
@@ -398,8 +378,8 @@ def verify_conjecture(P: Poset, bounds: Bounds = Bounds(),
         if held is None:
             buckets[F] = (nf, t)
         elif held[0] != nf:
-            s.fail("same_thread_sets_same_form",
-                   s.tuple_inputs(held[1], t), held[0], nf)
+            s.fail("same_thread_sets_same_form", held[0], nf,
+                   {"tuples": [tuple_to_lists(P, u) for u in (held[1], t)]})
     s.details["shape"] = shape
     s.details["buckets"] = len(sizes)
     histogram: dict[int, int] = {}
@@ -417,7 +397,6 @@ def verify_classifier(P: Poset, bounds: Bounds = Bounds(),
     all instances must have pairwise distinct thread-set families.
     """
     s = _Session("classifier", P, bounds, name)
-    s.mode = "exhaustive"
     seen: dict[ChainFamily, NormalForm] = {}
     for inst in form_instances(P):
         s.cases += 1
@@ -426,15 +405,15 @@ def verify_classifier(P: Poset, bounds: Bounds = Bounds(),
                   "tuple": tuple_to_lists(P, defining)}
         F = thread_sets(P, defining)
         got = classify_family(P, F, canonical(P, defining))
-        s.check("classifier_round_trip", inputs, inst, got)
+        s.check("classifier_round_trip", inst, got, inputs)
         other = seen.get(F)
         if other is not None:
-            s.fail("forms_have_distinct_thread_sets", inputs, other, inst)
+            s.fail("forms_have_distinct_thread_sets", other, inst, inputs)
         else:
             seen[F] = inst
     s.cases += 1
-    s.check("zero_from_empty_family", {"form": "Zero"}, ZERO,
-            classify_family(P, EMPTY_FAMILY, ZERO_TUPLE))
+    s.check("zero_from_empty_family", ZERO,
+            classify_family(P, EMPTY_FAMILY, ZERO_TUPLE), {"form": "Zero"})
     return s.report()
 
 

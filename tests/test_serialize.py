@@ -2,7 +2,7 @@ from __future__ import annotations
 
 import pytest
 
-from threadsets.classify import PAYLOAD_KEYS, NormalForm, ZERO
+from threadsets.classify import PAYLOAD_KEYS, NormalForm, ZERO, form_instances
 from threadsets.errors import ParseError, UnknownElement
 from threadsets.families import chains_meeting, thread_sets
 from threadsets.serialize import (dumps, family_from_dict, family_to_dict,
@@ -77,6 +77,12 @@ def test_dot_output(diamond):
     assert '"m" -> "a";' in dot and '"a" -> "t";' in dot
     # one edge per cover, lower to upper
     assert dot.count("->") == len(diamond.covers)
+    # quotes and backslashes in labels are escaped
+    P = poset_from_dict({"elements": ['a"b', "c", "d\\"],
+                         "relations": ['c < a"b']})
+    assert poset_to_dot(P).splitlines() == [
+        "digraph poset {", '  "a\\"b";', '  "c";', '  "d\\\\";',
+        '  "c" -> "a\\"b";', "}"]
 
 
 def test_tuple_round_trip(diamond):
@@ -127,21 +133,28 @@ def test_family_rejects_bad_documents(diamond):
         family_from_dict(diamond, {"generators": [[["a"]]]})
 
 
-def test_form_round_trip(diamond):
-    forms = [
-        ZERO,
-        NormalForm("Identity"),
-        NormalForm("D0Smash", (diamond.subset(["a"]),)),
-        NormalForm("D1_Mixed", (diamond.subset(["a"]),
-                                diamond.subset(["a", "b"]))),
-        NormalForm("D2_Form7", (diamond.subset(["a"]), diamond.subset(["b"]))),
-        NormalForm("D2_Form11", (diamond.subset(["a"]), 0,
-                                 diamond.subset(["b"]))),
-        NormalForm("Unresolved", (diamond.subset(["t", "a"]),
-                                  diamond.subset(["b", "m"]))),
+def test_form_round_trip(diamond, star2, antichain3):
+    cases = [
+        (diamond, ZERO),
+        (diamond, NormalForm("Identity")),
+        (antichain3, NormalForm("D0Smash", (antichain3.subset(["p"]),))),
+        (star2, NormalForm("D1_Mixed", (star2.subset(["a"]),
+                                        star2.subset(["a", "b"])))),
+        (diamond, NormalForm("D2_Form7", (diamond.subset(["a"]),
+                                          diamond.subset(["b"])))),
+        (diamond, NormalForm("D2_Form11", (diamond.subset(["a"]), 0,
+                                           diamond.subset(["a"])))),
+        (diamond, NormalForm("Unresolved", (diamond.subset(["t", "a"]),
+                                            diamond.subset(["b", "m"])))),
     ]
-    for nf in forms:
-        assert form_from_dict(diamond, form_to_dict(diamond, nf)) == nf
+    for P, nf in cases:
+        assert form_from_dict(P, form_to_dict(P, nf)) == nf
+
+
+def test_every_form_instance_round_trips(diamond, star2, antichain3):
+    for P in (diamond, star2, antichain3):
+        for nf in form_instances(P):
+            assert form_from_dict(P, form_to_dict(P, nf)) == nf
 
 
 def test_form_json_shape(diamond):
@@ -150,7 +163,7 @@ def test_form_json_shape(diamond):
                                          "B1": ["b"]}
 
 
-def test_form_rejects_bad_documents(diamond):
+def test_form_rejects_bad_documents(diamond, star2):
     with pytest.raises(ParseError):
         form_from_dict(diamond, {"form": "D9_FormX"})
     with pytest.raises(ParseError):
@@ -162,6 +175,14 @@ def test_form_rejects_bad_documents(diamond):
                                  "B1": ["b"]})
     with pytest.raises(ParseError):
         form_from_dict(diamond, {"form": "Unresolved", "canonical": [[["a"]]]})
+    # well-formed documents naming no form instance over star2
+    for doc in ({"form": "D1_Mixed", "C": ["a"], "D": ["a"]},  # not proper
+                {"form": "D1_Lambda", "C": ["t"]},  # the top is no payload
+                {"form": "D1_TopSmash", "C": ["t", "a"]},
+                {"form": "D0Smash", "A": []},  # wrong shape, empty
+                {"form": "D2_Form1", "A1": ["a"]}):  # wrong shape
+        with pytest.raises(ParseError):
+            form_from_dict(star2, doc)
 
 
 def test_payload_keys_cover_all_tags():

@@ -1,6 +1,8 @@
 from __future__ import annotations
 
+import hashlib
 import random
+from dataclasses import fields
 from itertools import product
 
 import pytest
@@ -10,8 +12,9 @@ from threadsets.catalog import catalog
 from threadsets.errors import BadParameter, BudgetExceeded
 from threadsets.families import ChainFamily, chains_meeting
 from threadsets.poset import build_poset
-from threadsets.serialize import tuple_to_lists
-from threadsets.verify import (Bounds, Failure, _associativity, _Session,
+from threadsets.serialize import dumps, tuple_to_lists
+from threadsets.verify import (SAMPLES, Bounds, Failure, _all_tuples,
+                               _associativity, _decode_tuple, _Session,
                                all_posets, deepened, default_corpus,
                                labeled_corpus, run_suite, verify_classifier,
                                verify_conjecture, verify_operator_laws,
@@ -89,29 +92,50 @@ def test_forced_exhaustive_never_samples_triples(chain2):
         verify_thread_monoid(chain2, Bounds(budget=100, exhaustive=True))
     report = verify_thread_monoid(chain2, Bounds(budget=100))
     assert report.mode == "exhaustive"
-    assert report.details["associativity_triples"] == Bounds().samples
+    assert report.details["associativity_triples"] == SAMPLES
 
 
 def test_sampled_mode_is_deterministic(diamond):
-    bounds = Bounds(max_k=2, budget=10, seed=7, samples=40)
+    bounds = Bounds(max_k=2, budget=10, seed=7)
     first = verify_operator_laws(diamond, bounds)
     second = verify_operator_laws(diamond, bounds)
     assert first.mode == second.mode == "sampled"
     assert first.seed == second.seed == 7
-    assert first.cases == 40
+    assert first.cases == SAMPLES
     assert first.to_dict() == second.to_dict()
 
 
-@pytest.mark.parametrize("field", ["max_k", "budget", "samples"])
+def test_bounds_fields():
+    assert [f.name for f in fields(Bounds)] == ["max_k", "budget",
+                                                "exhaustive", "seed"]
+
+
+@pytest.mark.parametrize("field", ["max_k", "budget"])
 def test_bounds_reject_non_positive(field):
     for value in (0, -3):
         with pytest.raises(BadParameter):
             Bounds(**{field: value})
 
 
+@pytest.mark.parametrize("n", [0, 1, 2])
+@pytest.mark.parametrize("lengths", [range(1, 4), range(3, 4)])
+def test_decoder_covers_the_tuple_space(n, lengths):
+    # one decoder serves the tuple corpus and the associativity triples
+    space = sum((1 << n) ** k for k in lengths)
+    decoded = [_decode_tuple(i, n, lengths) for i in range(space)]
+    expected = list(_all_tuples(n, lengths))
+    assert len(decoded) == len(expected) == len(set(expected))
+    assert sorted(decoded) == sorted(expected)
+
+
+def test_decoder_reaches_every_length_on_the_empty_poset():
+    assert [_decode_tuple(i, 0, range(1, 4)) for i in range(3)] == [
+        (0,), (0, 0), (0, 0, 0)]
+
+
 def test_failure_records_carry_inputs(diamond):
     session = _Session("demo", diamond, Bounds())
-    session.check("some_property", {"tuple": [["a"]]}, 1, 2)
+    session.check("some_property", 1, 2, {"tuple": [["a"]]})
     report = session.report()
     assert not report.passed
     assert report.failure_count == 1
@@ -142,7 +166,7 @@ def test_associativity_failures_map_back_to_families(chain2, monkeypatch,
         return chains_meeting(P, _union(U) & ~_union(V))
 
     monkeypatch.setattr(verify, "compose", difference)
-    bounds = Bounds(budget=budget, seed=5, samples=64)
+    bounds = Bounds(budget=budget, seed=5)
     session = _Session("monoid", chain2, bounds)
     _associativity(session)
     report = session.report()
@@ -152,8 +176,8 @@ def test_associativity_failures_map_back_to_families(chain2, monkeypatch,
         triples = list(product(range(size), repeat=3))
     else:
         rng = random.Random(bounds.seed)
-        triples = [(rng.randrange(size), rng.randrange(size),
-                    rng.randrange(size)) for _ in range(bounds.samples)]
+        triples = [_decode_tuple(rng.randrange(size ** 3), chain2.n,
+                                 range(3, 4)) for _ in range(SAMPLES)]
     assert report.cases == report.details["associativity_triples"] \
         == len(triples)
     pairs, failing = set(), []
@@ -244,3 +268,19 @@ def test_catalog_posets_pass_monoid_suite():
         P = catalog(name, *params).poset
         report = verify_thread_monoid(P, Bounds(max_k=2))
         assert report.passed, report.to_text()
+
+
+def test_reports_are_pinned():
+    # the bytes of passing reports depend only on the inputs and the seed;
+    # the corpus has exhaustive tuples and triples (labeled n <= 2),
+    # exhaustive tuples with sampled triples (chain(2) at budget 100),
+    # sampled tuples and triples (diamond(2) at budget 10), and the
+    # classifier on all three classified shapes
+    chain, diamond = (catalog(name, 2).poset for name in ("chain", "diamond"))
+    reports = (run_suite("all", labeled_corpus(2), Bounds(max_k=2))
+               + run_suite("all", [("chain(2)", chain)], Bounds(budget=100))
+               + run_suite("all", [("diamond(2)", diamond)],
+                           Bounds(budget=10, seed=3)))
+    text = dumps([r.to_dict() for r in reports])
+    assert hashlib.sha256(text.encode()).hexdigest() == (
+        "5bf912a225d9419d14403227d980fcc6ee90cc5bda62994d053cceb25b7b0479")
