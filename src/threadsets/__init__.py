@@ -8,7 +8,7 @@ and verifies the governing identities exhaustively on small posets.
 
 from .classify import (IDENTITY, PAYLOAD_KEYS, ZERO, NormalForm, classify_dim0,
                        classify_dim1, classify_dim2, classify_family,
-                       form_instances, normal_form, normal_form_dim0, shape_of)
+                       form_instances, normal_form, shape_of)
 from .families import (EMPTY_FAMILY, ChainFamily, Thread, chains_meeting,
                        compose, family, principal, singleton_tuple,
                        thread_sets, threads)
@@ -32,7 +32,7 @@ __all__ = [
     "Thread", "ChainFamily", "EMPTY_FAMILY", "threads", "thread_sets",
     "chains_meeting", "principal", "compose", "family", "singleton_tuple",
     "NormalForm", "IDENTITY", "ZERO", "PAYLOAD_KEYS", "shape_of",
-    "normal_form", "normal_form_dim0", "classify_family", "classify_dim0",
+    "normal_form", "classify_family", "classify_dim0",
     "classify_dim1", "classify_dim2", "form_instances",
     "Bounds", "VerificationReport", "verify_operator_laws",
     "verify_thread_monoid", "verify_conjecture", "verify_classifier",

@@ -168,15 +168,6 @@ def _require_shape(P: Poset, shape: str) -> None:
         raise ShapeMismatch(f"poset has shape {shape_of(P)}, expected {shape}")
 
 
-def normal_form_dim0(P: Poset, parts: SubsetTuple) -> NormalForm:
-    """Dimension 0: the composite smashes down to the intersection."""
-    _require_shape(P, DIM0)
-    meet = P.full
-    for part in parts:
-        meet &= P.check_subset(part)
-    return NormalForm("D0Smash", (meet,)) if meet else ZERO
-
-
 def classify_dim0(P: Poset, F: ChainFamily) -> NormalForm:
     """Dimension 0 from the family: all thread sets are singletons."""
     _require_shape(P, DIM0)
@@ -315,8 +306,15 @@ def normal_form(P: Poset, parts: SubsetTuple) -> NormalForm:
 
 
 def form_defect(P: Poset, tag: str, payload: tuple[int, ...]) -> str | None:
-    """Why ``NormalForm(tag, payload)`` is not among ``form_instances(P)``,
-    or None if it is; tags without a row in the table are not checked."""
+    """Why ``NormalForm(tag, payload)`` is no form a tuple over ``P`` can
+    classify to, or None if it is one.
+
+    A tag with a row in the table must be among ``form_instances(P)``; an
+    ``Unresolved`` payload must be a non-zero canonical tuple on a poset
+    outside ``CLASSIFIED_SHAPES``; other tags are not checked.
+    """
+    if tag == "Unresolved":
+        return _unresolved_defect(P, payload)
     form = _FORMS.get(tag)
     if form is None:
         return None
@@ -329,6 +327,17 @@ def form_defect(P: Poset, tag: str, payload: tuple[int, ...]) -> str | None:
     if form.valid is not None and not form.valid(*payload):
         return (f"form {tag} needs a non-empty payload or a proper "
                 "inclusion of its subsets")
+    return None
+
+
+def _unresolved_defect(P: Poset, payload: SubsetTuple) -> str | None:
+    shape = shape_of(P)
+    if shape in CLASSIFIED_SHAPES:
+        return f"a {shape} poset classifies every tuple; no form is Unresolved"
+    if payload == ZERO_TUPLE:
+        return "the zero tuple classifies to Zero, not Unresolved"
+    if canonical(P, payload) != payload:
+        return "an Unresolved payload must be its own canonical tuple"
     return None
 
 

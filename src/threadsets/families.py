@@ -151,16 +151,14 @@ def chains_meeting(P: Poset, subset: int) -> ChainFamily:
     """Family of chains with non-empty intersection with ``subset``.
 
     Equals the thread sets of the 1-uple ``(subset,)``; the generators are
-    the singletons of ``subset``.
+    the singletons of ``subset``.  Each subset's family is built once per
+    poset, so repeated calls return the same object.
     """
-    if subset & ~P.full:
-        P.check_subset(subset)
-    singletons = []
-    while subset:
-        low = subset & -subset
-        singletons.append(low)
-        subset ^= low
-    return ChainFamily(frozenset(singletons))
+    F = P._meeting.get(subset)
+    if F is None:
+        singletons = frozenset(1 << i for i in bits(P.check_subset(subset)))
+        F = P._meeting[subset] = ChainFamily(singletons)
+    return F
 
 
 def principal(P: Poset, chain: int) -> ChainFamily:
@@ -179,15 +177,10 @@ def compose(P: Poset, U: ChainFamily, V: ChainFamily) -> ChainFamily:
     kept as a brute-force oracle in the tests.  ``thread_sets`` is the fold
     of this product over a tuple's per-part families.
     """
-    down = P.down
+    below_all = P.below_all
     out = set()
     for C in U.generators:
-        floor = P.full
-        rest = C
-        while rest:
-            low = rest & -rest
-            floor &= down[low.bit_length() - 1]
-            rest ^= low
+        floor = below_all(C)
         for D in V.generators:
             if D & ~floor == 0:
                 out.add(C | D)

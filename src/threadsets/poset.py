@@ -3,8 +3,11 @@
 The poset models the specialization order of a finite prime spectrum.  The
 order symbol ``<=`` is prime inclusion; a subset of the poset is a bitmask
 over the element indices (bit ``i`` set means element ``i`` belongs to the
-subset).  All operations are pure and the poset is immutable after
-construction, so instances can be shared freely across workers.
+subset).  The order is immutable after construction.  The subset
+operators remember their answers: each poset fills, lazily, one table per
+operator keyed by the subset mask, so a table holds at most 2^n entries and
+only the masks that were asked for.  The tables live and die with their
+poset; they change no answer, so a poset can still be shared.
 """
 
 from __future__ import annotations
@@ -22,17 +25,35 @@ def bits(mask: int) -> Iterator[int]:
         mask ^= low
 
 
+def _union(principal: tuple[int, ...], mask: int) -> int:
+    """Union of ``principal[i]`` over the members ``i`` of ``mask``."""
+    out = 0
+    while mask:
+        low = mask & -mask
+        out |= principal[low.bit_length() - 1]
+        mask ^= low
+    return out
+
+
 class Poset:
-    """Immutable finite partial order over opaque string identifiers.
+    """Finite partial order over opaque string identifiers.
 
     Elements are indexed 0..n-1 in declaration order.  ``down[i]`` and
     ``up[i]`` are the reflexive principal down-set and up-set of element
     ``i`` as bitmasks; ``covers`` is the transitive reduction as (lower,
-    upper) index pairs.
+    upper) index pairs.  The order never changes.
+
+    ``down_set``, ``up_set`` and ``below_all`` answer from per-mask tables
+    that fill on first use, and ``families.chains_meeting`` keeps its
+    families in ``_meeting`` the same way.  A mask is validated on the miss
+    that stores it, so a stored mask is always valid and a hit needs no
+    check.  Concurrent callers can at worst compute an entry twice and
+    store equal values.
     """
 
     __slots__ = ("elements", "down", "up", "covers", "n", "full", "_index",
-                 "_comp", "_lengths")
+                 "_comp", "_lengths", "_down_sets", "_up_sets", "_floors",
+                 "_meeting")
 
     def __init__(self, elements: tuple[str, ...], down: tuple[int, ...]):
         self.elements = elements
@@ -59,6 +80,10 @@ class Poset:
             strict = down[j] & ~(1 << j)
             lengths[j] = max((lengths[i] + 1 for i in bits(strict)), default=0)
         self._lengths = tuple(lengths)
+        self._down_sets: dict[int, int] = {}
+        self._up_sets: dict[int, int] = {}
+        self._floors: dict[int, int] = {}
+        self._meeting: dict[int, object] = {}
 
     def __eq__(self, other):
         return (isinstance(other, Poset) and self.elements == other.elements
@@ -108,26 +133,32 @@ class Poset:
 
     def down_set(self, mask: int) -> int:
         """Elements below some member of ``mask`` (the generated family)."""
-        if mask & ~self.full:
-            self.check_subset(mask)
-        down = self.down
-        out = 0
-        while mask:
-            low = mask & -mask
-            out |= down[low.bit_length() - 1]
-            mask ^= low
+        out = self._down_sets.get(mask)
+        if out is None:
+            out = self._down_sets[mask] = _union(self.down,
+                                                 self.check_subset(mask))
         return out
 
     def up_set(self, mask: int) -> int:
         """Elements above some member of ``mask`` (the generated cofamily)."""
-        if mask & ~self.full:
-            self.check_subset(mask)
-        up = self.up
-        out = 0
-        while mask:
-            low = mask & -mask
-            out |= up[low.bit_length() - 1]
-            mask ^= low
+        out = self._up_sets.get(mask)
+        if out is None:
+            out = self._up_sets[mask] = _union(self.up,
+                                               self.check_subset(mask))
+        return out
+
+    def below_all(self, mask: int) -> int:
+        """Elements below every member of ``mask``; ``full`` for 0."""
+        out = self._floors.get(mask)
+        if out is None:
+            rest = self.check_subset(mask)
+            out = self.full
+            down = self.down
+            while rest:
+                low = rest & -rest
+                out &= down[low.bit_length() - 1]
+                rest ^= low
+            self._floors[mask] = out
         return out
 
     def not_below(self, mask: int) -> int:

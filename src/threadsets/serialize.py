@@ -150,19 +150,21 @@ def form_from_dict(P: Poset, data: Any) -> NormalForm:
         raise ParseError("a normal form document needs a 'form' tag")
     tag = data["form"]
     if tag == "Unresolved":
-        return NormalForm("Unresolved", tuple_from_lists(P, data.get("canonical")))
-    if tag not in PAYLOAD_KEYS:
+        payload = tuple_from_lists(P, data.get("canonical"))
+    elif tag not in PAYLOAD_KEYS:
         raise ParseError(f"unknown form tag {tag!r}")
-    payload = []
-    for key in PAYLOAD_KEYS[tag]:
-        part = data.get(key)
-        if not isinstance(part, list):
-            raise ParseError(f"form {tag} needs the subset field {key!r}")
-        payload.append(P.subset(_labels(part, f"form field {key!r}")))
-    defect = form_defect(P, tag, tuple(payload))
+    else:
+        parts = []
+        for key in PAYLOAD_KEYS[tag]:
+            part = data.get(key)
+            if not isinstance(part, list):
+                raise ParseError(f"form {tag} needs the subset field {key!r}")
+            parts.append(P.subset(_labels(part, f"form field {key!r}")))
+        payload = tuple(parts)
+    defect = form_defect(P, tag, payload)
     if defect:
         raise ParseError(defect)
-    return NormalForm(tag, tuple(payload))
+    return NormalForm(tag, payload)
 
 
 # -- shared helpers

@@ -10,6 +10,8 @@ from __future__ import annotations
 
 from itertools import combinations, product
 
+from threadsets.classify import ZERO, NormalForm
+from threadsets.errors import ShapeMismatch
 from threadsets.poset import Poset, bits
 
 
@@ -20,6 +22,41 @@ def brute_chains(P: Poset, include_empty: bool = False) -> set[int]:
             if all(P.comparable(i, j) for i, j in combinations(members, 2)):
                 out.add(sum(1 << i for i in members))
     return out
+
+
+def brute_down_set(P: Poset, mask: int) -> int:
+    """Elements below some member of ``mask``, by pairwise order tests."""
+    return sum(1 << j for j in range(P.n)
+               if any(P.le(j, i) for i in bits(mask)))
+
+
+def brute_up_set(P: Poset, mask: int) -> int:
+    return sum(1 << j for j in range(P.n)
+               if any(P.le(i, j) for i in bits(mask)))
+
+
+def brute_below_all(P: Poset, mask: int) -> int:
+    """Elements below every member of ``mask``; every element for 0."""
+    return sum(1 << j for j in range(P.n)
+               if all(P.le(j, i) for i in bits(mask)))
+
+
+def brute_chains_meeting(P: Poset, subset: int, chains=None) -> set[int]:
+    """Minimal chains meeting ``subset``: no chain one member smaller meets
+    it.  ``chains`` defaults to every chain of ``P``."""
+    members = {c for c in chains or brute_chains(P) if c & subset}
+    return {c for c in members
+            if not any(c & ~(1 << i) in members for i in bits(c))}
+
+
+def normal_form_dim0(P: Poset, parts) -> NormalForm:
+    """Dimension 0: the composite smashes down to the intersection."""
+    if brute_dimension(P) != 0:
+        raise ShapeMismatch("the intersection form needs a discrete poset")
+    meet = P.full
+    for part in parts:
+        meet &= P.check_subset(part)
+    return NormalForm("D0Smash", (meet,)) if meet else ZERO
 
 
 def brute_has_thread(P: Poset, parts) -> bool:

@@ -4,13 +4,13 @@ from collections import Counter
 
 import pytest
 
+from oracles import normal_form_dim0
 from threadsets import classify
 from threadsets.classify import (DIM0, DIM1_IRREDUCIBLE,
                                  DIM2_UNIQUE_EXTREMES, FINITE, IDENTITY,
                                  PAYLOAD_KEYS, ZERO, NormalForm, classify_dim0,
                                  classify_dim1, classify_dim2, classify_family,
-                                 form_instances, normal_form, normal_form_dim0,
-                                 shape_of)
+                                 form_instances, normal_form, shape_of)
 from threadsets.errors import Inconsistent, ShapeMismatch
 from threadsets.families import EMPTY_FAMILY, family, thread_sets
 from threadsets.poset import build_poset

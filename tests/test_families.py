@@ -1,12 +1,15 @@
 from __future__ import annotations
 
+from functools import cache
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from oracles import (brute_chains, brute_compose_members,
+from oracles import (brute_below_all, brute_chains, brute_chains_meeting,
+                     brute_compose_members, brute_down_set,
                      brute_family_members, brute_thread_set_members,
-                     minimal_members)
+                     brute_up_set, minimal_members)
 from test_poset import random_posets
 from test_tuples import poset_and_tuple
 from threadsets.catalog import catalog
@@ -197,6 +200,63 @@ def test_chains_meeting_equals_one_uple_thread_sets():
         for P in all_posets(n):
             for a in range(1 << P.n):
                 assert chains_meeting(P, a) == thread_sets(P, (a,))
+
+
+# -- per-mask tables of the poset operators and of chains_meeting
+
+def _memoized(P, chains):
+    """(operator, its table on P, its table-free definition) per operator."""
+    return [
+        (P.down_set, P._down_sets, lambda m: brute_down_set(P, m)),
+        (P.up_set, P._up_sets, lambda m: brute_up_set(P, m)),
+        (P.below_all, P._floors, lambda m: brute_below_all(P, m)),
+        (lambda m: set(chains_meeting(P, m).generators), P._meeting,
+         lambda m: brute_chains_meeting(P, m, chains)),
+    ]
+
+
+def _check_tables(P, masks, bad_masks, chains):
+    for operator, table, definition in _memoized(P, chains):
+        for mask in masks:
+            expected = definition(mask)
+            assert mask not in table
+            assert operator(mask) == expected  # a miss fills the table
+            assert mask in table
+            assert operator(mask) == expected  # a hit reads it
+        for mask in bad_masks:
+            for _ in range(2):
+                with pytest.raises(UnknownElement):
+                    operator(mask)
+            assert mask not in table
+        assert len(table) <= 1 << P.n
+
+
+bad_offsets = st.lists(st.integers(min_value=1, max_value=1 << 70)
+                     | st.integers(min_value=-(1 << 70), max_value=-1),
+                     min_size=1, max_size=3, unique=True)
+
+
+@settings(max_examples=60, deadline=None)
+@given(random_posets(max_n=6), st.randoms(use_true_random=False), bad_offsets)
+def test_tables_match_definitions_random(P, rng, offsets):
+    masks = list(range(1 << P.n))
+    rng.shuffle(masks)
+    bad = [P.full + o if o > 0 else o for o in offsets]
+    _check_tables(P, masks, bad, brute_chains(P))
+
+
+@cache
+def _chain15_chains() -> frozenset[int]:
+    return frozenset(brute_chains(catalog("chain", 15).poset))
+
+
+@settings(max_examples=8, deadline=None)
+@given(st.lists(st.integers(min_value=0, max_value=(1 << 16) - 1),
+                min_size=1, max_size=2, unique=True), bad_offsets)
+def test_tables_match_definitions_on_chain15(masks, offsets):
+    P = catalog("chain", 15).poset  # a fresh poset: every first call misses
+    bad = [P.full + o if o > 0 else o for o in offsets]
+    _check_tables(P, masks, bad, _chain15_chains())
 
 
 def test_principal_matches_meeting_on_singletons(diamond):

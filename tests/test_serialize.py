@@ -2,7 +2,8 @@ from __future__ import annotations
 
 import pytest
 
-from threadsets.classify import PAYLOAD_KEYS, NormalForm, ZERO, form_instances
+from threadsets.classify import (PAYLOAD_KEYS, NormalForm, ZERO,
+                                 form_instances, normal_form)
 from threadsets.errors import ParseError, UnknownElement
 from threadsets.families import chains_meeting, thread_sets
 from threadsets.serialize import (dumps, family_from_dict, family_to_dict,
@@ -133,7 +134,10 @@ def test_family_rejects_bad_documents(diamond):
         family_from_dict(diamond, {"generators": [[["a"]]]})
 
 
-def test_form_round_trip(diamond, star2, antichain3):
+def test_form_round_trip(diamond, star2, antichain3, two_chains):
+    unresolved = normal_form(two_chains, (two_chains.subset(["p1", "q1"]),
+                                          two_chains.subset(["p2", "q2"])))
+    assert unresolved.tag == "Unresolved"
     cases = [
         (diamond, ZERO),
         (diamond, NormalForm("Identity")),
@@ -144,8 +148,7 @@ def test_form_round_trip(diamond, star2, antichain3):
                                           diamond.subset(["b"])))),
         (diamond, NormalForm("D2_Form11", (diamond.subset(["a"]), 0,
                                            diamond.subset(["a"])))),
-        (diamond, NormalForm("Unresolved", (diamond.subset(["t", "a"]),
-                                            diamond.subset(["b", "m"])))),
+        (two_chains, unresolved),
     ]
     for P, nf in cases:
         assert form_from_dict(P, form_to_dict(P, nf)) == nf
@@ -163,7 +166,7 @@ def test_form_json_shape(diamond):
                                          "B1": ["b"]}
 
 
-def test_form_rejects_bad_documents(diamond, star2):
+def test_form_rejects_bad_documents(diamond, star2, two_chains):
     with pytest.raises(ParseError):
         form_from_dict(diamond, {"form": "D9_FormX"})
     with pytest.raises(ParseError):
@@ -180,9 +183,18 @@ def test_form_rejects_bad_documents(diamond, star2):
                 {"form": "D1_Lambda", "C": ["t"]},  # the top is no payload
                 {"form": "D1_TopSmash", "C": ["t", "a"]},
                 {"form": "D0Smash", "A": []},  # wrong shape, empty
-                {"form": "D2_Form1", "A1": ["a"]}):  # wrong shape
+                {"form": "D2_Form1", "A1": ["a"]},  # wrong shape
+                # a classified shape, canonical or not
+                {"form": "Unresolved", "canonical": [["a"]]},
+                {"form": "Unresolved", "canonical": [["t", "a"], ["a"]]}):
         with pytest.raises(ParseError):
             form_from_dict(star2, doc)
+    # Unresolved tuples over an unclassified poset that classify elsewhere
+    for doc in ({"form": "Unresolved", "canonical": [["p1"], ["p1"]]},
+                {"form": "Unresolved", "canonical": [["p2"], ["p1"]]},
+                {"form": "Unresolved", "canonical": [[]]}):
+        with pytest.raises(ParseError):
+            form_from_dict(two_chains, doc)
 
 
 def test_payload_keys_cover_all_tags():

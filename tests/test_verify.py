@@ -202,6 +202,16 @@ def test_associativity_failures_map_back_to_families(chain2, monkeypatch,
                                               for m in subsets]}
 
 
+def test_tables_hold_at_most_one_entry_per_subset():
+    P = catalog("torus2", 2).poset
+    run_suite("all", [("torus2(2)", P)])
+    for table in (P._down_sets, P._up_sets, P._floors, P._meeting):
+        assert table and all(0 <= mask <= P.full for mask in table)
+        assert len(table) <= 1 << P.n
+    for a in range(1 << P.n):
+        assert chains_meeting(P, a) is chains_meeting(P, a)
+
+
 def test_corpus_failure_inputs_are_the_labeled_tuple(chain1, monkeypatch):
     monkeypatch.setattr(verify, "collapse", lambda t: t + t)
     report = verify_operator_laws(chain1, Bounds(max_k=1))
