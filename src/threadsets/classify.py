@@ -174,7 +174,7 @@ def classify_dim0(P: Poset, F: ChainFamily) -> NormalForm:
     if F.is_empty():
         return ZERO
     meet = 0
-    for g in F.generators:
+    for g in F:
         if g.bit_count() != 1:
             raise Inconsistent("non-singleton thread set on a discrete poset")
         meet |= g
@@ -311,8 +311,11 @@ def form_defect(P: Poset, tag: str, payload: tuple[int, ...]) -> str | None:
 
     A tag with a row in the table must be among ``form_instances(P)``; an
     ``Unresolved`` payload must be a non-zero canonical tuple on a poset
-    outside ``CLASSIFIED_SHAPES``; other tags are not checked.
+    outside ``CLASSIFIED_SHAPES``; ``Identity`` is never one, since no
+    tuple classifies to it; ``Zero`` always is.
     """
+    if tag == "Identity":
+        return "no tuple classifies to Identity"
     if tag == "Unresolved":
         return _unresolved_defect(P, payload)
     form = _FORMS.get(tag)

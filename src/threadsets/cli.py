@@ -5,7 +5,8 @@ property failure (a failing verification suite, or ``eq`` deciding
 "unequal"), 2 on usage or parse errors, 3 on an internal error (any
 exception that is not a ``SpectrumError``, reported with the code
 ``InternalError`` and no traceback).  With ``--format json`` errors are
-emitted as ``{"error": {"code": ..., "message": ...}}``.
+emitted as ``{"error": {"code": ..., "message": ...}}``; usage errors,
+``argparse``'s included, carry the code ``BadParameter``.
 """
 
 from __future__ import annotations
@@ -18,7 +19,7 @@ from pathlib import Path
 from . import catalog as catalog_mod
 from . import serialize, verify
 from .classify import normal_form
-from .errors import SpectrumError
+from .errors import BadParameter, SpectrumError
 from .families import thread_sets, threads
 from .poset import Poset
 from .tuples import (SubsetTuple, canonical, collapse, prune_downward,
@@ -29,19 +30,19 @@ def _read(path: str) -> str:
     try:
         return Path(path).read_text(encoding="utf-8")
     except OSError as exc:
-        raise SpectrumError(f"cannot read {path}: {exc}") from None
+        raise BadParameter(f"cannot read {path}: {exc}") from None
 
 
 def _load_poset(args) -> Poset:
     if not args.poset:
-        raise SpectrumError("this command needs --poset FILE")
+        raise BadParameter("this command needs --poset FILE")
     return serialize.load_poset(_read(args.poset))
 
 
 def _load_tuples(args, P: Poset, count: int) -> list[SubsetTuple]:
     paths = args.tuple or []
     if len(paths) != count:
-        raise SpectrumError(
+        raise BadParameter(
             f"this command needs exactly {count} --tuple FILE argument(s)")
     return [serialize.tuple_from_lists(P, serialize.loads(_read(p)))
             for p in paths]
@@ -105,9 +106,7 @@ def _cmd_eq(args) -> int:
     if F == G:
         _emit(args, {"equal": True}, "equal")
         return 0
-    onesided = F.generators - G.generators | G.generators - F.generators
-    witness = min(onesided, key=lambda m: (m.bit_count(),
-                                           tuple(P.labels(m))))
+    witness = min(F ^ G, key=lambda m: (m.bit_count(), tuple(P.labels(m))))
     side = "first" if F.member(witness) else "second"
     payload = {"equal": False, "witness": list(P.labels(witness)),
                "witness_only_in": side}
@@ -136,7 +135,7 @@ def _cmd_catalog(args) -> int:
         _emit(args, payload, "\n".join(catalog_mod.names()))
         return 0
     if not args.name:
-        raise SpectrumError("catalog emit needs an entry name")
+        raise BadParameter("catalog emit needs an entry name")
     entry = catalog_mod.catalog(args.name, *(args.params or []))
     if args.format == "dot":
         sys.stdout.write(serialize.poset_to_dot(entry.poset))
@@ -179,8 +178,34 @@ def _cmd_verify(args) -> int:
     return 0 if failed == 0 else 1
 
 
+class _UsageError(BadParameter):
+    """A command line that ``argparse`` rejected, with the rejecting parser."""
+
+    def __init__(self, parser: argparse.ArgumentParser, message: str):
+        super().__init__(message)
+        self.parser = parser
+
+
+class _Parser(argparse.ArgumentParser):
+    """Raises usage errors instead of exiting, so that ``main`` can report
+    them in the requested format; subcommand parsers share the class."""
+
+    def error(self, message):
+        raise _UsageError(self, message)
+
+
+def _format_of(argv: list[str] | None) -> str | None:
+    """The ``--format`` value of a command line that failed to parse."""
+    probe = argparse.ArgumentParser(add_help=False, exit_on_error=False)
+    probe.add_argument("--format")
+    try:
+        return probe.parse_known_args(argv)[0].format
+    except argparse.ArgumentError:
+        return None
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="threadsets",
         description=("Combinatorics of iterated localizations over a finite "
                      "prime poset: tuple reductions, thread sets, normal "
@@ -244,23 +269,31 @@ def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     try:
         args = parser.parse_args(argv)
-    except SystemExit as exc:
+    except SystemExit as exc:  # --help
         return 2 if exc.code not in (0, None) else 0
+    except _UsageError as exc:
+        if _format_of(argv) == "json":
+            _error("json", exc.code, str(exc))
+        else:  # argparse's own usage text
+            exc.parser.print_usage(sys.stderr)
+            sys.stderr.write(f"{exc.parser.prog}: error: {exc}\n")
+        return 2
+    fmt = getattr(args, "format", "text")
     try:
         return _COMMANDS[args.command](args)
     except SpectrumError as exc:
-        _error(args, exc.code, str(exc))
+        _error(fmt, exc.code, str(exc))
         return 2
     except Exception as exc:  # a defect, not bad input: one line, exit 3
         where = traceback.extract_tb(exc.__traceback__)[-1]
-        _error(args, "InternalError",
+        _error(fmt, "InternalError",
                f"{type(exc).__name__}: {exc} (at {Path(where.filename).name}"
                f":{where.lineno} in {where.name})")
         return 3
 
 
-def _error(args, code: str, message: str) -> None:
-    if getattr(args, "format", "text") == "json":
+def _error(fmt: str, code: str, message: str) -> None:
+    if fmt == "json":
         sys.stdout.write(serialize.dumps(
             {"error": {"code": code, "message": message}}))
     else:

@@ -31,31 +31,36 @@ class Thread:
         return tuple(P.elements[i] for i in self.sequence)
 
 
-@dataclass(frozen=True)
-class ChainFamily:
+class ChainFamily(frozenset):
     """Upward closed family of non-empty chains, stored by minimal generators.
 
-    Generators are pairwise inclusion-incomparable non-empty chains; two
-    families are equal exactly when their generator sets are equal.  The
-    family is the set of all chains containing some generator, so the empty
-    chain is never a member.
+    The family is an immutable set of its generators: pairwise
+    inclusion-incomparable non-empty chains, as bitmasks.  Two families are
+    equal exactly when their generator sets are equal, and construction,
+    hashing and comparison are those of ``frozenset``.  The family is the
+    set of all chains containing some generator, so the empty chain is
+    never a member.
     """
 
-    generators: frozenset[int]
+    __slots__ = ()
+
+    @property
+    def generators(self) -> "ChainFamily":
+        return self
 
     def member(self, chain: int) -> bool:
-        return any(g & chain == g for g in self.generators)
+        return any(g & chain == g for g in self)
 
     def is_empty(self) -> bool:
-        return not self.generators
+        return len(self) == 0
 
     def is_subfamily(self, other: "ChainFamily") -> bool:
         """Every member of self is a member of other."""
-        return all(other.member(g) for g in self.generators)
+        return all(other.member(g) for g in self)
 
     def sorted_generators(self) -> list[int]:
         """Generators ordered by their sorted index sequences."""
-        return sorted(self.generators, key=_chain_key)
+        return sorted(self, key=_chain_key)
 
     def __repr__(self):
         gens = ",".join(format(g, "x") for g in self.sorted_generators())
@@ -74,9 +79,10 @@ def minimize(chains: Iterable[int]) -> frozenset[int]:
 
     Members are taken by ascending size, so a chain's proper subchains are
     all seen before it; two distinct chains of one size never contain each
-    other, so no tie-break is needed.
+    other, so no tie-break is needed.  A set is read as it is, neither
+    copied nor changed.
     """
-    distinct = set(chains)
+    distinct = chains if isinstance(chains, (set, frozenset)) else set(chains)
     if len(distinct) < 2:
         return frozenset(distinct)
     kept: list[int] = []
@@ -177,11 +183,15 @@ def compose(P: Poset, U: ChainFamily, V: ChainFamily) -> ChainFamily:
     kept as a brute-force oracle in the tests.  ``thread_sets`` is the fold
     of this product over a tuple's per-part families.
     """
-    below_all = P.below_all
+    # the floor of C is ``P.below_all(C)``; its table holds only validated
+    # masks, so a hit is read directly and only a miss goes through the call
+    floors = P._floors
     out = set()
-    for C in U.generators:
-        floor = below_all(C)
-        for D in V.generators:
+    for C in U:
+        floor = floors.get(C)
+        if floor is None:
+            floor = P.below_all(C)
+        for D in V:
             if D & ~floor == 0:
                 out.add(C | D)
     return ChainFamily(minimize(out))

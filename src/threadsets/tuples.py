@@ -34,18 +34,22 @@ def prune_upward(P: Poset, parts: SubsetTuple) -> SubsetTuple:
     the upward concatenated tuples.
     """
     _check(parts)
-    out = [parts[0]]
+    last = parts[0]
+    out = [last]
     for part in parts[1:]:
-        out.append(part & P.down_set(out[-1]))
+        last = part & P.down_set(last)
+        out.append(last)
     return tuple(out)
 
 
 def prune_downward(P: Poset, parts: SubsetTuple) -> SubsetTuple:
     """Retract onto downward concatenated tuples; dual to prune_upward."""
     _check(parts)
-    out = [parts[-1]]
+    last = parts[-1]
+    out = [last]
     for part in reversed(parts[:-1]):
-        out.append(part & P.up_set(out[-1]))
+        last = part & P.up_set(last)
+        out.append(last)
     out.reverse()
     return tuple(out)
 
@@ -127,14 +131,18 @@ def is_zero(parts: SubsetTuple) -> bool:
 
 def is_upward_concatenated(P: Poset, parts: SubsetTuple) -> bool:
     _check(parts)
-    return all(parts[i + 1] & ~P.down_set(parts[i]) == 0
-               for i in range(len(parts) - 1))
+    for i in range(len(parts) - 1):
+        if parts[i + 1] & ~P.down_set(parts[i]):
+            return False
+    return True
 
 
 def is_downward_concatenated(P: Poset, parts: SubsetTuple) -> bool:
     _check(parts)
-    return all(parts[i] & ~P.up_set(parts[i + 1]) == 0
-               for i in range(len(parts) - 1))
+    for i in range(len(parts) - 1):
+        if parts[i] & ~P.up_set(parts[i + 1]):
+            return False
+    return True
 
 
 def is_concatenated(P: Poset, parts: SubsetTuple) -> bool:

@@ -120,3 +120,63 @@ def brute_thread_prune(P: Poset, parts) -> tuple:
                 kept |= 1 << a
         out.append(kept)
     return tuple(out)
+
+
+# -- the tuple kernels, from the definitions
+#
+# Each kernel validates exactly the masks it takes a closure of, pair by
+# pair in its scan order, and ignores the outside bits of the others; the
+# oracles below validate the same masks at the same point, so an
+# out-of-range mask raises ``UnknownElement`` in both or in neither.
+
+def _nonempty(parts) -> None:
+    if not parts:
+        raise ValueError("subset tuples have at least one part")
+
+
+def brute_prune_upward(P: Poset, parts) -> tuple:
+    """Each later part keeps the elements that end a thread of the parts
+    up to it; the first part is kept as given."""
+    _nonempty(parts)
+    if len(parts) > 1:
+        P.check_subset(parts[0])
+    clipped = tuple(part & P.full for part in parts)
+    return parts[:1] + tuple(
+        sum(1 << a for a in bits(clipped[i])
+            if brute_has_thread(P, clipped[:i] + (1 << a,)))
+        for i in range(1, len(parts)))
+
+
+def brute_prune_downward(P: Poset, parts) -> tuple:
+    """Each earlier part keeps the elements that start a thread of the
+    parts from it on; the last part is kept as given."""
+    _nonempty(parts)
+    if len(parts) > 1:
+        P.check_subset(parts[-1])
+    clipped = tuple(part & P.full for part in parts)
+    return tuple(
+        sum(1 << a for a in bits(clipped[i])
+            if brute_has_thread(P, (1 << a,) + clipped[i + 1:]))
+        for i in range(len(parts) - 1)) + parts[-1:]
+
+
+def brute_is_upward_concatenated(P: Poset, parts) -> bool:
+    """Every element of a part lies below some element of the part before."""
+    _nonempty(parts)
+    for above, below in zip(parts, parts[1:]):
+        P.check_subset(above)
+        if below & ~P.full or not all(any(P.le(b, a) for a in bits(above))
+                                      for b in bits(below)):
+            return False
+    return True
+
+
+def brute_is_downward_concatenated(P: Poset, parts) -> bool:
+    """Every element of a part lies above some element of the part after."""
+    _nonempty(parts)
+    for above, below in zip(parts, parts[1:]):
+        P.check_subset(below)
+        if above & ~P.full or not all(any(P.le(b, a) for b in bits(below))
+                                      for a in bits(above)):
+            return False
+    return True

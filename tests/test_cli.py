@@ -244,11 +244,42 @@ def test_missing_tuple_is_usage_error(write, capsys):
     poset = write("p.json", ANTICHAIN3)
     code, _, err = run(capsys, "tset", "--poset", poset)
     assert code == 2
+    assert err.startswith("error[BadParameter]: ")
+    # the CLI's own usage errors, in JSON mode
+    for argv in (["tset", "--poset", poset],
+                 ["eq", "--poset", poset, "--tuple", poset],
+                 ["tset", "--tuple", poset],
+                 ["tset", "--poset", poset + ".missing", "--tuple", poset],
+                 ["catalog", "emit"]):
+        code, out, err = run(capsys, *argv, "--format", "json")
+        assert code == 2
+        assert err == ""
+        assert json.loads(out)["error"]["code"] == "BadParameter"
 
 
 def test_usage_error_exit_code(capsys):
     assert run(capsys, "frobnicate")[0] == 2
     assert run(capsys, "verify", "nonsense")[0] == 2
+    # argparse's own errors keep its usage text in text mode ...
+    code, out, err = run(capsys, "verify", "monoid", "--max-k", "x")
+    assert (code, out) == (2, "")
+    assert err.startswith("usage: threadsets verify")
+    assert "error: argument --max-k: invalid int value: 'x'" in err
+    # ... and print the JSON error body on stdout in JSON mode
+    for argv in (["tset", "--format", "json", "--bogus"],
+                 ["verify", "monoid", "--max-k", "x", "--format", "json"],
+                 ["verify", "nonsense", "--format=json"],
+                 ["frobnicate", "--format", "json"]):
+        code, out, err = run(capsys, *argv)
+        assert code == 2
+        assert err == ""
+        error = json.loads(out)["error"]
+        assert error["code"] == "BadParameter"
+        assert error["message"]
+    # an unusable --format value falls back to the usage text
+    code, out, err = run(capsys, "tset", "--format", "xml")
+    assert (code, out) == (2, "")
+    assert "invalid choice: 'xml'" in err
 
 
 def test_cycle_error_code(write, capsys):

@@ -134,6 +134,98 @@ def test_family_equality(diamond):
     assert chains_meeting(diamond, A) != EMPTY_FAMILY
 
 
+_GENERATOR_SETS = st.frozensets(st.integers(min_value=1, max_value=(1 << 6) - 1),
+                                max_size=4)
+
+
+@settings(max_examples=200, deadline=None)
+@given(_GENERATOR_SETS, _GENERATOR_SETS)
+def test_family_is_its_generator_set(a, b):
+    F, G = ChainFamily(a), ChainFamily(b)
+    assert F.generators is F
+    assert F.generators == a and len(F) == len(a)
+    assert (F == G) == (a == b) and (F != G) == (a != b)
+    if a == b:
+        assert hash(F) == hash(G)
+    assert ChainFamily(F) == F and ChainFamily(iter(a)) == F
+    assert {F: 0}.get(ChainFamily(set(a))) == 0
+    assert F.is_empty() == (not a)
+    # the repr lists the generators in hex, ordered by sorted index sequence
+    order = sorted(a, key=lambda g: [i for i in range(6) if g >> i & 1])
+    assert repr(F) == "ChainFamily<%s>" % ",".join(format(g, "x")
+                                                   for g in order)
+
+
+def test_family_is_immutable(diamond):
+    F = chains_meeting(diamond, diamond.subset(["a", "b"]))
+    with pytest.raises(AttributeError):
+        F.generators = frozenset()
+    with pytest.raises(AttributeError):
+        F.extra = 1
+    with pytest.raises(AttributeError):
+        F.add(1)
+    assert not hasattr(F, "__dict__")
+    assert repr(F) == "ChainFamily<2,4>"
+    assert repr(EMPTY_FAMILY) == "ChainFamily<>"
+    assert repr(ChainFamily({0b1001, 0b110, 0b11})) == "ChainFamily<3,9,6>"
+
+
+@settings(max_examples=60, deadline=None)
+@given(poset_and_tuple(max_n=5, max_k=3))
+def test_constructors_return_families(pt):
+    P, t = pt
+    chain = next(iter(P.chains()), None)
+    made = [thread_sets(P, t), chains_meeting(P, t[0]),
+            compose(P, chains_meeting(P, t[0]), thread_sets(P, t)),
+            family(P, P.chains(max_size=2))]
+    if chain is not None:
+        made.append(principal(P, chain))
+    for F in made:
+        assert type(F) is ChainFamily
+
+
+def test_no_caller_tests_a_family_for_truth(monkeypatch, tmp_path, capsys):
+    """An empty family is a false set; no library path may rely on that."""
+    from threadsets import cli, serialize, verify
+    from threadsets.classify import (CLASSIFIED_SHAPES, ZERO, classify_dim0,
+                                     classify_dim1, classify_dim2,
+                                     form_instances, normal_form, shape_of)
+
+    def refuse(self):
+        raise AssertionError("a family was tested for truth")
+
+    monkeypatch.setattr(ChainFamily, "__bool__", refuse, raising=False)
+    with pytest.raises(AssertionError):
+        bool(EMPTY_FAMILY)
+    for name, params in (("diamond", (2,)), ("star", (2,)), ("chain", (2,)),
+                         ("torus2", (2,))):
+        P = catalog(name, *params).poset
+        reports = verify.run_suite("all", [(name, P)], verify.Bounds(max_k=2))
+        assert all(r.passed for r in reports)
+        for t in [(0,), (P.full,), (1, P.full, 1)]:
+            F = thread_sets(P, t)
+            normal_form(P, t)
+            assert serialize.family_from_dict(
+                P, serialize.family_to_dict(P, F)) == F
+        if shape_of(P) in CLASSIFIED_SHAPES:
+            assert form_instances(P)
+    # each classifier's own empty-family case
+    for name, params, classifier in (("chain", (0,), classify_dim0),
+                                     ("star", (2,), classify_dim1),
+                                     ("diamond", (2,), classify_dim2)):
+        assert classifier(catalog(name, *params).poset, EMPTY_FAMILY) == ZERO
+    poset = tmp_path / "p.json"
+    poset.write_text('{"elements": ["t", "a"], "relations": ["a < t"]}')
+    for doc, name in (("[[\"t\"], [\"t\"]]", "t1"), ("[[]]", "t2")):
+        (tmp_path / name).write_text(doc)
+    for command in ("tset", "threads", "classify", "reduce"):
+        assert cli.main([command, "--poset", str(poset),
+                         "--tuple", str(tmp_path / "t2")]) == 0
+    assert cli.main(["eq", "--poset", str(poset), "--tuple",
+                     str(tmp_path / "t1"), "--tuple", str(tmp_path / "t2")]) == 1
+    capsys.readouterr()
+
+
 def test_is_subfamily(diamond):
     small = principal(diamond, diamond.subset(["t", "m"]))
     big = chains_meeting(diamond, diamond.subset(["t"]))

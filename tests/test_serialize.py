@@ -140,7 +140,6 @@ def test_form_round_trip(diamond, star2, antichain3, two_chains):
     assert unresolved.tag == "Unresolved"
     cases = [
         (diamond, ZERO),
-        (diamond, NormalForm("Identity")),
         (antichain3, NormalForm("D0Smash", (antichain3.subset(["p"]),))),
         (star2, NormalForm("D1_Mixed", (star2.subset(["a"]),
                                         star2.subset(["a", "b"])))),
@@ -178,6 +177,10 @@ def test_form_rejects_bad_documents(diamond, star2, two_chains):
                                  "B1": ["b"]})
     with pytest.raises(ParseError):
         form_from_dict(diamond, {"form": "Unresolved", "canonical": [[["a"]]]})
+    # no tuple classifies to Identity, on any shape
+    for P in (diamond, star2, two_chains):
+        with pytest.raises(ParseError):
+            form_from_dict(P, {"form": "Identity"})
     # well-formed documents naming no form instance over star2
     for doc in ({"form": "D1_Mixed", "C": ["a"], "D": ["a"]},  # not proper
                 {"form": "D1_Lambda", "C": ["t"]},  # the top is no payload

@@ -4,9 +4,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from oracles import brute_thread_prune
+from oracles import (brute_is_downward_concatenated,
+                     brute_is_upward_concatenated, brute_prune_downward,
+                     brute_prune_upward, brute_thread_prune)
 from test_poset import random_posets
-from threadsets.errors import NotUpwardClosed
+from threadsets.errors import NotUpwardClosed, UnknownElement
 from threadsets.tuples import (ZERO_TUPLE, canonical, collapse, is_collapsed,
                                is_concatenated, is_downward_concatenated,
                                is_upward_concatenated, is_zero,
@@ -155,9 +157,71 @@ def test_predicates_one_uple(diamond):
     assert is_collapsed(t)
 
 
+# the four scan kernels and their oracles from the definitions
+KERNELS = [(prune_upward, brute_prune_upward),
+           (prune_downward, brute_prune_downward),
+           (is_upward_concatenated, brute_is_upward_concatenated),
+           (is_downward_concatenated, brute_is_downward_concatenated)]
+
+
+def _outcome(fn, P, parts):
+    try:
+        return fn(P, parts)
+    except UnknownElement:
+        return UnknownElement
+
+
+@st.composite
+def poset_and_tuple_with_bad_masks(draw):
+    """A tuple over a poset with n <= 6 and k <= 5; some parts may be
+    swapped for masks with bits outside the poset, or negative."""
+    P, parts = draw(poset_and_tuple(max_n=6, max_k=5))
+    parts = list(parts)
+    for i in draw(st.lists(st.integers(0, len(parts) - 1), max_size=2)):
+        parts[i] = draw(st.integers(min_value=P.full + 1, max_value=1 << 12)
+                        | st.integers(min_value=-(1 << 12), max_value=-1))
+    return P, tuple(parts)
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.one_of(poset_and_tuple(max_n=6, max_k=5),
+                 poset_and_tuple_with_bad_masks()))
+def test_kernels_match_definitions_random(pt):
+    P, parts = pt
+    for kernel, oracle in KERNELS:
+        expected = _outcome(oracle, P, parts)
+        assert _outcome(kernel, P, parts) == expected
+        assert _outcome(kernel, P, parts) == expected  # tables filled
+
+
+def test_kernels_validate_the_masks_they_close(diamond):
+    bad = 1 << diamond.n
+    a = diamond.subset(["a"])
+    for kernel, oracle in KERNELS:
+        for parts in ((bad,), (a, bad), (bad, a), (a, a, bad), (bad, a, a)):
+            assert _outcome(kernel, diamond, parts) == \
+                _outcome(oracle, diamond, parts)
+    # pinned: the closed part is the first for the upward scans and the
+    # last for the downward ones; a one-part tuple closes none
+    assert prune_upward(diamond, (bad,)) == (bad,)
+    assert prune_upward(diamond, (a, bad)) == (a, 0)
+    assert prune_downward(diamond, (bad, a)) == (0, a)
+    assert not is_upward_concatenated(diamond, (a, bad))
+    assert not is_downward_concatenated(diamond, (bad, a))
+    for kernel, parts in ((prune_upward, (bad, a)),
+                          (prune_downward, (a, bad)),
+                          (is_upward_concatenated, (bad, a)),
+                          (is_downward_concatenated, (a, bad)),
+                          (is_downward_concatenated, (a, a, -1))):
+        with pytest.raises(UnknownElement):
+            kernel(diamond, parts)
+
+
 def test_empty_tuple_rejected(diamond):
-    with pytest.raises(ValueError):
-        prune_upward(diamond, ())
+    for kernel, oracle in KERNELS:
+        for fn in (kernel, oracle):
+            with pytest.raises(ValueError):
+                fn(diamond, ())
     with pytest.raises(ValueError):
         collapse(())
     with pytest.raises(ValueError):
