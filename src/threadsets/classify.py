@@ -184,10 +184,10 @@ def classify_dim0(P: Poset, F: ChainFamily) -> NormalForm:
 def classify_dim1(P: Poset, F: ChainFamily) -> NormalForm:
     """Dimension 1, unique maximal prime: one of three forms.
 
-    Writing t for the top and reading off C = {q != t : {q} in F} and
-    D = {q != t : {q, t} in F}: membership of {t} forces the smashing form
-    on {t} | C; otherwise C == D is the colocal form on C and C < D the
-    mixed composite ({t} | C, D).
+    Writing t for the top and reading off C = {q != t : F.member({q})} and
+    D = {q != t : F.member({q, t})}: membership of {t} forces the smashing
+    form on {t} | C; otherwise C == D is the colocal form on C and C < D
+    the mixed composite ({t} | C, D).
     """
     _require_shape(P, DIM1_IRREDUCIBLE)
     if F.is_empty():
@@ -212,8 +212,9 @@ def classify_dim2(P: Poset, F: ChainFamily) -> NormalForm:
     """Dimension 2, unique extremes t > ... > m: one of eleven forms.
 
     The decision tree follows the characterizations by membership of {t},
-    {m}, {t, m} and the strata D = {p : {m, p} in F}, E = {p : {t, p} in F},
-    F0 = {p : {p} in F}, G = {p : {t, m, p} in F} over the length-1 primes.
+    {m}, {t, m} and the strata of members D = {p : F.member({m, p})},
+    E = {p : F.member({t, p})}, F0 = {p : F.member({p})} and
+    G = {p : F.member({t, m, p})} over the length-1 primes.
     The reconstructed form is re-expanded through its defining tuple and
     checked against F; a mismatch means no form realizes the family.
     """

@@ -34,12 +34,15 @@ class Thread:
 class ChainFamily(frozenset):
     """Upward closed family of non-empty chains, stored by minimal generators.
 
-    The family is an immutable set of its generators: pairwise
-    inclusion-incomparable non-empty chains, as bitmasks.  Two families are
-    equal exactly when their generator sets are equal, and construction,
-    hashing and comparison are those of ``frozenset``.  The family is the
-    set of all chains containing some generator, so the empty chain is
-    never a member.
+    The generators are pairwise inclusion-incomparable non-empty chains,
+    as bitmasks, and the object is the immutable ``frozenset`` of them: two
+    families are equal exactly when their generator sets are equal, and
+    construction and hashing are those of ``frozenset``.  The members of
+    the family are all chains containing some generator, so the empty chain
+    is never one; ``member`` and ``is_subfamily`` test membership and
+    inclusion of families.  The inherited set operations, ``in``, ``<=``,
+    ``|`` and ``-``, act on the generators only: a chain strictly above a
+    generator is a member but not ``in`` the family.
     """
 
     __slots__ = ()
@@ -74,25 +77,25 @@ def _chain_key(mask: int) -> tuple[int, ...]:
     return tuple(bits(mask))
 
 
-def minimize(chains: Iterable[int]) -> frozenset[int]:
-    """Inclusion-minimal members of a collection of chains.
+def minimize(chains: Iterable[int]) -> ChainFamily:
+    """Family generated by a collection of chains: its minimal members.
 
     Members are taken by ascending size, so a chain's proper subchains are
     all seen before it; two distinct chains of one size never contain each
-    other, so no tie-break is needed.  A set is read as it is, neither
-    copied nor changed.
+    other, so no tie-break is needed, and a repeat is dropped as a superset
+    of its first copy.  The chains are not validated.
     """
-    distinct = chains if isinstance(chains, (set, frozenset)) else set(chains)
-    if len(distinct) < 2:
-        return frozenset(distinct)
+    ordered = sorted(chains, key=int.bit_count)
+    if len(ordered) < 2:
+        return ChainFamily(ordered)
     kept: list[int] = []
-    for c in sorted(distinct, key=int.bit_count):
+    for c in ordered:
         for g in kept:
             if g & c == g:
                 break
         else:
             kept.append(c)
-    return frozenset(kept)
+    return ChainFamily(kept)
 
 
 def family(P: Poset, chains: Iterable[int]) -> ChainFamily:
@@ -101,7 +104,7 @@ def family(P: Poset, chains: Iterable[int]) -> ChainFamily:
     for c in chains:
         require_chain(P, c)
         collected.append(c)
-    return ChainFamily(minimize(collected))
+    return minimize(collected)
 
 
 def require_chain(P: Poset, mask: int) -> int:
@@ -183,18 +186,14 @@ def compose(P: Poset, U: ChainFamily, V: ChainFamily) -> ChainFamily:
     kept as a brute-force oracle in the tests.  ``thread_sets`` is the fold
     of this product over a tuple's per-part families.
     """
-    # the floor of C is ``P.below_all(C)``; its table holds only validated
-    # masks, so a hit is read directly and only a miss goes through the call
-    floors = P._floors
+    below_all = P.below_all
     out = set()
     for C in U:
-        floor = floors.get(C)
-        if floor is None:
-            floor = P.below_all(C)
+        floor = below_all(C)
         for D in V:
             if D & ~floor == 0:
                 out.add(C | D)
-    return ChainFamily(minimize(out))
+    return minimize(out)
 
 
 def singleton_tuple(P: Poset, chain: int) -> SubsetTuple:

@@ -280,7 +280,7 @@ def verify_thread_monoid(P: Poset, bounds: Bounds = Bounds(),
         F = thread_sets(P, t)
         # threads() is the reference: minimal supports of the enumerated
         # threads, computed without compose
-        enumerated = ChainFamily(minimize({th.support for th in threads(P, t)}))
+        enumerated = minimize({th.support for th in threads(P, t)})
         s.check("thread_sets_decompose", enumerated, F)
         for j in range(1, len(t)):
             s.check("thread_sets_of_concatenation", F,

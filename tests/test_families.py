@@ -119,6 +119,7 @@ def test_minimize_matches_brute_force(masks):
     expected = minimal_members(set(masks))
     assert minimize(masks) == expected
     assert minimize(iter(masks)) == expected
+    assert type(minimize(set(masks))) is ChainFamily
 
 
 def test_membership_upward_closed(diamond):
@@ -168,6 +169,14 @@ def test_family_is_immutable(diamond):
     assert repr(F) == "ChainFamily<2,4>"
     assert repr(EMPTY_FAMILY) == "ChainFamily<>"
     assert repr(ChainFamily({0b1001, 0b110, 0b11})) == "ChainFamily<3,9,6>"
+
+
+def test_in_sees_generators_not_members(diamond):
+    """``in`` is the frozenset's: a non-minimal member is not ``in`` F."""
+    F = principal(diamond, diamond.subset(["t", "a"]))
+    above = diamond.subset(["t", "a", "m"])
+    assert F.member(above) and above not in F
+    assert diamond.subset(["t", "a"]) in F
 
 
 @settings(max_examples=60, deadline=None)
