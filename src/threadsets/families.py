@@ -87,7 +87,7 @@ def minimize(chains: Iterable[int]) -> ChainFamily:
     """
     ordered = sorted(chains, key=int.bit_count)
     if len(ordered) < 2:
-        return ChainFamily(ordered)
+        return ChainFamily(ordered) if ordered else EMPTY_FAMILY
     kept: list[int] = []
     for c in ordered:
         for g in kept:
@@ -123,23 +123,40 @@ def threads(P: Poset, parts: SubsetTuple) -> Iterator[Thread]:
     deduplicates them.  The stream is empty exactly when pruning the tuple
     to its threads empties every part.  The number of threads can grow
     exponentially with the tuple length; ``thread_sets`` does not enumerate
-    them.
+    them.  Every part is validated on the first step, so a mask with bits
+    outside the poset, or a negative one, raises ``UnknownElement``.
+
+    The walk is one loop over per-position arrays: ``rest[pos]`` holds the
+    candidates still to try at ``pos`` and ``support[pos]`` the support of
+    the prefix before it.  No generator is nested, so a walk leaves no
+    reference cycle behind.
     """
     _check(parts)
+    for part in parts:
+        P.check_subset(part)
     down = P.down
     last = len(parts) - 1
-    prefix = [0] * len(parts)
-
-    def walk(pos: int, allowed: int, support: int) -> Iterator[Thread]:
-        for a in bits(allowed):
-            prefix[pos] = a
-            grown = support | (1 << a)
-            if pos == last:
-                yield Thread(tuple(prefix), grown)
-            else:
-                yield from walk(pos + 1, parts[pos + 1] & down[a], grown)
-
-    yield from walk(0, parts[0], 0)
+    sequence = [0] * len(parts)
+    rest = [0] * len(parts)
+    support = [0] * len(parts)
+    rest[0] = parts[0]
+    pos = 0
+    while pos >= 0:
+        r = rest[pos]
+        if not r:
+            pos -= 1
+            continue
+        low = r & -r
+        rest[pos] = r ^ low
+        a = low.bit_length() - 1
+        sequence[pos] = a
+        grown = support[pos] | low
+        if pos < last:
+            pos += 1
+            support[pos] = grown
+            rest[pos] = parts[pos] & down[a]
+        else:
+            yield Thread(tuple(sequence), grown)
 
 
 def thread_sets(P: Poset, parts: SubsetTuple) -> ChainFamily:
@@ -186,6 +203,8 @@ def compose(P: Poset, U: ChainFamily, V: ChainFamily) -> ChainFamily:
     kept as a brute-force oracle in the tests.  ``thread_sets`` is the fold
     of this product over a tuple's per-part families.
     """
+    if len(U) == 0 or len(V) == 0:
+        return EMPTY_FAMILY
     below_all = P.below_all
     out = set()
     for C in U:
@@ -193,6 +212,8 @@ def compose(P: Poset, U: ChainFamily, V: ChainFamily) -> ChainFamily:
         for D in V:
             if D & ~floor == 0:
                 out.add(C | D)
+    if len(out) < 2:  # nothing to minimize
+        return ChainFamily(out) if out else EMPTY_FAMILY
     return minimize(out)
 
 

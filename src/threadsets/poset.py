@@ -18,7 +18,11 @@ from .errors import CycleDetected, DuplicateElement, UnknownElement
 
 
 def bits(mask: int) -> Iterator[int]:
-    """Indices of the set bits of ``mask``, ascending."""
+    """Indices of the set bits of ``mask``, ascending.
+
+    The mask must be non-negative: a negative int has infinitely many set
+    bits, and the walk over them never ends.
+    """
     while mask:
         low = mask & -mask
         yield low.bit_length() - 1

@@ -47,7 +47,7 @@ def prune_downward(P: Poset, parts: SubsetTuple) -> SubsetTuple:
     _check(parts)
     last = parts[-1]
     out = [last]
-    for part in reversed(parts[:-1]):
+    for part in parts[-2::-1]:
         last = part & P.up_set(last)
         out.append(last)
     out.reverse()
@@ -68,13 +68,14 @@ def prune_to_threads_direct(P: Poset, parts: SubsetTuple) -> SubsetTuple:
     """Direct form of prune_to_threads: per-element search for a full thread.
 
     Quadratic in the tuple; the reference that verification compares
-    ``prune_to_threads`` against.
+    ``prune_to_threads`` against.  Every part is validated, so a mask with
+    bits outside the poset, or a negative one, raises ``UnknownElement``.
     """
     _check(parts)
     out = []
     for i, part in enumerate(parts):
         kept = 0
-        for a in bits(part):
+        for a in bits(P.check_subset(part)):
             pinned = parts[:i] + (1 << a,) + parts[i + 1:]
             if _has_thread(P, pinned):
                 kept |= 1 << a

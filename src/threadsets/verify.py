@@ -298,6 +298,25 @@ def verify_thread_monoid(P: Poset, bounds: Bounds = Bounds(),
     return s.report()
 
 
+class _FillOnMiss(dict):
+    """A dict that stores ``make(key)`` for a missing key on first lookup.
+
+    Defined once at module level: a class made per call is a reference
+    cycle, and one whose ``__missing__`` closes over the caller's tables
+    keeps them alive until the cycle collector runs.
+    """
+
+    __slots__ = ("make",)
+
+    def __init__(self, make: Callable[[int], int]):
+        super().__init__()
+        self.make = make
+
+    def __missing__(self, key: int) -> int:
+        value = self[key] = self.make(key)
+        return value
+
+
 def _associativity(s: _Session) -> None:
     """``compose`` is associative on the families ``chains_meeting(P, a)``.
 
@@ -326,12 +345,7 @@ def _associativity(s: _Session) -> None:
         z = products[x][y] = intern(compose(P, family[x], family[y]))
         return z
 
-    class Generators(dict):
-        def __missing__(self, a: int) -> int:
-            i = self[a] = intern(chains_meeting(P, a))
-            return i
-
-    gen = Generators()
+    gen = _FillOnMiss(lambda a: intern(chains_meeting(P, a)))
     for a, bb, c in triples:
         x, y, z = gen[a], gen[bb], gen[c]
         xy = products[x].get(y)

@@ -67,6 +67,19 @@ def brute_has_thread(P: Poset, parts) -> bool:
     return False
 
 
+def brute_threads(P: Poset, parts) -> list[tuple[tuple[int, ...], int]]:
+    """(sequence, support) of every thread, in ``product`` order: the
+    descending sequences among all picks of one element per part.  Every
+    part is validated first, as ``threads`` validates them."""
+    _nonempty(parts)
+    for part in parts:
+        P.check_subset(part)
+    pools = [list(bits(part)) for part in parts]
+    return [(seq, sum(1 << i for i in set(seq)))
+            for seq in product(*pools)
+            if all(P.le(seq[i + 1], seq[i]) for i in range(len(seq) - 1))]
+
+
 def brute_thread_set_members(P: Poset, parts) -> set[int]:
     """All chains T such that (T & A_1, ..., T & A_k) admits a thread."""
     out = set()

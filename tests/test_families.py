@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import gc
 from functools import cache
 
 import pytest
@@ -9,9 +10,10 @@ from hypothesis import strategies as st
 from oracles import (brute_below_all, brute_chains, brute_chains_meeting,
                      brute_compose_members, brute_down_set,
                      brute_family_members, brute_thread_set_members,
-                     brute_up_set, minimal_members)
+                     brute_threads, brute_up_set, minimal_members)
 from test_poset import random_posets
-from test_tuples import poset_and_tuple
+from test_tuples import (_outcome, poset_and_tuple,
+                         poset_and_tuple_with_bad_masks)
 from threadsets.catalog import catalog
 from threadsets.errors import EmptyChain, NotAChain, UnknownElement
 from threadsets.families import (EMPTY_FAMILY, ChainFamily, chains_meeting,
@@ -47,6 +49,42 @@ def test_threads_allow_repeats(chain1):
 def test_threads_deterministic(diamond):
     t = (diamond.full, diamond.full)
     assert list(threads(diamond, t)) == list(threads(diamond, t))
+
+
+def _walk(P, parts):
+    return [(th.sequence, th.support) for th in threads(P, parts)]
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.one_of(poset_and_tuple(max_n=6, max_k=4),
+                 poset_and_tuple_with_bad_masks(max_n=6, max_k=4)))
+def test_threads_match_brute_force_random(pt):
+    P, parts = pt
+    assert _outcome(_walk, P, parts) == _outcome(brute_threads, P, parts)
+
+
+def test_threads_validate_every_part(diamond):
+    bad = 1 << diamond.n
+    a = diamond.subset(["a"])
+    for parts in ((bad,), (bad, 1), (a, bad), (a, a, bad), (-1,), (a, -1),
+                  (diamond.full, -2, a)):
+        with pytest.raises(UnknownElement):
+            list(threads(diamond, parts))
+    with pytest.raises(ValueError):
+        list(threads(diamond, ()))
+
+
+def test_threads_walk_leaves_no_cycle(diamond):
+    """The walk holds no reference back to itself, so consuming it leaves
+    nothing for the cycle collector."""
+    gc.collect()
+    gc.disable()
+    try:
+        for parts in ((diamond.full,) * 3, (diamond.full,)):
+            assert sum(1 for _ in threads(diamond, parts)) > 0
+        assert gc.collect() == 0
+    finally:
+        gc.enable()
 
 
 # -- thread_sets
@@ -120,6 +158,7 @@ def test_minimize_matches_brute_force(masks):
     assert minimize(masks) == expected
     assert minimize(iter(masks)) == expected
     assert type(minimize(set(masks))) is ChainFamily
+    assert type(minimize(masks[:1])) is ChainFamily
 
 
 def test_membership_upward_closed(diamond):
@@ -184,13 +223,16 @@ def test_in_sees_generators_not_members(diamond):
 def test_constructors_return_families(pt):
     P, t = pt
     chain = next(iter(P.chains()), None)
-    made = [thread_sets(P, t), chains_meeting(P, t[0]),
-            compose(P, chains_meeting(P, t[0]), thread_sets(P, t)),
+    U = chains_meeting(P, t[0])
+    made = [thread_sets(P, t), U, compose(P, U, thread_sets(P, t)),
             family(P, P.chains(max_size=2))]
     if chain is not None:
         made.append(principal(P, chain))
-    for F in made:
+    empty = [minimize([]), minimize(()), compose(P, EMPTY_FAMILY, U),
+             compose(P, U, EMPTY_FAMILY)]
+    for F in made + empty:
         assert type(F) is ChainFamily
+    assert all(F == EMPTY_FAMILY for F in empty)
 
 
 def test_no_caller_tests_a_family_for_truth(monkeypatch, tmp_path, capsys):
@@ -421,6 +463,34 @@ def test_compose_with_empty(diamond):
     assert compose(diamond, EMPTY_FAMILY, U) == EMPTY_FAMILY
 
 
+def _definitional_product(P, U, V):
+    """Generators of the definitional member-pair product of U and V."""
+    return frozenset(minimal_members(brute_compose_members(
+        P, brute_family_members(P, U), brute_family_members(P, V))))
+
+
+def test_compose_shortcuts_match_definitional_product(diamond):
+    """compose skips minimize for an empty factor and for at most one
+    compatible generator union; every return is still the definitional
+    product."""
+    def fam(*chains):
+        return family(diamond, [diamond.subset(c) for c in chains])
+
+    T, A, B, M = fam(["t"]), fam(["a"]), fam(["b"]), fam(["m"])
+    cases = [  # (U, V, number of compatible generator unions)
+        (EMPTY_FAMILY, T, 0), (T, EMPTY_FAMILY, 0),
+        (EMPTY_FAMILY, EMPTY_FAMILY, 0),
+        (A, T, 0), (A, B, 0), (fam(["a"], ["b"]), T, 0),
+        (T, A, 1), (fam(["t", "a"]), M, 1), (A, M, 1), (T, T, 1),
+        (T, fam(["a"], ["b"]), 2), (T, fam(["t"], ["a"]), 2),
+    ]
+    for U, V, unions in cases:
+        assert len(brute_compose_members(diamond, U, V)) == unions
+        got = compose(diamond, U, V)
+        assert type(got) is ChainFamily
+        assert got == _definitional_product(diamond, U, V)
+
+
 def _enumerated_thread_sets(P, t):
     """Minimal supports of the enumerated threads: the non-fold reference."""
     return frozenset(minimize({th.support for th in threads(P, t)}))
@@ -449,11 +519,15 @@ def test_compose_matches_definitional_product_random(pt):
     P, t = pt
     U = thread_sets(P, t[:1])
     V = thread_sets(P, t[1:]) if len(t) > 1 else chains_meeting(P, t[0])
-    got = compose(P, U, V)
-    expected = brute_compose_members(P, brute_family_members(P, U.generators),
-                                     brute_family_members(P, V.generators))
-    assert brute_family_members(P, got.generators) == expected
-    assert got.generators == frozenset(minimal_members(expected))
+    for left, right in ((U, V), (V, U), (U, EMPTY_FAMILY),
+                        (EMPTY_FAMILY, V)):
+        got = compose(P, left, right)
+        expected = brute_compose_members(
+            P, brute_family_members(P, left.generators),
+            brute_family_members(P, right.generators))
+        assert type(got) is ChainFamily
+        assert brute_family_members(P, got.generators) == expected
+        assert got.generators == frozenset(minimal_members(expected))
 
 
 def _small_generator_families(P):

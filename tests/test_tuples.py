@@ -172,10 +172,10 @@ def _outcome(fn, P, parts):
 
 
 @st.composite
-def poset_and_tuple_with_bad_masks(draw):
-    """A tuple over a poset with n <= 6 and k <= 5; some parts may be
-    swapped for masks with bits outside the poset, or negative."""
-    P, parts = draw(poset_and_tuple(max_n=6, max_k=5))
+def poset_and_tuple_with_bad_masks(draw, max_n=6, max_k=5):
+    """A tuple over a poset with n <= max_n and k <= max_k; some parts may
+    be swapped for masks with bits outside the poset, or negative."""
+    P, parts = draw(poset_and_tuple(max_n=max_n, max_k=max_k))
     parts = list(parts)
     for i in draw(st.lists(st.integers(0, len(parts) - 1), max_size=2)):
         parts[i] = draw(st.integers(min_value=P.full + 1, max_value=1 << 12)
@@ -215,6 +215,16 @@ def test_kernels_validate_the_masks_they_close(diamond):
                           (is_downward_concatenated, (a, a, -1))):
         with pytest.raises(UnknownElement):
             kernel(diamond, parts)
+
+
+def test_direct_prune_validates_every_part(diamond):
+    a = diamond.subset(["a"])
+    for parts in ((-1,), (1 << diamond.n,), (a, -1), (-1, a),
+                  (a, 1 << diamond.n)):
+        with pytest.raises(UnknownElement):
+            prune_to_threads_direct(diamond, parts)
+    with pytest.raises(ValueError):
+        prune_to_threads_direct(diamond, ())
 
 
 def test_empty_tuple_rejected(diamond):

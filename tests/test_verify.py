@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import gc
 import hashlib
 import random
 from dataclasses import fields
@@ -244,6 +245,22 @@ def test_run_suite_all_on_tiny_corpus():
     assert all(r.passed for r in reports)
     suites = {r.suite for r in reports}
     assert suites == {"operator-laws", "monoid", "conjecture", "classifier"}
+
+
+def test_run_suite_leaves_no_cycle():
+    """A passing run frees its posets, tables and families by reference
+    counting alone: nothing waits for the cycle collector."""
+    corpus = [("diamond", catalog("diamond", 2).poset),
+              ("star", catalog("star", 2).poset)]
+    gc.collect()
+    gc.disable()
+    try:
+        reports = run_suite("all", corpus, Bounds(max_k=2))
+        assert all(r.passed for r in reports)
+        del corpus, reports
+        assert gc.collect() == 0
+    finally:
+        gc.enable()
 
 
 def test_run_suite_rejects_unknown_name():
