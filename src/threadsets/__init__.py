@@ -6,7 +6,7 @@ classifies them into the proved normal forms on low-dimensional spectra
 and verifies the governing identities exhaustively on small posets.
 """
 
-from .classify import (IDENTITY, PAYLOAD_KEYS, ZERO, NormalForm, classify_dim0,
+from .classify import (PAYLOAD_KEYS, ZERO, NormalForm, classify_dim0,
                        classify_dim1, classify_dim2, classify_family,
                        form_instances, normal_form, shape_of)
 from .families import (EMPTY_FAMILY, ChainFamily, Thread, chains_meeting,
@@ -31,7 +31,7 @@ __all__ = [
     "is_collapsed", "is_zero", "ZERO_TUPLE",
     "Thread", "ChainFamily", "EMPTY_FAMILY", "threads", "thread_sets",
     "chains_meeting", "principal", "compose", "family", "singleton_tuple",
-    "NormalForm", "IDENTITY", "ZERO", "PAYLOAD_KEYS", "shape_of",
+    "NormalForm", "ZERO", "PAYLOAD_KEYS", "shape_of",
     "normal_form", "classify_family", "classify_dim0",
     "classify_dim1", "classify_dim2", "form_instances",
     "Bounds", "VerificationReport", "verify_operator_laws",

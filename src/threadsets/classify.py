@@ -8,6 +8,10 @@ is the one dispatch over the shapes.  Outside these shapes the engine never
 guesses: it returns ``Unresolved`` carrying the canonical reduction of the
 tuple.
 
+``_anatomy`` alone decides a poset's shape and its top and bottom.
+``_extremes`` is the one gate through which the classifiers and
+``as_tuple`` reach them, so each refuses a poset of another shape.
+
 Each form is one row of the table ``_FORMS``: its shape, its payload keys,
 its defining tuple built from the top ``t``, the bottom ``m`` and payload
 subsets of the stratum between them, and its side condition on the payload
@@ -86,8 +90,7 @@ _FORMS = {
 }
 
 #: Payload field names per form tag, in payload order.
-PAYLOAD_KEYS = {"Identity": (), "Zero": (),
-                **{tag: form.keys for tag, form in _FORMS.items()}}
+PAYLOAD_KEYS = {"Zero": (), **{tag: form.keys for tag, form in _FORMS.items()}}
 
 
 @dataclass(frozen=True)
@@ -103,9 +106,8 @@ class NormalForm:
     payload: tuple[int, ...] = ()
 
     def as_tuple(self, P: Poset) -> SubsetTuple:
-        """The defining subset tuple of this form over ``P``."""
-        if self.tag == "Identity":
-            raise ValueError("the identity localization has no subset tuple")
+        """The defining subset tuple of this form over ``P``; raises
+        ``ShapeMismatch`` unless ``P`` has the form's shape."""
         if self.tag == "Zero":
             return ZERO_TUPLE
         if self.tag == "Unresolved":
@@ -114,7 +116,7 @@ class NormalForm:
         return form.build(*_extremes(P, form.shape), *self.payload)
 
     def describe(self, P: Poset) -> str:
-        if not self.payload or self.tag == "Identity":
+        if not self.payload:
             return self.tag
         if self.tag == "Unresolved":
             inner = ", ".join("{%s}" % ", ".join(P.labels(m))
@@ -126,51 +128,47 @@ class NormalForm:
         return f"{self.tag}({fields})"
 
 
-IDENTITY = NormalForm("Identity")
 ZERO = NormalForm("Zero")
 
 
-def _unique(mask: int, P: Poset, kind: str) -> int:
-    if mask.bit_count() != 1:
-        raise ShapeMismatch(f"poset does not have a unique {kind} element")
-    return mask
+def _anatomy(P: Poset) -> tuple[str, int, int]:
+    """The shape of ``P`` with the top and the bottom its forms use.
+
+    Dimension 0 uses neither extreme, dimension 1 a unique maximal element
+    and dimension 2 unique maximal and minimal elements; an extreme the
+    shape does not use is 0, and so are both on ``Finite``.
+    """
+    dim = P.dimension()
+    if dim == 0:
+        return DIM0, 0, 0
+    if dim in (1, 2):
+        t = P.maximal_elements()
+        if t.bit_count() == 1:
+            if dim == 1:
+                return DIM1_IRREDUCIBLE, t, 0
+            m = P.minimal_elements()
+            if m.bit_count() == 1:
+                return DIM2_UNIQUE_EXTREMES, t, m
+    return FINITE, 0, 0
 
 
 def _extremes(P: Poset, shape: str) -> tuple[int, int]:
-    """Top and bottom of ``P`` as the forms of ``shape`` use them.
-
-    Dimension 0 uses neither and dimension 1 only the top; each one used
-    must be unique.
-    """
-    if shape == DIM0:
-        return 0, 0
-    t = _unique(P.maximal_elements(), P, "maximal")
-    if shape == DIM1_IRREDUCIBLE:
-        return t, 0
-    return t, _unique(P.minimal_elements(), P, "minimal")
+    """Top and bottom of ``P`` as the forms of ``shape`` use them, 0 for an
+    unused one; raises ``ShapeMismatch`` unless ``P`` has ``shape``."""
+    have, t, m = _anatomy(P)
+    if have != shape:
+        raise ShapeMismatch(f"poset has shape {have}, expected {shape}")
+    return t, m
 
 
 def shape_of(P: Poset) -> str:
     """Which proved classification applies; ``Finite`` is the fallback."""
-    dim = P.dimension()
-    if dim == 0:
-        return DIM0
-    if dim == 1 and P.maximal_elements().bit_count() == 1:
-        return DIM1_IRREDUCIBLE
-    if (dim == 2 and P.maximal_elements().bit_count() == 1
-            and P.minimal_elements().bit_count() == 1):
-        return DIM2_UNIQUE_EXTREMES
-    return FINITE
-
-
-def _require_shape(P: Poset, shape: str) -> None:
-    if shape_of(P) != shape:
-        raise ShapeMismatch(f"poset has shape {shape_of(P)}, expected {shape}")
+    return _anatomy(P)[0]
 
 
 def classify_dim0(P: Poset, F: ChainFamily) -> NormalForm:
     """Dimension 0 from the family: all thread sets are singletons."""
-    _require_shape(P, DIM0)
+    _extremes(P, DIM0)
     if F.is_empty():
         return ZERO
     meet = 0
@@ -189,10 +187,9 @@ def classify_dim1(P: Poset, F: ChainFamily) -> NormalForm:
     form on {t} | C; otherwise C == D is the colocal form on C and C < D
     the mixed composite ({t} | C, D).
     """
-    _require_shape(P, DIM1_IRREDUCIBLE)
+    t, _ = _extremes(P, DIM1_IRREDUCIBLE)
     if F.is_empty():
         return ZERO
-    t = P.maximal_elements()
     rest = P.full & ~t
     c = _stratum(F, rest, 0)
     if F.member(t):
@@ -218,11 +215,9 @@ def classify_dim2(P: Poset, F: ChainFamily) -> NormalForm:
     The reconstructed form is re-expanded through its defining tuple and
     checked against F; a mismatch means no form realizes the family.
     """
-    _require_shape(P, DIM2_UNIQUE_EXTREMES)
+    t, m = _extremes(P, DIM2_UNIQUE_EXTREMES)
     if F.is_empty():
         return ZERO
-    t = P.maximal_elements()
-    m = P.minimal_elements()
     mids = P.full & ~t & ~m
     f0 = _stratum(F, mids, 0)
     d = _stratum(F, mids, m)
@@ -310,38 +305,32 @@ def form_defect(P: Poset, tag: str, payload: tuple[int, ...]) -> str | None:
     """Why ``NormalForm(tag, payload)`` is no form a tuple over ``P`` can
     classify to, or None if it is one.
 
-    A tag with a row in the table must be among ``form_instances(P)``; an
-    ``Unresolved`` payload must be a non-zero canonical tuple on a poset
-    outside ``CLASSIFIED_SHAPES``; ``Identity`` is never one, since no
-    tuple classifies to it; ``Zero`` always is.
+    ``Zero`` always is one; a tag with a row in the table must be among
+    ``form_instances(P)``; an ``Unresolved`` payload must be a non-zero
+    canonical tuple on a poset outside ``CLASSIFIED_SHAPES``.
     """
-    if tag == "Identity":
-        return "no tuple classifies to Identity"
+    if tag == "Zero":
+        return None
+    shape, t, m = _anatomy(P)
     if tag == "Unresolved":
-        return _unresolved_defect(P, payload)
+        if shape in CLASSIFIED_SHAPES:
+            return (f"a {shape} poset classifies every tuple; "
+                    "no form is Unresolved")
+        if payload == ZERO_TUPLE:
+            return "the zero tuple classifies to Zero, not Unresolved"
+        if canonical(P, payload) != payload:
+            return "an Unresolved payload must be its own canonical tuple"
+        return None
     form = _FORMS.get(tag)
     if form is None:
-        return None
-    shape = shape_of(P)
+        return f"no form is tagged {tag!r}"
     if form.shape != shape:
         return f"form {tag} needs a {form.shape} poset, not {shape}"
-    t, m = _extremes(P, shape)
     if any(part & (t | m) for part in payload):
         return f"form {tag} takes subsets strictly between top and bottom"
     if form.valid is not None and not form.valid(*payload):
         return (f"form {tag} needs a non-empty payload or a proper "
                 "inclusion of its subsets")
-    return None
-
-
-def _unresolved_defect(P: Poset, payload: SubsetTuple) -> str | None:
-    shape = shape_of(P)
-    if shape in CLASSIFIED_SHAPES:
-        return f"a {shape} poset classifies every tuple; no form is Unresolved"
-    if payload == ZERO_TUPLE:
-        return "the zero tuple classifies to Zero, not Unresolved"
-    if canonical(P, payload) != payload:
-        return "an Unresolved payload must be its own canonical tuple"
     return None
 
 
@@ -362,10 +351,9 @@ def form_instances(P: Poset) -> list[NormalForm]:
     condition (proper inclusions where required, non-empty payloads where
     emptiness would degenerate to Zero).
     """
-    shape = shape_of(P)
+    shape, t, m = _anatomy(P)
     if shape not in CLASSIFIED_SHAPES:
         raise ShapeMismatch(f"no classified forms for shape {shape}")
-    t, m = _extremes(P, shape)
     stratum = list(_submasks(P.full & ~t & ~m))
     out: list[NormalForm] = []
     for tag, form in _FORMS.items():

@@ -19,7 +19,7 @@ from pathlib import Path
 from . import catalog as catalog_mod
 from . import serialize, verify
 from .classify import normal_form
-from .errors import BadParameter, SpectrumError
+from .errors import BadParameter, ParseError, SpectrumError
 from .families import thread_sets, threads
 from .poset import Poset
 from .tuples import (SubsetTuple, canonical, collapse, prune_downward,
@@ -27,10 +27,14 @@ from .tuples import (SubsetTuple, canonical, collapse, prune_downward,
 
 
 def _read(path: str) -> str:
+    """The text of a UTF-8 file, a leading byte order mark dropped."""
     try:
-        return Path(path).read_text(encoding="utf-8")
+        return Path(path).read_text(encoding="utf-8-sig")
     except OSError as exc:
         raise BadParameter(f"cannot read {path}: {exc}") from None
+    except UnicodeDecodeError as exc:
+        raise ParseError(f"{path} is not UTF-8: {exc.reason} at byte "
+                         f"{exc.start}") from None
 
 
 def _load_poset(args) -> Poset:

@@ -187,6 +187,8 @@ def loads(text: str) -> Any:
         return json.loads(text)
     except json.JSONDecodeError as exc:
         raise ParseError(exc.msg, line=exc.lineno, column=exc.colno) from None
+    except RecursionError:
+        raise ParseError("JSON document nested too deeply") from None
 
 
 def load_poset(text: str) -> Poset:

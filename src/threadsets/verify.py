@@ -20,7 +20,7 @@ from typing import Callable, Iterator
 from . import catalog as _catalog
 from .classify import (CLASSIFIED_SHAPES, ZERO, NormalForm, classify_family,
                        form_instances, shape_of)
-from .errors import BadParameter, BudgetExceeded
+from .errors import BadParameter, BudgetExceeded, ShapeMismatch
 from .families import (EMPTY_FAMILY, ChainFamily, chains_meeting, compose,
                        minimize, thread_sets, threads)
 from .poset import Poset, bits
@@ -298,25 +298,6 @@ def verify_thread_monoid(P: Poset, bounds: Bounds = Bounds(),
     return s.report()
 
 
-class _FillOnMiss(dict):
-    """A dict that stores ``make(key)`` for a missing key on first lookup.
-
-    Defined once at module level: a class made per call is a reference
-    cycle, and one whose ``__missing__`` closes over the caller's tables
-    keeps them alive until the cycle collector runs.
-    """
-
-    __slots__ = ("make",)
-
-    def __init__(self, make: Callable[[int], int]):
-        super().__init__()
-        self.make = make
-
-    def __missing__(self, key: int) -> int:
-        value = self[key] = self.make(key)
-        return value
-
-
 def _associativity(s: _Session) -> None:
     """``compose`` is associative on the families ``chains_meeting(P, a)``.
 
@@ -345,9 +326,17 @@ def _associativity(s: _Session) -> None:
         z = products[x][y] = intern(compose(P, family[x], family[y]))
         return z
 
-    gen = _FillOnMiss(lambda a: intern(chains_meeting(P, a)))
+    gen: dict[int, int] = {}
     for a, bb, c in triples:
-        x, y, z = gen[a], gen[bb], gen[c]
+        x = gen.get(a)
+        if x is None:
+            x = gen[a] = intern(chains_meeting(P, a))
+        y = gen.get(bb)
+        if y is None:
+            y = gen[bb] = intern(chains_meeting(P, bb))
+        z = gen.get(c)
+        if z is None:
+            z = gen[c] = intern(chains_meeting(P, c))
         xy = products[x].get(y)
         if xy is None:
             xy = composed(x, y)
@@ -515,4 +504,8 @@ def run_suite(suite: str, posets: list[tuple[str, Poset]] | None = None,
                 continue
             effective = deepened(bounds, P) if adapt else bounds
             reports.append(_SUITES[which](P, effective, name=name))
+    if not reports:  # a run that checked nothing must not read as a pass
+        raise ShapeMismatch(f"no poset to run {suite} on; the classifier "
+                            "suite needs one of the shapes "
+                            + ", ".join(CLASSIFIED_SHAPES))
     return reports

@@ -7,13 +7,14 @@ import pytest
 from oracles import normal_form_dim0
 from threadsets import classify
 from threadsets.classify import (DIM0, DIM1_IRREDUCIBLE,
-                                 DIM2_UNIQUE_EXTREMES, FINITE, IDENTITY,
-                                 PAYLOAD_KEYS, ZERO, NormalForm, classify_dim0,
+                                 DIM2_UNIQUE_EXTREMES, FINITE, PAYLOAD_KEYS,
+                                 ZERO, NormalForm, classify_dim0,
                                  classify_dim1, classify_dim2, classify_family,
                                  form_instances, normal_form, shape_of)
 from threadsets.errors import Inconsistent, ShapeMismatch
 from threadsets.families import EMPTY_FAMILY, family, thread_sets
 from threadsets.poset import build_poset
+from threadsets.serialize import form_from_dict, form_to_dict
 from threadsets.tuples import ZERO_TUPLE, canonical
 from threadsets.verify import all_posets
 
@@ -249,7 +250,7 @@ AS_TUPLE = {
 
 
 def test_as_tuple_forms(request, diamond):
-    assert set(AS_TUPLE) == set(PAYLOAD_KEYS) - {"Identity", "Zero"}
+    assert set(AS_TUPLE) == set(PAYLOAD_KEYS) - {"Zero"}
     for tag, (fixture, payload, expected) in AS_TUPLE.items():
         P = request.getfixturevalue(fixture)
         nf = NormalForm(tag, tuple(P.subset(list(part)) for part in payload))
@@ -266,16 +267,43 @@ def test_as_tuple_needs_unique_extremes(star2, two_chains):
             two_chains)
 
 
-def test_identity_has_no_tuple(diamond):
-    with pytest.raises(ValueError):
-        IDENTITY.as_tuple(diamond)
-
-
 def test_describe(diamond):
     nf = NormalForm("D2_Form7", (diamond.subset(["a"]), diamond.subset(["b"])))
     assert nf.describe(diamond) == "D2_Form7(A1={a}, B1={b})"
     assert ZERO.describe(diamond) == "Zero"
-    assert IDENTITY.describe(diamond) == "Identity"
+
+
+# fixture -> its shape; per classified shape, its classifier and one form
+FIXTURE_SHAPES = {"antichain3": DIM0, "star2": DIM1_IRREDUCIBLE,
+                  "diamond": DIM2_UNIQUE_EXTREMES,
+                  "chain2": DIM2_UNIQUE_EXTREMES, "two_chains": FINITE}
+GATES = {DIM0: (classify_dim0, "D0Smash"),
+         DIM1_IRREDUCIBLE: (classify_dim1, "D1_Lambda"),
+         DIM2_UNIQUE_EXTREMES: (classify_dim2, "D2_Form1")}
+
+
+def test_one_shape_gate(request):
+    # the classifiers and as_tuple refuse every poset of another shape;
+    # each tag with payload keys is the normal form of a defining tuple on
+    # a poset of its shape, and its document reads back as the same form
+    reached = set()
+    for fixture, shape in FIXTURE_SHAPES.items():
+        P = request.getfixturevalue(fixture)
+        assert shape_of(P) == shape
+        for other, (classifier, tag) in GATES.items():
+            if other == shape:
+                assert classifier(P, EMPTY_FAMILY) == ZERO
+                continue
+            with pytest.raises(ShapeMismatch):
+                classifier(P, EMPTY_FAMILY)
+            with pytest.raises(ShapeMismatch):
+                NormalForm(tag, (P.subset([P.elements[1]]),)).as_tuple(P)
+        if fixture in ("diamond", "star2", "antichain3"):
+            for nf in [ZERO] + form_instances(P):
+                got = normal_form(P, nf.as_tuple(P))
+                assert form_from_dict(P, form_to_dict(P, got)) == got == nf
+                reached.add(got.tag)
+    assert reached == set(PAYLOAD_KEYS)
 
 
 # -- syntactic instances

@@ -229,6 +229,52 @@ def test_non_string_leaf_is_parse_error(write, capsys, document):
     assert json.loads(out)["error"]["code"] == "ParseError"
 
 
+CHAIN1_LINE = json.dumps({"elements": ["0", "1"], "relations": ["0 < 1"]})
+BOM = "\ufeff".encode()
+
+
+@pytest.mark.parametrize("fmt", ["text", "json"])
+@pytest.mark.parametrize("poset, tuple_", [
+    (BOM + CHAIN1_LINE.encode(), BOM + b'[["1"], ["0"]]'),
+    (b"\xff\xfe0 < 1\n", b'[["1"], ["0"]]'),
+    (CHAIN1_LINE.encode(), b'[["1"], ["\xe9"]]'),
+    (CHAIN1_LINE.encode(), b"[" * 100_000 + b"]" * 100_000),
+], ids=["byte-order-mark", "latin1-poset", "latin1-tuple", "deep-tuple"])
+def test_file_bytes_boundary(tmp_path, capsys, fmt, poset, tuple_):
+    # a byte order mark is dropped; other bytes that are not UTF-8, and JSON
+    # nested past the parser's recursion limit, are ParseErrors
+    def classify(poset, tuple_):
+        (tmp_path / "p.json").write_bytes(poset)
+        (tmp_path / "t.json").write_bytes(tuple_)
+        return run(capsys, "classify", "--poset", str(tmp_path / "p.json"),
+                   "--tuple", str(tmp_path / "t.json"), "--format", fmt)
+
+    code, out, err = classify(poset, tuple_)
+    if poset.startswith(BOM):
+        assert code == 0
+        assert (code, out, err) == classify(poset[len(BOM):],
+                                            tuple_[len(BOM):])
+        return
+    assert code == 2
+    if fmt == "json":
+        assert json.loads(out)["error"]["code"] == "ParseError"
+    else:
+        assert err.startswith("error[ParseError]: ")
+
+
+def test_verify_classifier_needs_a_classified_poset(write, capsys):
+    poset = write("p.json", TWO_CHAINS)
+    code, out, err = run(capsys, "verify", "classifier", "--poset", poset)
+    assert code == 2
+    assert out == "" and err.startswith("error[ShapeMismatch]: ")
+    # the other suites still run there, and all of them pass
+    code, out, _ = run(capsys, "verify", "all", "--poset", poset,
+                       "--format", "json")
+    assert code == 0
+    assert {r["suite"] for r in json.loads(out)["reports"]} == {
+        "operator-laws", "monoid", "conjecture"}
+
+
 @pytest.mark.parametrize("bounds", [["monoid", "--max-k", "0"],
                                     ["operator-laws", "--max-k", "-3",
                                      "--budget", "-1"]])
