@@ -244,16 +244,17 @@ def build_parser() -> argparse.ArgumentParser:
     cat.add_argument("--format", choices=("text", "json", "dot"),
                      default="text")
 
+    bounds = verify.Bounds()
     ver = sub.add_parser("verify", help="run verification suites")
     ver.add_argument("suite", choices=verify.SUITE_NAMES)
     ver.add_argument("--poset", help="verify this poset instead of the corpus")
     ver.add_argument("--format", choices=("text", "json"), default="text")
-    ver.add_argument("--seed", type=int, default=0)
+    ver.add_argument("--seed", type=int, default=bounds.seed)
     ver.add_argument("--exhaustive", action="store_true",
                      help="never sample tuples or associativity triples; "
                           "fail with BudgetExceeded beyond --budget")
-    ver.add_argument("--max-k", type=int, default=2, dest="max_k")
-    ver.add_argument("--budget", type=int, default=1 << 20)
+    ver.add_argument("--max-k", type=int, default=bounds.max_k, dest="max_k")
+    ver.add_argument("--budget", type=int, default=bounds.budget)
     return parser
 
 

@@ -126,37 +126,29 @@ def threads(P: Poset, parts: SubsetTuple) -> Iterator[Thread]:
     them.  Every part is validated on the first step, so a mask with bits
     outside the poset, or a negative one, raises ``UnknownElement``.
 
-    The walk is one loop over per-position arrays: ``rest[pos]`` holds the
-    candidates still to try at ``pos`` and ``support[pos]`` the support of
-    the prefix before it.  No generator is nested, so a walk leaves no
+    The walk is one loop over a stack of partial threads ``(prefix,
+    support, candidates)``, like ``Poset.chains``: an entry extends its
+    prefix by its lowest candidate and pushes that walk above its
+    remaining siblings.  No generator is nested, so a walk leaves no
     reference cycle behind.
     """
     _check(parts)
     for part in parts:
         P.check_subset(part)
-    down = P.down
-    last = len(parts) - 1
-    sequence = [0] * len(parts)
-    rest = [0] * len(parts)
-    support = [0] * len(parts)
-    rest[0] = parts[0]
-    pos = 0
-    while pos >= 0:
-        r = rest[pos]
-        if not r:
-            pos -= 1
-            continue
-        low = r & -r
-        rest[pos] = r ^ low
-        a = low.bit_length() - 1
-        sequence[pos] = a
-        grown = support[pos] | low
-        if pos < last:
-            pos += 1
-            support[pos] = grown
-            rest[pos] = parts[pos] & down[a]
-        else:
-            yield Thread(tuple(sequence), grown)
+    down, k = P.down, len(parts)
+    stack = [((), 0, parts[0])]
+    while stack:
+        prefix, support, rest = stack.pop()
+        if rest:
+            low = rest & -rest
+            stack.append((prefix, support, rest ^ low))
+            a = low.bit_length() - 1
+            sequence = prefix + (a,)
+            if len(sequence) == k:
+                yield Thread(sequence, support | low)
+            else:
+                stack.append((sequence, support | low,
+                              parts[len(sequence)] & down[a]))
 
 
 def thread_sets(P: Poset, parts: SubsetTuple) -> ChainFamily:

@@ -209,29 +209,26 @@ class Poset:
                 return False
         return True
 
-    def chains(self, max_size: int | None = None,
-               include_empty: bool = False) -> Iterator[int]:
+    def chains(self) -> Iterator[int]:
         """Enumerate every chain exactly once, as bitmasks.
 
-        Chains grow by ascending element index, so the order is the
-        lexicographic order of the sorted index sequences.  The empty chain
-        is emitted first only on request.
+        One loop over a stack of partial walks ``(chain, candidates)``, the
+        candidates being higher-indexed elements comparable with the whole
+        chain.  An entry yields its chain grown by its lowest candidate and
+        pushes the grown walk above its remaining siblings, so the order is
+        the lexicographic order of the sorted index sequences.  No generator
+        is nested, so a walk leaves no reference cycle behind.
         """
-        if include_empty:
-            yield 0
-        if max_size is not None and max_size <= 0:
-            return
-        n, comp = self.n, self._comp
-
-        def extend(mask: int, allowed: int, size: int) -> Iterator[int]:
-            for j in bits(allowed):
-                grown = mask | (1 << j)
-                yield grown
-                if max_size is None or size + 1 < max_size:
-                    higher = allowed & comp[j] & ~((1 << (j + 1)) - 1)
-                    yield from extend(grown, higher, size + 1)
-
-        yield from extend(0, self.full, 0)
+        comp = self._comp
+        stack = [(0, self.full)]
+        while stack:
+            chain, allowed = stack.pop()
+            if allowed:
+                low = allowed & -allowed
+                rest = allowed ^ low
+                yield chain | low
+                stack.append((chain, rest))
+                stack.append((chain | low, rest & comp[low.bit_length() - 1]))
 
     def dimension(self) -> int:
         """Largest chain cardinality minus one; -1 for the empty poset."""
@@ -248,8 +245,9 @@ def build_poset(elements: Iterable[str],
                 relations: Iterable[tuple[str, str]]) -> Poset:
     """Build a poset from identifiers and strict relations ``a < b``.
 
-    The stored order is the reflexive-transitive closure of the relations;
-    a closure violating antisymmetry raises CycleDetected.
+    The stored order is the reflexive-transitive closure of the relations,
+    from one Warshall pass over the bitmask rows; an element that then
+    reaches itself lies on a cycle, and CycleDetected names the first.
     """
     elements = tuple(elements)
     index: dict[str, int] = {}
@@ -264,16 +262,10 @@ def build_poset(elements: Iterable[str],
             if e not in index:
                 raise UnknownElement(f"unknown element {e!r} in relation")
         below[index[b]] |= 1 << index[a]
-    changed = True
-    while changed:
-        changed = False
+    for k in range(n):
         for j in range(n):
-            acc = below[j]
-            for i in bits(below[j]):
-                acc |= below[i]
-            if acc != below[j]:
-                below[j] = acc
-                changed = True
+            if below[j] >> k & 1:
+                below[j] |= below[k]
     for j in range(n):
         if below[j] >> j & 1:
             raise CycleDetected(

@@ -41,14 +41,22 @@ def poset_from_dict(data: Any) -> Poset:
             or not isinstance(data.get("relations"), list)):
         raise ParseError("poset document needs 'elements' and 'relations' lists")
     for e in data["elements"]:
-        if not isinstance(e, str):
-            raise ParseError(f"element {e!r} is not a string")
-    relations = []
-    for rel in data["relations"]:
-        if not isinstance(rel, str):
-            raise ParseError(f"relation {rel!r} is not a string")
-        relations.append(_split_relation(rel))
+        _text(e, "element")
+    relations = [_split_relation(_text(rel, "relation"))
+                 for rel in data["relations"]]
     return build_poset(data["elements"], relations)
+
+
+def _text(value: Any, what: str) -> str:
+    """A string that encodes as UTF-8: JSON's ``\\ud800`` escapes decode
+    to lone surrogates, which a UTF-8 output stream cannot print."""
+    if not isinstance(value, str):
+        raise ParseError(f"{what} {value!r} is not a string")
+    try:
+        value.encode("utf-8")
+    except UnicodeEncodeError:
+        raise ParseError(f"{what} {value!r} holds a lone surrogate") from None
+    return value
 
 
 def poset_to_text(P: Poset) -> str:
@@ -187,6 +195,8 @@ def loads(text: str) -> Any:
         return json.loads(text)
     except json.JSONDecodeError as exc:
         raise ParseError(exc.msg, line=exc.lineno, column=exc.colno) from None
+    except ValueError:  # CPython's limit on integer string conversion
+        raise ParseError("JSON integer literal has too many digits") from None
     except RecursionError:
         raise ParseError("JSON document nested too deeply") from None
 

@@ -95,26 +95,25 @@ def _has_thread(P: Poset, parts: SubsetTuple) -> bool:
 def collapse(parts: SubsetTuple) -> SubsetTuple:
     """Drop adjacent parts that contain a neighbour until collapsed.
 
-    Scans left to right and applies the first applicable removal (always of
-    the containing part); the result is independent of the removal order,
-    so the fixed scan only pins down the intermediate states.
+    One left-to-right pass over a stack of kept parts: a part lying
+    strictly inside the last kept part pops that part and is compared
+    again, and a part containing or equal to the last kept part is
+    dropped.  The result is independent of the removal order, so this
+    pass gives the same tuple as any other sequence of removals.
     """
-    out = list(_check(parts))
-    i = 0
-    while i < len(out) - 1:
-        a, b = out[i], out[i + 1]
-        if a | b == b:        # a subset of b: drop the superset b
-            del out[i + 1]
-        elif b | a == a:      # b subset of a: drop a
-            del out[i]
+    kept: list[int] = []
+    for part in _check(parts):
+        while kept:
+            last = kept[-1]
+            if part | last == part:  # contains or equals last: drop part
+                break
+            if part | last != last:  # incomparable with last: keep part
+                kept.append(part)
+                break
+            kept.pop()  # strictly inside last: drop last, compare again
         else:
-            i += 1
-            continue
-        # earlier pairs were not applicable; only the new adjacency at i-1
-        # can have become applicable
-        if i:
-            i -= 1
-    return tuple(out)
+            kept.append(part)
+    return tuple(kept)
 
 
 def canonical(P: Poset, parts: SubsetTuple) -> SubsetTuple:

@@ -351,7 +351,7 @@ def _associativity(s: _Session) -> None:
             right = composed(x, yz)
         if left != right:
             s.fail("compose_associative", family[left], family[right],
-                   {"subsets": [list(P.labels(m)) for m in (a, bb, c)]})
+                   {"subsets": tuple_to_lists(P, (a, bb, c))})
     s.cases += total
     s.details["associativity_triples"] = total
 
@@ -404,16 +404,15 @@ def verify_classifier(P: Poset, bounds: Bounds = Bounds(),
     for inst in form_instances(P):
         s.cases += 1
         defining = inst.as_tuple(P)
-        inputs = {"form": inst.describe(P),
-                  "tuple": tuple_to_lists(P, defining)}
         F = thread_sets(P, defining)
         got = classify_family(P, F, canonical(P, defining))
-        s.check("classifier_round_trip", inst, got, inputs)
-        other = seen.get(F)
-        if other is not None:
-            s.fail("forms_have_distinct_thread_sets", other, inst, inputs)
-        else:
-            seen[F] = inst
+        other = seen.setdefault(F, inst)
+        if inst != got or other is not inst:  # label the inputs on failure
+            inputs = {"form": inst.describe(P),
+                      "tuple": tuple_to_lists(P, defining)}
+            s.check("classifier_round_trip", inst, got, inputs)
+            if other is not inst:
+                s.fail("forms_have_distinct_thread_sets", other, inst, inputs)
     s.cases += 1
     s.check("zero_from_empty_family", ZERO,
             classify_family(P, EMPTY_FAMILY, ZERO_TUPLE), {"form": "Zero"})
@@ -430,9 +429,9 @@ _SUITES: dict[str, Callable[..., VerificationReport]] = {
 SUITE_NAMES = tuple(_SUITES) + ("all",)
 
 
-def all_posets(n: int, prefix: str = "p") -> list[Poset]:
-    """All labeled posets on exactly ``n`` elements."""
-    names = [f"{prefix}{i}" for i in range(n)]
+def all_posets(n: int) -> list[Poset]:
+    """All labeled posets on exactly ``n`` elements, named p0..p(n-1)."""
+    names = [f"p{i}" for i in range(n)]
     pairs = [(i, j) for i in range(n) for j in range(n) if i != j]
     out = []
     for mask in range(1 << len(pairs)):

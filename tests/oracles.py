@@ -15,13 +15,37 @@ from threadsets.errors import ShapeMismatch
 from threadsets.poset import Poset, bits
 
 
-def brute_chains(P: Poset, include_empty: bool = False) -> set[int]:
+def brute_chains(P: Poset) -> set[int]:
     out = set()
-    for size in range(0 if include_empty else 1, P.n + 1):
+    for size in range(1, P.n + 1):
         for members in combinations(range(P.n), size):
             if all(P.comparable(i, j) for i, j in combinations(members, 2)):
                 out.add(sum(1 << i for i in members))
     return out
+
+
+def brute_reachability(n: int, relations) -> tuple[tuple[int, ...], set[int]]:
+    """Reflexive down-sets of the order that index pairs ``(a, b)``, read as
+    ``a < b``, generate, and the elements that reach themselves.
+
+    Each element's strict reach is searched one relation step at a time;
+    ``i`` lies below ``j`` when some path of relations leads from ``i`` to
+    ``j``, and lies on a cycle when such a path leads back to ``i``.
+    """
+    reach = []
+    for i in range(n):
+        seen: set[int] = set()
+        todo = [i]
+        while todo:
+            a = todo.pop()
+            for lo, hi in relations:
+                if lo == a and hi not in seen:
+                    seen.add(hi)
+                    todo.append(hi)
+        reach.append(seen)
+    down = tuple(sum(1 << i for i in range(n) if i == j or j in reach[i])
+                 for j in range(n))
+    return down, {i for i in range(n) if i in reach[i]}
 
 
 def brute_down_set(P: Poset, mask: int) -> int:

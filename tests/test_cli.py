@@ -239,10 +239,15 @@ BOM = "\ufeff".encode()
     (b"\xff\xfe0 < 1\n", b'[["1"], ["0"]]'),
     (CHAIN1_LINE.encode(), b'[["1"], ["\xe9"]]'),
     (CHAIN1_LINE.encode(), b"[" * 100_000 + b"]" * 100_000),
-], ids=["byte-order-mark", "latin1-poset", "latin1-tuple", "deep-tuple"])
+    (b'{"elements": ["\\ud800", "b"], "relations": []}', b'[["\\ud800"]]'),
+    (CHAIN1_LINE.encode(), b'[["1"], ' + b"1" * 5000 + b"]"),
+], ids=["byte-order-mark", "latin1-poset", "latin1-tuple", "deep-tuple",
+        "lone-surrogate", "long-integer"])
 def test_file_bytes_boundary(tmp_path, capsys, fmt, poset, tuple_):
-    # a byte order mark is dropped; other bytes that are not UTF-8, and JSON
-    # nested past the parser's recursion limit, are ParseErrors
+    # a byte order mark is dropped; other bytes that are not UTF-8, JSON
+    # nested past the parser's recursion limit, a label escaping a lone
+    # surrogate (which UTF-8 cannot encode) and an integer literal past
+    # CPython's 4300-digit conversion limit are ParseErrors
     def classify(poset, tuple_):
         (tmp_path / "p.json").write_bytes(poset)
         (tmp_path / "t.json").write_bytes(tuple_)
@@ -260,6 +265,14 @@ def test_file_bytes_boundary(tmp_path, capsys, fmt, poset, tuple_):
         assert json.loads(out)["error"]["code"] == "ParseError"
     else:
         assert err.startswith("error[ParseError]: ")
+
+
+def test_verify_defaults_are_the_bounds_defaults(monkeypatch, capsys):
+    seen = []
+    monkeypatch.setattr(cli.verify, "run_suite",
+                        lambda suite, posets, bounds: seen.append(bounds) or [])
+    assert main(["verify", "all"]) == 0
+    assert seen == [cli.verify.Bounds()]
 
 
 def test_verify_classifier_needs_a_classified_poset(write, capsys):

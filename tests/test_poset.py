@@ -1,10 +1,14 @@
 from __future__ import annotations
 
+import gc
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from oracles import brute_chains, brute_dimension, brute_length
+from oracles import (brute_chains, brute_dimension, brute_length,
+                     brute_reachability)
+from threadsets.catalog import catalog
 from threadsets.errors import CycleDetected, DuplicateElement, UnknownElement
 from threadsets.poset import bits, build_poset
 from threadsets.verify import all_posets
@@ -144,23 +148,28 @@ def test_chains_diamond_count(diamond):
     assert sum(1 for _ in diamond.chains()) == 11
 
 
-def test_chains_empty_and_bound(diamond):
-    assert next(diamond.chains(include_empty=True)) == 0
-    assert all(c.bit_count() <= 2 for c in diamond.chains(max_size=2))
-    assert set(diamond.chains(max_size=diamond.n)) == set(diamond.chains())
-
-
 def test_chains_are_unique_and_deterministic(diamond):
     got = list(diamond.chains())
     assert len(got) == len(set(got))
     assert got == list(diamond.chains())
 
 
+def test_chains_leave_no_cycle(diamond):
+    """An exhausted chain walk is freed by reference counting alone."""
+    posets = [catalog("torus2", 2).poset, diamond]
+    gc.collect()
+    gc.disable()
+    try:
+        for P in posets:
+            assert list(P.chains())
+        assert gc.collect() == 0
+    finally:
+        gc.enable()
+
+
 def test_chains_match_brute_force():
     for P in all_posets(4):
         assert set(P.chains()) == brute_chains(P)
-        assert set(P.chains(include_empty=True)) == brute_chains(
-            P, include_empty=True)
 
 
 @settings(max_examples=60, deadline=None)
@@ -233,6 +242,24 @@ def test_down_set_properties_random(data):
     assert P.down_set(s | t) == down | P.down_set(t)
     assert P.is_downward_closed(down)
     assert P.is_upward_closed(P.up_set(s))
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.data())
+def test_build_poset_matches_reachability(data):
+    # relations in any index order, cycles and self-relations included
+    n = data.draw(st.integers(min_value=0, max_value=7))
+    index = st.integers(min_value=0, max_value=max(n - 1, 0))
+    relations = data.draw(st.lists(st.tuples(index, index), max_size=14)
+                          if n else st.just([]))
+    names = [f"x{i}" for i in range(n)]
+    labeled = [(names[a], names[b]) for a, b in relations]
+    down, cyclic = brute_reachability(n, relations)
+    if cyclic:
+        with pytest.raises(CycleDetected, match=f"'{names[min(cyclic)]}'"):
+            build_poset(names, labeled)
+    else:
+        assert build_poset(names, labeled).down == down
 
 
 def test_poset_equality_and_hash(diamond):

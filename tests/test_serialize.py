@@ -41,6 +41,8 @@ def test_poset_json_shape_errors():
         poset_from_dict({"elements": [1], "relations": []})
     with pytest.raises(ParseError):
         poset_from_dict({"elements": []})
+    with pytest.raises(ParseError, match="surrogate"):  # not UTF-8 text
+        poset_from_dict({"elements": ["a"], "relations": ["a < \udfff"]})
 
 
 def test_poset_text_round_trip(diamond):

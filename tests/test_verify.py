@@ -229,7 +229,7 @@ def test_passing_run_builds_no_failure_inputs(diamond, monkeypatch):
 
     monkeypatch.setattr(verify, "tuple_to_lists", unused)
     for suite in (verify_operator_laws, verify_thread_monoid,
-                  verify_conjecture):
+                  verify_conjecture, verify_classifier):
         assert suite(diamond, Bounds(max_k=2)).passed
 
 
