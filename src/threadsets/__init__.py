@@ -15,7 +15,7 @@ from .families import (EMPTY_FAMILY, ChainFamily, Thread, chains_meeting,
 from .poset import Poset, bits, build_poset
 from .tuples import (ZERO_TUPLE, canonical, collapse, is_collapsed,
                      is_concatenated, is_downward_concatenated,
-                     is_upward_concatenated, is_zero, prune_downward,
+                     is_upward_concatenated, prune_downward,
                      prune_to_threads, prune_upward, restrict)
 from .verify import (Bounds, VerificationReport, all_posets, default_corpus,
                      run_suite, verify_classifier, verify_conjecture,
@@ -28,7 +28,7 @@ __all__ = [
     "prune_upward", "prune_downward", "prune_to_threads", "collapse",
     "canonical", "restrict",
     "is_upward_concatenated", "is_downward_concatenated", "is_concatenated",
-    "is_collapsed", "is_zero", "ZERO_TUPLE",
+    "is_collapsed", "ZERO_TUPLE",
     "Thread", "ChainFamily", "EMPTY_FAMILY", "threads", "thread_sets",
     "chains_meeting", "principal", "compose", "family", "singleton_tuple",
     "NormalForm", "ZERO", "PAYLOAD_KEYS", "shape_of",
@@ -37,5 +37,4 @@ __all__ = [
     "Bounds", "VerificationReport", "verify_operator_laws",
     "verify_thread_monoid", "verify_conjecture", "verify_classifier",
     "run_suite", "all_posets", "default_corpus",
-    "__version__",
 ]

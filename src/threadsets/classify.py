@@ -32,7 +32,7 @@ from typing import Callable, NamedTuple
 
 from .errors import Inconsistent, ShapeMismatch
 from .families import ChainFamily, thread_sets
-from .poset import Poset, bits
+from .poset import Poset, bits, set_text
 from .tuples import SubsetTuple, ZERO_TUPLE, canonical
 
 DIM0 = "Dim0"
@@ -119,11 +119,10 @@ class NormalForm:
         if not self.payload:
             return self.tag
         if self.tag == "Unresolved":
-            inner = ", ".join("{%s}" % ", ".join(P.labels(m))
-                              for m in self.payload)
+            inner = ", ".join(set_text(P, m) for m in self.payload)
             return f"Unresolved({inner})"
         fields = ", ".join(
-            "%s={%s}" % (k, ", ".join(P.labels(m)))
+            f"{k}={set_text(P, m)}"
             for k, m in zip(PAYLOAD_KEYS[self.tag], self.payload))
         return f"{self.tag}({fields})"
 

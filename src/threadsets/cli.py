@@ -21,7 +21,7 @@ from . import serialize, verify
 from .classify import normal_form
 from .errors import BadParameter, ParseError, SpectrumError
 from .families import thread_sets, threads
-from .poset import Poset
+from .poset import Poset, set_text
 from .tuples import (SubsetTuple, canonical, collapse, prune_downward,
                      prune_to_threads, prune_upward)
 
@@ -59,12 +59,8 @@ def _emit(args, payload: dict, text: str) -> None:
         sys.stdout.write(text if text.endswith("\n") else text + "\n")
 
 
-def _set_text(P: Poset, mask: int) -> str:
-    return "{%s}" % ", ".join(P.labels(mask))
-
-
 def _tuple_text(P: Poset, parts: SubsetTuple) -> str:
-    return "(%s)" % ", ".join(_set_text(P, part) for part in parts)
+    return "(%s)" % ", ".join(set_text(P, part) for part in parts)
 
 
 def _cmd_reduce(args) -> int:
@@ -98,7 +94,7 @@ def _cmd_tset(args) -> int:
     P = _load_poset(args)
     (t,) = _load_tuples(args, P, 1)
     F = thread_sets(P, t)
-    text = "\n".join(_set_text(P, g) for g in F.sorted_generators()) or "(empty)"
+    text = "\n".join(set_text(P, g) for g in F.sorted_generators()) or "(empty)"
     _emit(args, serialize.family_to_dict(P, F), text)
     return 0
 
@@ -115,7 +111,7 @@ def _cmd_eq(args) -> int:
     payload = {"equal": False, "witness": list(P.labels(witness)),
                "witness_only_in": side}
     _emit(args, payload,
-          f"unequal: generator {_set_text(P, witness)} only in the {side} tuple")
+          f"unequal: generator {set_text(P, witness)} only in the {side} tuple")
     return 1
 
 

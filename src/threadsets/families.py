@@ -16,7 +16,7 @@ from dataclasses import dataclass
 from typing import Iterable, Iterator
 
 from .errors import EmptyChain, NotAChain
-from .poset import Poset, bits
+from .poset import Poset, bits, set_text
 from .tuples import SubsetTuple, _check
 
 
@@ -39,10 +39,10 @@ class ChainFamily(frozenset):
     families are equal exactly when their generator sets are equal, and
     construction and hashing are those of ``frozenset``.  The members of
     the family are all chains containing some generator, so the empty chain
-    is never one; ``member`` and ``is_subfamily`` test membership and
-    inclusion of families.  The inherited set operations, ``in``, ``<=``,
-    ``|`` and ``-``, act on the generators only: a chain strictly above a
-    generator is a member but not ``in`` the family.
+    is never one; ``member`` tests membership.  The inherited set
+    operations, ``in``, ``<=``, ``|`` and ``-``, act on the generators only:
+    a chain strictly above a generator is a member but not ``in`` the
+    family.
     """
 
     __slots__ = ()
@@ -56,10 +56,6 @@ class ChainFamily(frozenset):
 
     def is_empty(self) -> bool:
         return len(self) == 0
-
-    def is_subfamily(self, other: "ChainFamily") -> bool:
-        """Every member of self is a member of other."""
-        return all(other.member(g) for g in self)
 
     def sorted_generators(self) -> list[int]:
         """Generators ordered by their sorted index sequences."""
@@ -111,8 +107,7 @@ def require_chain(P: Poset, mask: int) -> int:
     if not mask:
         raise EmptyChain("the empty chain is not allowed here")
     if not P.is_chain(mask):
-        raise NotAChain(
-            f"{{{', '.join(P.labels(mask))}}} is not a chain")
+        raise NotAChain(f"{set_text(P, mask)} is not a chain")
     return mask
 
 

@@ -56,7 +56,7 @@ class Poset:
     """
 
     __slots__ = ("elements", "down", "up", "covers", "n", "full", "_index",
-                 "_comp", "_lengths", "_down_sets", "_up_sets", "_floors",
+                 "_comp", "_dimension", "_down_sets", "_up_sets", "_floors",
                  "_meeting")
 
     def __init__(self, elements: tuple[str, ...], down: tuple[int, ...]):
@@ -83,7 +83,7 @@ class Poset:
         for j in sorted(range(self.n), key=lambda j: down[j].bit_count()):
             strict = down[j] & ~(1 << j)
             lengths[j] = max((lengths[i] + 1 for i in bits(strict)), default=0)
-        self._lengths = tuple(lengths)
+        self._dimension = max(lengths, default=-1)
         self._down_sets: dict[int, int] = {}
         self._up_sets: dict[int, int] = {}
         self._floors: dict[int, int] = {}
@@ -130,9 +130,6 @@ class Poset:
         """Order test on element indices: i <= j."""
         return bool(self.down[j] >> i & 1)
 
-    def comparable(self, i: int, j: int) -> bool:
-        return bool(self._comp[i] >> j & 1)
-
     # -- family and cofamily operators
 
     def down_set(self, mask: int) -> int:
@@ -165,35 +162,14 @@ class Poset:
             self._floors[mask] = out
         return out
 
-    def not_below(self, mask: int) -> int:
-        """Elements below no member of ``mask``; complement of down_set."""
-        return self.full & ~self.down_set(mask)
-
-    def not_above(self, mask: int) -> int:
-        """Elements above no member of ``mask``; complement of up_set."""
-        return self.full & ~self.up_set(mask)
-
-    def is_downward_closed(self, mask: int) -> bool:
-        """Thomason test in the finite noetherian model."""
-        return self.down_set(mask) == mask
-
     def is_upward_closed(self, mask: int) -> bool:
         return self.up_set(mask) == mask
 
     def maximal_elements(self) -> int:
-        return self.subset_of_indices(i for i in range(self.n)
-                                      if self.up[i] == 1 << i)
+        return sum(1 << i for i in range(self.n) if self.up[i] == 1 << i)
 
     def minimal_elements(self) -> int:
-        return self.subset_of_indices(i for i in range(self.n)
-                                      if self.down[i] == 1 << i)
-
-    @staticmethod
-    def subset_of_indices(indices: Iterable[int]) -> int:
-        mask = 0
-        for i in indices:
-            mask |= 1 << i
-        return mask
+        return sum(1 << i for i in range(self.n) if self.down[i] == 1 << i)
 
     # -- chains
 
@@ -232,13 +208,12 @@ class Poset:
 
     def dimension(self) -> int:
         """Largest chain cardinality minus one; -1 for the empty poset."""
-        return max(self._lengths, default=-1) if self.n else -1
+        return self._dimension
 
-    def length(self, i: int) -> int:
-        """Largest dimension of a chain whose maximum is element ``i``."""
-        if not 0 <= i < self.n:
-            raise UnknownElement(f"no element with index {i}")
-        return self._lengths[i]
+
+def set_text(P: Poset, mask: int) -> str:
+    """The subset ``mask`` written ``{a, b}``, in element-index order."""
+    return "{%s}" % ", ".join(P.labels(mask))
 
 
 def build_poset(elements: Iterable[str],

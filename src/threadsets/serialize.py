@@ -22,9 +22,13 @@ RELATION_SEPARATOR = " < "
 # -- posets
 
 def poset_to_dict(P: Poset) -> dict:
-    relations = [f"{P.elements[i]}{RELATION_SEPARATOR}{P.elements[j]}"
-                 for i, j in P.covers]
-    return {"elements": list(P.elements), "relations": relations}
+    return {"elements": list(P.elements), "relations": _relations(P)}
+
+
+def _relations(P: Poset) -> list[str]:
+    """The cover relations as ``lower < upper`` strings."""
+    return [f"{P.elements[i]}{RELATION_SEPARATOR}{P.elements[j]}"
+            for i, j in P.covers]
 
 
 def _split_relation(text: str, line: int | None = None) -> tuple[str, str]:
@@ -41,7 +45,7 @@ def poset_from_dict(data: Any) -> Poset:
             or not isinstance(data.get("relations"), list)):
         raise ParseError("poset document needs 'elements' and 'relations' lists")
     for e in data["elements"]:
-        _text(e, "element")
+        _label(e)
     relations = [_split_relation(_text(rel, "relation"))
                  for rel in data["relations"]]
     return build_poset(data["elements"], relations)
@@ -59,11 +63,19 @@ def _text(value: Any, what: str) -> str:
     return value
 
 
+def _label(value: Any, line: int | None = None) -> str:
+    """A label the text form carries: one non-empty line (as ``splitlines``
+    reads it), no outer whitespace, no ``<`` (relation) or ``#`` (comment)."""
+    label = _text(value, "element")
+    if (label.splitlines() != [label] or label.strip() != label
+            or "<" in label or "#" in label):
+        raise ParseError(f"element {label!r} must be one non-empty line "
+                         "without outer whitespace, '<' or '#'", line=line)
+    return label
+
+
 def poset_to_text(P: Poset) -> str:
-    lines = list(P.elements)
-    lines += [f"{P.elements[i]}{RELATION_SEPARATOR}{P.elements[j]}"
-              for i, j in P.covers]
-    return "\n".join(lines) + "\n"
+    return "\n".join(list(P.elements) + _relations(P)) + "\n"
 
 
 def poset_from_text(text: str) -> Poset:
@@ -74,24 +86,20 @@ def poset_from_text(text: str) -> Poset:
     """
     elements: list[str] = []
     seen: set[str] = set()
-
-    def note(e: str) -> None:
-        if e not in seen:
-            seen.add(e)
-            elements.append(e)
-
     relations: list[tuple[str, str]] = []
     for number, raw in enumerate(text.splitlines(), start=1):
         stripped = raw.split("#", 1)[0].strip()
         if not stripped:
             continue
-        if RELATION_SEPARATOR in stripped or "<" in stripped:
-            lo, hi = _split_relation(stripped, line=number)
-            note(lo)
-            note(hi)
-            relations.append((lo, hi))
+        if "<" in stripped:
+            names = _split_relation(stripped, line=number)
+            relations.append(names)
         else:
-            note(stripped)
+            names = (stripped,)
+        for e in names:
+            if e not in seen:
+                seen.add(_label(e, line=number))
+                elements.append(e)
     return build_poset(elements, relations)
 
 

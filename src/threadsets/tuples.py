@@ -11,7 +11,7 @@ tuple onto a collapsed concatenated representative with the same threads.
 from __future__ import annotations
 
 from .errors import NotUpwardClosed
-from .poset import Poset, bits
+from .poset import Poset, bits, set_text
 
 SubsetTuple = tuple  # tuple[int, ...] over a fixed Poset, k >= 1
 
@@ -125,10 +125,6 @@ def canonical(P: Poset, parts: SubsetTuple) -> SubsetTuple:
     return collapse(prune_to_threads(P, parts))
 
 
-def is_zero(parts: SubsetTuple) -> bool:
-    return parts == ZERO_TUPLE
-
-
 def is_upward_concatenated(P: Poset, parts: SubsetTuple) -> bool:
     _check(parts)
     for i in range(len(parts) - 1):
@@ -165,5 +161,5 @@ def restrict(P: Poset, parts: SubsetTuple, zone: int) -> SubsetTuple:
     P.check_subset(zone)
     if not P.is_upward_closed(zone):
         raise NotUpwardClosed(
-            f"restriction zone {{{', '.join(P.labels(zone))}}} is not upward closed")
+            f"restriction zone {set_text(P, zone)} is not upward closed")
     return tuple(part & zone for part in parts)

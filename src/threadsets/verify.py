@@ -20,15 +20,16 @@ from typing import Callable, Iterator
 from . import catalog as _catalog
 from .classify import (CLASSIFIED_SHAPES, ZERO, NormalForm, classify_family,
                        form_instances, shape_of)
-from .errors import BadParameter, BudgetExceeded, ShapeMismatch
+from .errors import BadParameter, BudgetExceeded, Inconsistent, ShapeMismatch
 from .families import (EMPTY_FAMILY, ChainFamily, chains_meeting, compose,
-                       minimize, thread_sets, threads)
+                       minimize, principal, singleton_tuple, thread_sets,
+                       threads)
 from .poset import Poset, bits
 from .serialize import poset_to_dict, tuple_to_lists
 from .tuples import (ZERO_TUPLE, SubsetTuple, canonical, collapse,
                      is_collapsed, is_concatenated, is_downward_concatenated,
                      is_upward_concatenated, prune_downward,
-                     prune_to_threads_direct, prune_upward)
+                     prune_to_threads_direct, prune_upward, restrict)
 
 FAILURE_CAP = 50  # recorded per report; the failure count is always exact
 SAMPLES = 2048  # cases drawn from a space that exceeds the budget
@@ -274,8 +275,13 @@ def verify_operator_laws(P: Poset, bounds: Bounds = Bounds(),
 
 def verify_thread_monoid(P: Poset, bounds: Bounds = Bounds(),
                          name: str = "") -> VerificationReport:
-    """Thread-set decomposition, composition laws and reduction shadows."""
+    """Thread-set decomposition, composition laws, reduction shadows, and
+    the chains, principal families and zones that tuples of them name."""
     s = _Session("monoid", P, bounds, name)
+    chains = list(P.chains())
+    chain_set = set(chains)
+    s.check("chains_are_the_chain_subsets", len(chain_set), len(chains),
+            {"enumeration": "Poset.chains"})
     for t in s.corpus():
         F = thread_sets(P, t)
         # threads() is the reference: minimal supports of the enumerated
@@ -288,6 +294,16 @@ def verify_thread_monoid(P: Poset, bounds: Bounds = Bounds(),
         reduced = canonical(P, t)
         s.check("canonical_preserves_thread_sets", F, thread_sets(P, reduced))
         s.check("no_thread_iff_zero", F.is_empty(), reduced == ZERO_TUPLE)
+        if len(t) == 1:
+            a = t[0]
+            is_chain = a != 0 and P.is_chain(a)
+            s.check("chains_are_the_chain_subsets", is_chain, a in chain_set)
+            if is_chain:
+                s.check("singleton_tuple_is_principal", principal(P, a),
+                        thread_sets(P, singleton_tuple(P, a)))
+        elif P.is_upward_closed(t[-1]):
+            s.check("restrict_is_appending_the_zone", reduced,
+                    canonical(P, restrict(P, t[:-1], t[-1])))
         if len(t) == 2:
             a, b = t
             s.check("head_restricts_to_upset", F,
@@ -376,7 +392,11 @@ def verify_conjecture(P: Poset, bounds: Bounds = Bounds(),
         sizes[F] = sizes.get(F, 0) + 1
         if not supported:
             continue
-        nf = classify_family(P, F, reduced)
+        try:
+            nf = classify_family(P, F, reduced)
+        except Inconsistent as exc:  # a counterexample to the theorem
+            s.fail("family_realized", "a normal form", exc)
+            continue
         held = buckets.get(F)
         if held is None:
             buckets[F] = (nf, t)
@@ -405,12 +425,17 @@ def verify_classifier(P: Poset, bounds: Bounds = Bounds(),
         s.cases += 1
         defining = inst.as_tuple(P)
         F = thread_sets(P, defining)
-        got = classify_family(P, F, canonical(P, defining))
+        try:
+            got = classify_family(P, F, canonical(P, defining))
+        except Inconsistent as exc:  # a counterexample to the theorem
+            got = exc
         other = seen.setdefault(F, inst)
         if inst != got or other is not inst:  # label the inputs on failure
             inputs = {"form": inst.describe(P),
                       "tuple": tuple_to_lists(P, defining)}
-            s.check("classifier_round_trip", inst, got, inputs)
+            prop = ("family_realized" if isinstance(got, Inconsistent)
+                    else "classifier_round_trip")
+            s.check(prop, inst, got, inputs)
             if other is not inst:
                 s.fail("forms_have_distinct_thread_sets", other, inst, inputs)
     s.cases += 1

@@ -19,7 +19,8 @@ def brute_chains(P: Poset) -> set[int]:
     out = set()
     for size in range(1, P.n + 1):
         for members in combinations(range(P.n), size):
-            if all(P.comparable(i, j) for i, j in combinations(members, 2)):
+            if all(P.le(i, j) or P.le(j, i)
+                   for i, j in combinations(members, 2)):
                 out.add(sum(1 << i for i in members))
     return out
 
@@ -136,14 +137,6 @@ def brute_compose_members(P: Poset, U_members: set[int],
 
 def brute_dimension(P: Poset) -> int:
     return max((c.bit_count() for c in brute_chains(P)), default=0) - 1
-
-
-def brute_length(P: Poset, p: int) -> int:
-    best = 0
-    for chain in brute_chains(P):
-        if chain >> p & 1 and all(P.le(i, p) for i in bits(chain)):
-            best = max(best, chain.bit_count() - 1)
-    return best
 
 
 def brute_thread_prune(P: Poset, parts) -> tuple:

@@ -8,8 +8,9 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from threadsets import cli
+from threadsets import classify, cli
 from threadsets.cli import main
+from threadsets.errors import Inconsistent
 from threadsets.serialize import dumps
 
 ANTICHAIN3 = {"elements": ["p", "q", "r"], "relations": []}
@@ -286,6 +287,36 @@ def test_verify_classifier_needs_a_classified_poset(write, capsys):
     assert code == 0
     assert {r["suite"] for r in json.loads(out)["reports"]} == {
         "operator-laws", "monoid", "conjecture"}
+
+
+@pytest.mark.parametrize("suite", ["conjecture", "classifier"])
+def test_unrealized_family_is_a_property_failure(write, capsys, monkeypatch,
+                                                 suite):
+    # a family that no normal form realizes is a counterexample to the
+    # theorem: it fails with its tuple (exit 1), and the run goes on
+    poset = write("p.json", DIAMOND)
+    code, out, _ = run(capsys, "verify", suite, "--poset", poset,
+                       "--format", "json")
+    assert code == 0
+    (clean,) = json.loads(out)["reports"]
+    real, calls = classify.classify_dim2, []
+
+    def fails_once(P, F):
+        calls.append(F)
+        if len(calls) == 50:
+            raise Inconsistent("family is not realized by any normal form")
+        return real(P, F)
+
+    monkeypatch.setattr(classify, "classify_dim2", fails_once)
+    code, out, _ = run(capsys, "verify", suite, "--poset", poset,
+                       "--format", "json")
+    assert code == 1
+    (report,) = json.loads(out)["reports"]
+    assert len(calls) > 50 and report["cases"] == clean["cases"]
+    (failure,) = report["failures"]
+    assert failure["property"] == "family_realized"
+    assert "not realized" in failure["actual"]
+    assert failure["inputs"]["tuple"]
 
 
 @pytest.mark.parametrize("bounds", [["monoid", "--max-k", "0"],

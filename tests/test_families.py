@@ -277,14 +277,6 @@ def test_no_caller_tests_a_family_for_truth(monkeypatch, tmp_path, capsys):
     capsys.readouterr()
 
 
-def test_is_subfamily(diamond):
-    small = principal(diamond, diamond.subset(["t", "m"]))
-    big = chains_meeting(diamond, diamond.subset(["t"]))
-    assert small.is_subfamily(big)
-    assert not big.is_subfamily(small)
-    assert EMPTY_FAMILY.is_subfamily(small)
-
-
 def test_generators_recoverable_from_membership():
     # stored generators equal the minimal members of the extension
     for P in all_posets(3):
@@ -293,20 +285,6 @@ def test_generators_recoverable_from_membership():
                 F = thread_sets(P, (a, b))
                 ext = {c for c in brute_chains(P) if F.member(c)}
                 assert frozenset(minimal_members(ext)) == F.generators
-
-
-@settings(max_examples=60, deadline=None)
-@given(st.data())
-def test_is_subfamily_matches_extension_random(data):
-    P = data.draw(random_posets(max_n=4))
-    a = data.draw(st.integers(0, P.full))
-    b = data.draw(st.integers(0, P.full))
-    F = thread_sets(P, (a, b))
-    G = thread_sets(P, (a | b,))
-    members_f = {c for c in P.chains() if F.member(c)}
-    members_g = {c for c in P.chains() if G.member(c)}
-    assert F.is_subfamily(G) == (members_f <= members_g)
-    assert G.is_subfamily(F) == (members_g <= members_f)
 
 
 @settings(max_examples=60, deadline=None)

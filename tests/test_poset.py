@@ -6,8 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from oracles import (brute_chains, brute_dimension, brute_length,
-                     brute_reachability)
+from oracles import brute_chains, brute_dimension, brute_reachability
 from threadsets.catalog import catalog
 from threadsets.errors import CycleDetected, DuplicateElement, UnknownElement
 from threadsets.poset import bits, build_poset
@@ -94,25 +93,21 @@ def test_down_set_trivial_cases(diamond):
     assert diamond.down_set(0) == 0
     assert diamond.up_set(0) == 0
     assert diamond.down_set(diamond.full) == diamond.full
-    assert diamond.not_above(0) == diamond.full
-
-
-def test_not_below_chain(chain2):
-    assert chain2.labels(chain2.not_below(chain2.subset(["1"]))) == ("2",)
 
 
 def test_downward_closed_examples(diamond):
-    assert diamond.is_downward_closed(diamond.subset(["m", "a"]))
-    assert not diamond.is_downward_closed(diamond.subset(["a"]))
-    assert diamond.is_downward_closed(0) and diamond.is_upward_closed(0)
-    assert (diamond.is_downward_closed(diamond.full)
-            and diamond.is_upward_closed(diamond.full))
+    # a downward closed subset is a fixed point of down_set
+    closed = diamond.subset(["m", "a"])
+    assert diamond.down_set(closed) == closed
+    assert diamond.down_set(diamond.subset(["a"])) != diamond.subset(["a"])
+    assert diamond.is_upward_closed(0)
+    assert diamond.is_upward_closed(diamond.full)
 
 
 def test_closure_complement_duality():
     for P in all_posets(3):
         for s in subsets(P):
-            assert P.is_downward_closed(s) == P.is_upward_closed(P.full & ~s)
+            assert (P.down_set(s) == s) == P.is_upward_closed(P.full & ~s)
 
 
 def test_operator_laws_small_posets():
@@ -127,11 +122,9 @@ def test_operator_laws_small_posets():
                     assert down & ~P.down_set(bigger) == 0
                     assert up & ~P.up_set(bigger) == 0
                     break
-            assert P.not_below(s) == P.full & ~down
-            assert P.not_above(s) == P.full & ~up
 
 
-# -- chains, dimension, length
+# -- chains and dimension
 
 def test_chains_chain_poset(chain1):
     got = list(chain1.chains())
@@ -181,28 +174,16 @@ def test_chains_match_brute_force_random(data):
 
 def test_dimension_examples(chain2, diamond):
     assert chain2.dimension() == 2
-    assert chain2.length(chain2.index("2")) == 2
-    assert chain2.length(chain2.index("0")) == 0
     assert diamond.dimension() == 2
-    assert diamond.length(diamond.index("a")) == 1
-    assert diamond.length(diamond.index("b")) == 1
     assert build_poset(["x", "y", "z"], []).dimension() == 0
 
 
 def test_dimension_is_max_length():
     for P in all_posets(4):
         if P.n:
-            assert P.dimension() == max(P.length(i) for i in range(P.n))
             assert P.dimension() == brute_dimension(P)
-            for i in range(P.n):
-                assert P.length(i) == brute_length(P, i)
         else:
             assert P.dimension() == -1
-
-
-def test_length_unknown_element(diamond):
-    with pytest.raises(UnknownElement):
-        diamond.length(17)
 
 
 def test_is_chain(diamond):
@@ -240,7 +221,6 @@ def test_down_set_properties_random(data):
     assert down & s == s
     assert P.down_set(down) == down
     assert P.down_set(s | t) == down | P.down_set(t)
-    assert P.is_downward_closed(down)
     assert P.is_upward_closed(P.up_set(s))
 
 

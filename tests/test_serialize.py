@@ -2,9 +2,12 @@ from __future__ import annotations
 
 import pytest
 
+from hypothesis import given
+from hypothesis import strategies as st
+
 from threadsets.classify import (PAYLOAD_KEYS, NormalForm, ZERO,
                                  form_instances, normal_form)
-from threadsets.errors import ParseError, UnknownElement
+from threadsets.errors import ParseError, SpectrumError, UnknownElement
 from threadsets.families import chains_meeting, thread_sets
 from threadsets.serialize import (dumps, family_from_dict, family_to_dict,
                                   form_from_dict, form_to_dict, load_poset,
@@ -67,6 +70,35 @@ def test_poset_text_bad_relation_has_line_number():
     with pytest.raises(ParseError) as err:
         poset_from_text("a\nb\na <\n")
     assert err.value.line == 3
+
+
+@pytest.mark.parametrize("elements", [["a < b", "t"], ["b<c"], ["a#b"],
+                                      [" a"], ["a\t"], [""], ["a\u2028b"],
+                                      ["a\nb"]])
+def test_poset_json_rejects_labels_the_text_form_cannot_carry(elements):
+    with pytest.raises(ParseError, match="one non-empty line"):
+        poset_from_dict({"elements": elements, "relations": []})
+
+
+def test_poset_text_rejects_padded_relation_sides():
+    with pytest.raises(ParseError) as err:
+        poset_from_text("a\nb\na <  b\n")
+    assert err.value.line == 3
+
+
+@given(st.lists(st.text("ab <#\t\u2028", max_size=4), max_size=4),
+       st.data())
+def test_accepted_json_poset_round_trips_through_text(elements, data):
+    pairs = [(i, j) for i in range(len(elements))
+             for j in range(i + 1, len(elements))]
+    chosen = data.draw(st.lists(st.sampled_from(pairs), max_size=3)
+                       if pairs else st.just([]))
+    relations = [f"{elements[i]} < {elements[j]}" for i, j in chosen]
+    try:
+        P = poset_from_dict({"elements": elements, "relations": relations})
+    except SpectrumError:
+        return
+    assert poset_from_text(poset_to_text(P)) == P
 
 
 def test_load_poset_sniffs_format(diamond):

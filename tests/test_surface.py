@@ -1,0 +1,109 @@
+"""Every public name of the library is read by the library itself.
+
+The public names are those in ``threadsets.__all__`` and the public methods
+of ``Poset`` and ``ChainFamily``.  A name counts as read when some module of
+``src/threadsets`` other than ``__init__.py``, which only re-exports, loads
+it outside the name's own definition: a method as an attribute, a
+module-level name as an attribute or as a plain name in its own module or
+in a module that imports it.  Attributes are matched by spelling alone, so
+a method shares its reads with every other attribute of that name.
+"""
+
+from __future__ import annotations
+
+import ast
+from pathlib import Path
+
+import threadsets
+
+SOURCE = Path(threadsets.__file__).parent
+CLASSES = ("Poset", "ChainFamily")
+
+# names that only code outside the library reads, each with its reader
+ALLOWED = {
+    "Poset.le": "bench/oracle.py builds its own order tables from it",
+    "ChainFamily.generators": "bench/workloads.py reads a family's "
+                              "generators through it",
+}
+
+
+class _Module(ast.NodeVisitor):
+    """The loads of one module, each with its enclosing definitions, and the
+    names it imports from sibling modules."""
+
+    def __init__(self, name: str):
+        self.scope = [name]
+        self.names: set[tuple[str, tuple[str, ...]]] = set()
+        self.attributes: set[tuple[str, tuple[str, ...]]] = set()
+        self.imports: set[tuple[str, str]] = set()
+
+    def _define(self, node):
+        self.scope.append(node.name)
+        self.generic_visit(node)
+        self.scope.pop()
+
+    visit_FunctionDef = visit_AsyncFunctionDef = visit_ClassDef = _define
+
+    def visit_ImportFrom(self, node):
+        if node.level == 1 and node.module:
+            self.imports |= {(node.module, alias.name) for alias in node.names}
+
+    def visit_Name(self, node):
+        if isinstance(node.ctx, ast.Load):
+            self.names.add((node.id, tuple(self.scope)))
+
+    def visit_Attribute(self, node):
+        if isinstance(node.ctx, ast.Load):
+            self.attributes.add((node.attr, tuple(self.scope)))
+        self.generic_visit(node)
+
+
+def _definitions(module: str, tree: ast.Module) -> dict[str, tuple[str, ...]]:
+    """Module-level names and public methods of ``CLASSES``, each with the
+    path of its definition: the module, then the class and the method."""
+    paths = {}
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+            paths[node.name] = (module, node.name)
+        elif isinstance(node, ast.Assign):
+            for target in node.targets:
+                if isinstance(target, ast.Name):
+                    paths[target.id] = (module, target.id)
+        elif isinstance(node, ast.AnnAssign):
+            paths[node.target.id] = (module, node.target.id)
+        if isinstance(node, ast.ClassDef) and node.name in CLASSES:
+            for item in node.body:
+                if (isinstance(item, ast.FunctionDef)
+                        and not item.name.startswith("_")):
+                    paths[f"{node.name}.{item.name}"] = (module, node.name,
+                                                         item.name)
+    return paths
+
+
+def _unread() -> set[str]:
+    paths, modules = {}, []
+    for file in sorted(SOURCE.glob("*.py")):
+        if file.name != "__init__.py":
+            tree = ast.parse(file.read_text(encoding="utf-8"))
+            paths.update(_definitions(file.stem, tree))
+            modules.append(_Module(file.stem))
+            modules[-1].visit(tree)
+    public = set(threadsets.__all__) | {name for name in paths if "." in name}
+    unread = set()
+    for name in public:
+        # a name defined only in __init__.py has no reader outside it
+        path = paths.get(name, ("__init__", name))
+        module, ident = path[0], path[-1]
+        reads = [scope for m in modules for a, scope in m.attributes
+                 if a == ident]
+        if len(path) == 2:  # a module-level name may also be read plainly
+            reads += [scope for m in modules
+                      if m.scope[0] == module or (module, ident) in m.imports
+                      for n, scope in m.names if n == ident]
+        if all(scope[:len(path)] == path for scope in reads):
+            unread.add(name)
+    return unread
+
+
+def test_every_public_name_has_a_reader_in_the_library():
+    assert _unread() == set(ALLOWED)
