@@ -11,6 +11,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 from .errors import BadParameter, UnknownCatalogEntry
+from .families import singleton_tuple
 from .poset import Poset, build_poset
 from .tuples import SubsetTuple
 
@@ -44,34 +45,18 @@ def chromatic(n: int) -> CatalogEntry:
 
     The primes E_0 > E_1 > ... > E_n = 0 of the height-n localized stable
     homotopy category, relabeled so that label i is E_{n-i}; label 0 (that
-    is E_n) is the minimal prime.  Use :func:`chromatic_tuple` to spell a
-    composite of single-height localizations as a tuple.
+    is E_n) is the minimal prime.  The composite of the single
+    localizations at heights a_1 < ... < a_k is the descending chain
+    E_{a_1} > ... > E_{a_k}, spelled as a tuple by
+    ``singleton_tuple(P, P.subset(str(n - a) for a in heights))``.
     """
     if n < 0:
         raise BadParameter("chromatic needs n >= 0")
     P = _chain_poset(n)
-    full = tuple(1 << P.index(str(n - a)) for a in range(n + 1))
     return CatalogEntry(
-        "chromatic", (n,), P, tuples={"phi_full": full},
+        "chromatic", (n,), P, tuples={"phi_full": singleton_tuple(P, P.full)},
         notes=("chromatic primes E_0 > ... > E_n of L_n Sp, label i = E_{n-i}; "
                "inclusion order, 0 = E_n minimal"))
-
-
-def chromatic_tuple(entry: CatalogEntry, heights: list[int]) -> SubsetTuple:
-    """Tuple of singletons for the composite over increasing heights.
-
-    ``heights = [a_1 < ... < a_k]`` names the composition of the single
-    localizations at chromatic heights a_i, which corresponds to the
-    descending prime chain E_{a_1} > ... > E_{a_k}.
-    """
-    if entry.name != "chromatic":
-        raise BadParameter("chromatic_tuple needs a chromatic entry")
-    (n,) = entry.params
-    if not heights or any(h < 0 or h > n for h in heights):
-        raise BadParameter(f"heights must be within 0..{n} and non-empty")
-    if any(a >= b for a, b in zip(heights, heights[1:])):
-        raise BadParameter("heights must be strictly increasing")
-    return tuple(1 << entry.poset.index(str(n - a)) for a in heights)
 
 
 def star(k: int) -> CatalogEntry:

@@ -32,7 +32,7 @@ from typing import Callable, NamedTuple
 
 from .errors import Inconsistent, ShapeMismatch
 from .families import ChainFamily, thread_sets
-from .poset import Poset, bits, set_text
+from .poset import Poset, bits, set_text, tuple_text
 from .tuples import SubsetTuple, ZERO_TUPLE, canonical
 
 DIM0 = "Dim0"
@@ -119,8 +119,7 @@ class NormalForm:
         if not self.payload:
             return self.tag
         if self.tag == "Unresolved":
-            inner = ", ".join(set_text(P, m) for m in self.payload)
-            return f"Unresolved({inner})"
+            return f"Unresolved{tuple_text(P, self.payload)}"
         fields = ", ".join(
             f"{k}={set_text(P, m)}"
             for k, m in zip(PAYLOAD_KEYS[self.tag], self.payload))

@@ -21,7 +21,7 @@ from . import serialize, verify
 from .classify import normal_form
 from .errors import BadParameter, ParseError, SpectrumError
 from .families import thread_sets, threads
-from .poset import Poset, set_text
+from .poset import Poset, set_text, tuple_text
 from .tuples import (SubsetTuple, canonical, collapse, prune_downward,
                      prune_to_threads, prune_upward)
 
@@ -59,10 +59,6 @@ def _emit(args, payload: dict, text: str) -> None:
         sys.stdout.write(text if text.endswith("\n") else text + "\n")
 
 
-def _tuple_text(P: Poset, parts: SubsetTuple) -> str:
-    return "(%s)" % ", ".join(set_text(P, part) for part in parts)
-
-
 def _cmd_reduce(args) -> int:
     P = _load_poset(args)
     (t,) = _load_tuples(args, P, 1)
@@ -75,7 +71,7 @@ def _cmd_reduce(args) -> int:
         "canonical": canonical(P, t),
     }
     payload = {k: serialize.tuple_to_lists(P, v) for k, v in stages.items()}
-    text = "\n".join(f"{k}: {_tuple_text(P, v)}" for k, v in stages.items())
+    text = "\n".join(f"{k}: {tuple_text(P, v)}" for k, v in stages.items())
     _emit(args, payload, text)
     return 0
 
@@ -131,6 +127,8 @@ def _cmd_dot(args) -> int:
 
 def _cmd_catalog(args) -> int:
     if args.action == "list":
+        if args.format == "dot":
+            raise BadParameter("catalog list writes text or json, not dot")
         payload = {"entries": catalog_mod.names()}
         _emit(args, payload, "\n".join(catalog_mod.names()))
         return 0
@@ -151,7 +149,7 @@ def _cmd_catalog(args) -> int:
     lines = [f"{entry.name}{entry.params}: {entry.notes}",
              serialize.poset_to_text(entry.poset).rstrip()]
     for tname, t in entry.tuples.items():
-        lines.append(f"tuple {tname}: {_tuple_text(entry.poset, t)}")
+        lines.append(f"tuple {tname}: {tuple_text(entry.poset, t)}")
     _emit(args, payload, "\n".join(lines))
     return 0
 
@@ -165,16 +163,13 @@ def _cmd_verify(args) -> int:
         posets = [(args.poset, serialize.load_poset(_read(args.poset)))]
     reports = verify.run_suite(args.suite, posets, bounds)
     failed = sum(1 for r in reports if not r.passed)
-    if args.format == "json":
-        payload = {"reports": [r.to_dict() for r in reports],
-                   "passed": failed == 0}
-        sys.stdout.write(serialize.dumps(payload))
-    else:
-        for r in reports:
-            sys.stdout.write(r.to_text() + "\n")
-        total = sum(r.cases for r in reports)
-        status = "pass" if failed == 0 else f"FAIL in {failed} report(s)"
-        sys.stdout.write(f"== {len(reports)} reports, {total} cases: {status}\n")
+    payload = {"reports": [r.to_dict() for r in reports],
+               "passed": failed == 0}
+    total = sum(r.cases for r in reports)
+    status = "pass" if failed == 0 else f"FAIL in {failed} report(s)"
+    lines = [r.to_text() for r in reports]
+    lines.append(f"== {len(reports)} reports, {total} cases: {status}")
+    _emit(args, payload, "\n".join(lines))
     return 0 if failed == 0 else 1
 
 
@@ -212,28 +207,27 @@ def build_parser() -> argparse.ArgumentParser:
                      "forms and verification suites."))
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p, tuples=0):
+    def command(name, run, help):
+        p = sub.add_parser(name, help=help)
+        p.set_defaults(run=run)
+        return p
+
+    def on_tuples(name, run, help):
+        p = command(name, run, help)
         p.add_argument("--poset", help="poset file (JSON or text)")
-        if tuples:
-            p.add_argument("--tuple", action="append",
-                           help="tuple file (JSON), repeatable")
+        p.add_argument("--tuple", action="append",
+                       help="tuple file (JSON), repeatable")
         p.add_argument("--format", choices=("text", "json"), default="text")
 
-    common(sub.add_parser("reduce", help="print all reductions of a tuple"),
-           tuples=1)
-    common(sub.add_parser("threads", help="enumerate the threads of a tuple"),
-           tuples=1)
-    common(sub.add_parser("tset",
-                          help="minimal generators of the thread sets"),
-           tuples=1)
-    common(sub.add_parser("eq", help="compare the thread sets of two tuples"),
-           tuples=2)
-    common(sub.add_parser("classify", help="normal form of a tuple"),
-           tuples=1)
-    dot = sub.add_parser("dot", help="emit the cover relation as DOT")
+    on_tuples("reduce", _cmd_reduce, "print all reductions of a tuple")
+    on_tuples("threads", _cmd_threads, "enumerate the threads of a tuple")
+    on_tuples("tset", _cmd_tset, "minimal generators of the thread sets")
+    on_tuples("eq", _cmd_eq, "compare the thread sets of two tuples")
+    on_tuples("classify", _cmd_classify, "normal form of a tuple")
+    dot = command("dot", _cmd_dot, "emit the cover relation as DOT")
     dot.add_argument("--poset", help="poset file (JSON or text)")
 
-    cat = sub.add_parser("catalog", help="list or emit example spectra")
+    cat = command("catalog", _cmd_catalog, "list or emit example spectra")
     cat.add_argument("action", choices=("list", "emit"))
     cat.add_argument("name", nargs="?")
     cat.add_argument("params", nargs="*", type=int)
@@ -241,7 +235,7 @@ def build_parser() -> argparse.ArgumentParser:
                      default="text")
 
     bounds = verify.Bounds()
-    ver = sub.add_parser("verify", help="run verification suites")
+    ver = command("verify", _cmd_verify, "run verification suites")
     ver.add_argument("suite", choices=verify.SUITE_NAMES)
     ver.add_argument("--poset", help="verify this poset instead of the corpus")
     ver.add_argument("--format", choices=("text", "json"), default="text")
@@ -252,18 +246,6 @@ def build_parser() -> argparse.ArgumentParser:
     ver.add_argument("--max-k", type=int, default=bounds.max_k, dest="max_k")
     ver.add_argument("--budget", type=int, default=bounds.budget)
     return parser
-
-
-_COMMANDS = {
-    "reduce": _cmd_reduce,
-    "threads": _cmd_threads,
-    "tset": _cmd_tset,
-    "eq": _cmd_eq,
-    "classify": _cmd_classify,
-    "dot": _cmd_dot,
-    "catalog": _cmd_catalog,
-    "verify": _cmd_verify,
-}
 
 
 def main(argv: list[str] | None = None) -> int:
@@ -281,7 +263,7 @@ def main(argv: list[str] | None = None) -> int:
         return 2
     fmt = getattr(args, "format", "text")
     try:
-        return _COMMANDS[args.command](args)
+        return args.run(args)
     except SpectrumError as exc:
         _error(fmt, exc.code, str(exc))
         return 2

@@ -14,7 +14,8 @@ from __future__ import annotations
 
 from typing import Iterable, Iterator
 
-from .errors import CycleDetected, DuplicateElement, UnknownElement
+from .errors import (BadParameter, CycleDetected, DuplicateElement,
+                     UnknownElement)
 
 
 def bits(mask: int) -> Iterator[int]:
@@ -53,6 +54,12 @@ class Poset:
     that stores it, so a stored mask is always valid and a hit needs no
     check.  Concurrent callers can at worst compute an entry twice and
     store equal values.
+
+    The constructor checks its input: a repeated label raises
+    DuplicateElement; ``down`` must hold one row per element, each within
+    the poset, holding its own bit and closed under ``down`` (else
+    BadParameter); two distinct elements below each other raise
+    CycleDetected.
     """
 
     __slots__ = ("elements", "down", "up", "covers", "n", "full", "_index",
@@ -61,26 +68,42 @@ class Poset:
 
     def __init__(self, elements: tuple[str, ...], down: tuple[int, ...]):
         self.elements = elements
-        self.n = len(elements)
-        self.full = (1 << self.n) - 1
+        self.n = n = len(elements)
+        self.full = full = (1 << n) - 1
         self.down = down
         self._index = {e: i for i, e in enumerate(elements)}
-        up = [0] * self.n
-        for j in range(self.n):
-            for i in bits(down[j]):
+        if len(self._index) != n:
+            raise DuplicateElement("duplicate element %r" % next(
+                e for i, e in enumerate(elements) if e in elements[:i]))
+        if len(down) != n:
+            raise BadParameter(f"{n} elements need {n} down-set rows, "
+                               f"got {len(down)}")
+        for j, row in enumerate(down):
+            if row & ~full or not row >> j & 1:
+                raise BadParameter(f"the down-set row of {elements[j]!r} must "
+                                   "hold its own bit and no bit outside")
+        up = [0] * n
+        for j, row in enumerate(down):
+            for i in bits(row):
+                if down[i] & ~row:
+                    raise BadParameter(f"the down-set row of {elements[j]!r}"
+                                       " is not transitive")
+                if i != j and down[i] >> j & 1:
+                    raise CycleDetected(f"{elements[i]!r} and {elements[j]!r}"
+                                        " lie below each other")
                 up[i] |= 1 << j
         self.up = tuple(up)
-        self._comp = tuple(down[i] | up[i] for i in range(self.n))
+        self._comp = tuple(down[i] | up[i] for i in range(n))
         covers = []
-        for j in range(self.n):
+        for j in range(n):
             below = down[j] & ~(1 << j)
             for i in bits(below):
                 between = below & self.up[i] & ~(1 << i)
                 if not between:
                     covers.append((i, j))
         self.covers = tuple(sorted(covers))
-        lengths = [0] * self.n
-        for j in sorted(range(self.n), key=lambda j: down[j].bit_count()):
+        lengths = [0] * n
+        for j in sorted(range(n), key=lambda j: down[j].bit_count()):
             strict = down[j] & ~(1 << j)
             lengths[j] = max((lengths[i] + 1 for i in bits(strict)), default=0)
         self._dimension = max(lengths, default=-1)
@@ -216,20 +239,23 @@ def set_text(P: Poset, mask: int) -> str:
     return "{%s}" % ", ".join(P.labels(mask))
 
 
+def tuple_text(P: Poset, parts: Iterable[int]) -> str:
+    """The subset tuple ``parts`` written ``({a}, {b, c})``."""
+    return "(%s)" % ", ".join(set_text(P, part) for part in parts)
+
+
 def build_poset(elements: Iterable[str],
                 relations: Iterable[tuple[str, str]]) -> Poset:
     """Build a poset from identifiers and strict relations ``a < b``.
 
     The stored order is the reflexive-transitive closure of the relations,
     from one Warshall pass over the bitmask rows; an element that then
-    reaches itself lies on a cycle, and CycleDetected names the first.
+    reaches itself lies on a cycle, and CycleDetected names the first.  A
+    strict relation ``a < a`` leaves no trace in the reflexive rows, so this
+    check stays here; the ``Poset`` constructor rejects repeated labels.
     """
     elements = tuple(elements)
-    index: dict[str, int] = {}
-    for i, e in enumerate(elements):
-        if e in index:
-            raise DuplicateElement(f"duplicate element {e!r}")
-        index[e] = i
+    index = {e: i for i, e in enumerate(elements)}
     n = len(elements)
     below = [0] * n
     for a, b in relations:

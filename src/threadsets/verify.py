@@ -276,12 +276,16 @@ def verify_operator_laws(P: Poset, bounds: Bounds = Bounds(),
 def verify_thread_monoid(P: Poset, bounds: Bounds = Bounds(),
                          name: str = "") -> VerificationReport:
     """Thread-set decomposition, composition laws, reduction shadows, and
-    the chains, principal families and zones that tuples of them name."""
+    the chains, principal families and zones that tuples of them name.
+
+    ``P.chains()`` is checked only when its 2^n bound fits the budget."""
     s = _Session("monoid", P, bounds, name)
-    chains = list(P.chains())
-    chain_set = set(chains)
-    s.check("chains_are_the_chain_subsets", len(chain_set), len(chains),
-            {"enumeration": "Poset.chains"})
+    chain_set = None
+    if 1 << P.n <= bounds.budget:  # P has fewer than 2^n chains
+        chains = list(P.chains())
+        chain_set = set(chains)
+        s.check("chains_are_the_chain_subsets", len(chain_set), len(chains),
+                {"enumeration": "Poset.chains"})
     for t in s.corpus():
         F = thread_sets(P, t)
         # threads() is the reference: minimal supports of the enumerated
@@ -297,7 +301,9 @@ def verify_thread_monoid(P: Poset, bounds: Bounds = Bounds(),
         if len(t) == 1:
             a = t[0]
             is_chain = a != 0 and P.is_chain(a)
-            s.check("chains_are_the_chain_subsets", is_chain, a in chain_set)
+            if chain_set is not None:
+                s.check("chains_are_the_chain_subsets", is_chain,
+                        a in chain_set)
             if is_chain:
                 s.check("singleton_tuple_is_principal", principal(P, a),
                         thread_sets(P, singleton_tuple(P, a)))

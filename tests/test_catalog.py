@@ -2,10 +2,10 @@ from __future__ import annotations
 
 import pytest
 
-from threadsets.catalog import catalog, chromatic_tuple, names
+from threadsets.catalog import catalog, names
 from threadsets.classify import DIM2_UNIQUE_EXTREMES, shape_of
 from threadsets.errors import BadParameter, UnknownCatalogEntry
-from threadsets.families import thread_sets
+from threadsets.families import singleton_tuple, thread_sets
 from threadsets.serialize import poset_to_dict
 
 
@@ -36,23 +36,11 @@ def test_chromatic_matches_chain_with_full_tuple():
 
 
 def test_chromatic_tuple_heights():
-    entry = catalog("chromatic", 3)
-    P = entry.poset
-    t = chromatic_tuple(entry, [0, 2])
+    # heights 0 < 2 name the chain of labels 3 - 0 and 3 - 2, top first
+    P = catalog("chromatic", 3).poset
+    t = singleton_tuple(P, P.subset(str(3 - a) for a in (0, 2)))
     assert [P.labels(part) for part in t] == [("3",), ("1",)]
     assert not thread_sets(P, t).is_empty()
-
-
-def test_chromatic_tuple_rejects_bad_heights():
-    entry = catalog("chromatic", 3)
-    with pytest.raises(BadParameter):
-        chromatic_tuple(entry, [])
-    with pytest.raises(BadParameter):
-        chromatic_tuple(entry, [2, 2])
-    with pytest.raises(BadParameter):
-        chromatic_tuple(entry, [1, 4])
-    with pytest.raises(BadParameter):
-        chromatic_tuple(catalog("chain", 3), [0])
 
 
 def test_star_and_diamond_shapes():

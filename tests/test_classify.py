@@ -273,6 +273,13 @@ def test_describe(diamond):
     assert ZERO.describe(diamond) == "Zero"
 
 
+def test_describe_unresolved(two_chains):
+    pair = two_chains.subset(["p1", "q1"]), two_chains.subset(["p2", "q2"])
+    nf = normal_form(two_chains, pair)
+    assert nf.tag == "Unresolved"
+    assert nf.describe(two_chains) == "Unresolved({p1, q1}, {p2, q2})"
+
+
 # fixture -> its shape; per classified shape, its classifier and one form
 FIXTURE_SHAPES = {"antichain3": DIM0, "star2": DIM1_IRREDUCIBLE,
                   "diamond": DIM2_UNIQUE_EXTREMES,

@@ -138,6 +138,12 @@ def test_catalog_list(capsys):
     assert "torus2" in out.split()
 
 
+def test_catalog_list_rejects_dot(capsys):
+    code, out, err = run(capsys, "catalog", "list", "--format", "dot")
+    assert (code, out) == (2, "")
+    assert err.startswith("error[BadParameter]: ")
+
+
 def test_catalog_emit_json(capsys):
     code, out, _ = run(capsys, "catalog", "emit", "torus2", "2",
                        "--format", "json")
@@ -372,6 +378,14 @@ def test_usage_error_exit_code(capsys):
     assert "invalid choice: 'xml'" in err
 
 
+def test_format_without_value_prints_usage(capsys):
+    # no --format value to read back: the error takes argparse's text form
+    code, out, err = run(capsys, "tset", "--format")
+    assert (code, out) == (2, "")
+    assert err.startswith("usage: threadsets tset")
+    assert "argument --format: expected one argument" in err
+
+
 def test_cycle_error_code(write, capsys):
     poset = write("p.json", {"elements": ["x", "y"],
                              "relations": ["x < y", "y < x"]})
@@ -387,7 +401,7 @@ def _broken(args):
 
 
 def test_internal_error_text_mode(write, capsys, monkeypatch):
-    monkeypatch.setitem(cli._COMMANDS, "tset", _broken)
+    monkeypatch.setattr(cli, "_cmd_tset", _broken)
     poset = write("p.json", ANTICHAIN3)
     code, out, err = run(capsys, "tset", "--poset", poset)
     assert code == 3
@@ -399,7 +413,7 @@ def test_internal_error_text_mode(write, capsys, monkeypatch):
 
 
 def test_internal_error_json_mode(write, capsys, monkeypatch):
-    monkeypatch.setitem(cli._COMMANDS, "tset", _broken)
+    monkeypatch.setattr(cli, "_cmd_tset", _broken)
     poset = write("p.json", ANTICHAIN3)
     code, out, err = run(capsys, "tset", "--poset", poset, "--format", "json")
     assert code == 3

@@ -8,8 +8,9 @@ from hypothesis import strategies as st
 
 from oracles import brute_chains, brute_dimension, brute_reachability
 from threadsets.catalog import catalog
-from threadsets.errors import CycleDetected, DuplicateElement, UnknownElement
-from threadsets.poset import bits, build_poset
+from threadsets.errors import (BadParameter, CycleDetected, DuplicateElement,
+                               UnknownElement)
+from threadsets.poset import Poset, bits, build_poset
 from threadsets.verify import all_posets
 
 
@@ -58,6 +59,21 @@ def test_build_cycle_detected():
 def test_build_duplicate_element():
     with pytest.raises(DuplicateElement):
         build_poset(["p", "p"], [])
+
+
+@pytest.mark.parametrize("elements, down, error", [
+    (("a", "a"), (1, 2), DuplicateElement),
+    (("a", "b"), (1,), BadParameter),
+    (("a",), (0b11,), BadParameter),
+    (("a",), (-1,), BadParameter),
+    (("a",), (0,), BadParameter),
+    (("a", "b", "c"), (0b001, 0b011, 0b110), BadParameter),
+    (("a", "b"), (0b11, 0b11), CycleDetected),
+], ids=["repeated-label", "row-count", "bit-outside", "negative-row",
+        "row-without-own-bit", "not-transitive", "two-cycle"])
+def test_constructor_rejects_non_orders(elements, down, error):
+    with pytest.raises(error):
+        Poset(elements, down)
 
 
 def test_build_unknown_element_in_relation():

@@ -148,6 +148,30 @@ def test_failure_records_carry_inputs(diamond):
     assert report.to_dict()["poset"]["elements"] == ["t", "a", "b", "m"]
 
 
+def test_report_text_lists_failures_up_to_the_cap(diamond):
+    session = _Session("demo", diamond, Bounds())
+    for i in range(verify.FAILURE_CAP + 2):
+        session.fail("some_property", i, -i, {"case": i})
+    lines = session.report().to_text().splitlines()
+    assert lines[0].startswith(
+        f"[FAIL ({verify.FAILURE_CAP + 2})] demo on poset:t,a,b,m: 0 cases")
+    assert lines[1] == "  some_property: expected 0, got 0 on {'case': 0}"
+    assert len(lines) == 1 + verify.FAILURE_CAP + 1
+    assert lines[-1] == "  ... 2 further failures not shown"
+
+
+def test_monoid_suite_lists_chains_only_within_the_budget(monkeypatch):
+    # a chain on n elements has 2^n - 1 chains: past the budget the suite
+    # must not enumerate them
+    def refuse(self):
+        raise AssertionError("Poset.chains called")
+
+    P = catalog("chain", 9).poset
+    monkeypatch.setattr(type(P), "chains", refuse)
+    report = verify_thread_monoid(P, Bounds(budget=100))
+    assert report.passed and report.mode == "sampled"
+
+
 def _union(F: ChainFamily) -> int:
     out = 0
     for g in F.generators:
