@@ -5,8 +5,8 @@ maximal prime, dimension 2 with unique maximal and minimal primes) the
 collection of thread sets pins down a unique normal form, and the
 classifiers reconstruct the form from the family alone; ``classify_family``
 is the one dispatch over the shapes.  Outside these shapes the engine never
-guesses: it returns ``Unresolved`` carrying the canonical reduction of the
-tuple.
+guesses: ``classify_family`` returns None, and ``normal_form`` returns
+``Unresolved`` carrying the canonical reduction of the tuple.
 
 ``_anatomy`` alone decides a poset's shape and its top and bottom.
 ``_extremes`` is the one gate through which the classifiers and
@@ -274,13 +274,11 @@ def _verified(P: Poset, F: ChainFamily, form: NormalForm) -> NormalForm:
     return form
 
 
-def classify_family(P: Poset, F: ChainFamily,
-                    reduced: SubsetTuple) -> NormalForm:
+def classify_family(P: Poset, F: ChainFamily) -> NormalForm | None:
     """Normal form of the tuples with thread sets ``F``; dispatches on shape.
 
-    ``reduced`` is the canonical form of such a tuple; it is returned as the
-    ``Unresolved`` payload outside the proved shapes, where the engine never
-    guesses.  The empty family is ``Zero`` on every shape.
+    The empty family is ``Zero`` on every shape; outside the proved shapes,
+    where the engine never guesses, the result is None.
     """
     if F.is_empty():
         return ZERO
@@ -291,12 +289,16 @@ def classify_family(P: Poset, F: ChainFamily,
         return classify_dim1(P, F)
     if shape == DIM2_UNIQUE_EXTREMES:
         return classify_dim2(P, F)
-    return NormalForm("Unresolved", reduced)
+    return None
 
 
 def normal_form(P: Poset, parts: SubsetTuple) -> NormalForm:
-    """Normal form of a tuple, classified from its thread sets."""
-    return classify_family(P, thread_sets(P, parts), canonical(P, parts))
+    """Normal form of a tuple, classified from its thread sets; outside the
+    proved shapes ``Unresolved`` with the tuple's canonical reduction."""
+    nf = classify_family(P, thread_sets(P, parts))
+    if nf is None:
+        return NormalForm("Unresolved", canonical(P, parts))
+    return nf
 
 
 def form_defect(P: Poset, tag: str, payload: tuple[int, ...]) -> str | None:

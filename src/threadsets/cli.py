@@ -160,7 +160,7 @@ def _cmd_verify(args) -> int:
                            seed=args.seed)
     posets = None
     if args.poset:
-        posets = [(args.poset, serialize.load_poset(_read(args.poset)))]
+        posets = [(args.poset, _load_poset(args))]
     reports = verify.run_suite(args.suite, posets, bounds)
     failed = sum(1 for r in reports if not r.passed)
     payload = {"reports": [r.to_dict() for r in reports],

@@ -122,14 +122,7 @@ def tuple_to_lists(P: Poset, parts: SubsetTuple) -> list[list[str]]:
 def tuple_from_lists(P: Poset, data: Any) -> SubsetTuple:
     if not isinstance(data, list) or not data:
         raise ParseError("a subset tuple is a non-empty array of arrays")
-    parts = []
-    for part in data:
-        if not isinstance(part, list):
-            raise ParseError(f"tuple part {part!r} is not an array")
-        if len(set(_labels(part, "tuple part"))) != len(part):
-            raise ParseError(f"tuple part {part!r} repeats an element")
-        parts.append(P.subset(part))
-    return tuple(parts)
+    return tuple(_subset(P, part, "tuple part") for part in data)
 
 
 # -- chain families
@@ -143,9 +136,9 @@ def family_from_dict(P: Poset, data: Any) -> ChainFamily:
         raise ParseError("a chain family document needs a 'generators' array")
     gens = []
     for g in data["generators"]:
-        if not isinstance(g, list) or not g:
-            raise ParseError(f"generator {g!r} is not a non-empty array")
-        gens.append(P.subset(_labels(g, "generator")))
+        gens.append(_subset(P, g, "generator"))
+        if not gens[-1]:
+            raise ParseError("a generator is an empty array")
     return family(P, gens)
 
 
@@ -167,16 +160,11 @@ def form_from_dict(P: Poset, data: Any) -> NormalForm:
     tag = data["form"]
     if tag == "Unresolved":
         payload = tuple_from_lists(P, data.get("canonical"))
-    elif tag not in PAYLOAD_KEYS:
-        raise ParseError(f"unknown form tag {tag!r}")
+    elif isinstance(tag, str) and tag in PAYLOAD_KEYS:
+        payload = tuple(_subset(P, data.get(key), f"form {tag} field {key!r}")
+                        for key in PAYLOAD_KEYS[tag])
     else:
-        parts = []
-        for key in PAYLOAD_KEYS[tag]:
-            part = data.get(key)
-            if not isinstance(part, list):
-                raise ParseError(f"form {tag} needs the subset field {key!r}")
-            parts.append(P.subset(_labels(part, f"form field {key!r}")))
-        payload = tuple(parts)
+        raise ParseError(f"unknown form tag {tag!r}")
     defect = form_defect(P, tag, payload)
     if defect:
         raise ParseError(defect)
@@ -185,13 +173,18 @@ def form_from_dict(P: Poset, data: Any) -> NormalForm:
 
 # -- shared helpers
 
-def _labels(items: list, what: str) -> list:
-    """Reject an array of element labels holding a non-string leaf."""
-    for item in items:
+def _subset(P: Poset, value: Any, what: str) -> int:
+    """The subset of ``P`` named by an array of distinct element labels."""
+    if not isinstance(value, list):
+        raise ParseError(f"{what} must be an array of element labels, "
+                         f"not {value!r}")
+    for item in value:
         if not isinstance(item, str):
-            raise ParseError(f"{what} {items!r} holds {item!r}, "
+            raise ParseError(f"{what} {value!r} holds {item!r}, "
                              "which is not an element label")
-    return items
+    if len(set(value)) != len(value):
+        raise ParseError(f"{what} {value!r} repeats an element")
+    return P.subset(value)
 
 
 def dumps(data: Any) -> str:

@@ -393,13 +393,13 @@ def verify_conjecture(P: Poset, bounds: Bounds = Bounds(),
     sizes: dict[ChainFamily, int] = {}
     for t in s.corpus():
         F = thread_sets(P, t)
-        reduced = canonical(P, t)
-        s.check("canonical_preserves_thread_sets", F, thread_sets(P, reduced))
+        s.check("canonical_preserves_thread_sets", F,
+                thread_sets(P, canonical(P, t)))
         sizes[F] = sizes.get(F, 0) + 1
         if not supported:
             continue
         try:
-            nf = classify_family(P, F, reduced)
+            nf = classify_family(P, F)
         except Inconsistent as exc:  # a counterexample to the theorem
             s.fail("family_realized", "a normal form", exc)
             continue
@@ -432,7 +432,7 @@ def verify_classifier(P: Poset, bounds: Bounds = Bounds(),
         defining = inst.as_tuple(P)
         F = thread_sets(P, defining)
         try:
-            got = classify_family(P, F, canonical(P, defining))
+            got = classify_family(P, F)
         except Inconsistent as exc:  # a counterexample to the theorem
             got = exc
         other = seen.setdefault(F, inst)
@@ -446,7 +446,7 @@ def verify_classifier(P: Poset, bounds: Bounds = Bounds(),
                 s.fail("forms_have_distinct_thread_sets", other, inst, inputs)
     s.cases += 1
     s.check("zero_from_empty_family", ZERO,
-            classify_family(P, EMPTY_FAMILY, ZERO_TUPLE), {"form": "Zero"})
+            classify_family(P, EMPTY_FAMILY), {"form": "Zero"})
     return s.report()
 
 

@@ -9,6 +9,7 @@ from threadsets.classify import (PAYLOAD_KEYS, NormalForm, ZERO,
                                  form_instances, normal_form)
 from threadsets.errors import ParseError, SpectrumError, UnknownElement
 from threadsets.families import chains_meeting, thread_sets
+from threadsets.poset import build_poset
 from threadsets.serialize import (dumps, family_from_dict, family_to_dict,
                                   form_from_dict, form_to_dict, load_poset,
                                   loads, poset_from_dict, poset_from_text,
@@ -166,6 +167,8 @@ def test_family_rejects_bad_documents(diamond):
         family_from_dict(diamond, {"generators": [[]]})
     with pytest.raises(ParseError):
         family_from_dict(diamond, {"generators": [[["a"]]]})
+    with pytest.raises(ParseError):
+        family_from_dict(diamond, {"generators": [["a", "a"]]})
 
 
 def test_form_round_trip(diamond, star2, antichain3, two_chains):
@@ -211,6 +214,10 @@ def test_form_rejects_bad_documents(diamond, star2, two_chains):
                                  "B1": ["b"]})
     with pytest.raises(ParseError):
         form_from_dict(diamond, {"form": "Unresolved", "canonical": [[["a"]]]})
+    for doc in ({"form": "D2_Form1", "A1": ["a", "a"]},
+                {"form": ["x"]}, {"form": {"a": 1}}, {"form": None}):
+        with pytest.raises(ParseError):
+            form_from_dict(diamond, doc)
     # no tuple classifies to Identity, on any shape
     for P in (diamond, star2, two_chains):
         with pytest.raises(ParseError):
@@ -232,6 +239,72 @@ def test_form_rejects_bad_documents(diamond, star2, two_chains):
                 {"form": "Unresolved", "canonical": [[]]}):
         with pytest.raises(ParseError):
             form_from_dict(two_chains, doc)
+
+
+# -- documents of any JSON shape: parsed and round-tripped, or rejected
+
+DOCUMENT_POSETS = (
+    build_poset(["t", "a", "b", "m"],
+                [("a", "t"), ("b", "t"), ("m", "a"), ("m", "b")]),
+    build_poset(["t", "a", "b"], [("a", "t"), ("b", "t")]),
+    build_poset(["p1", "p2", "q1", "q2"], [("p2", "p1"), ("q2", "q1")]),
+)
+DOCUMENT_KEYS = ("form", "generators", "canonical", "A", "C", "D", "A1", "B1",
+                 "C1")
+
+
+@st.composite
+def poset_and_document(draw, kind):
+    """A poset and a JSON-like value: half of the draws are near-documents
+    of ``kind``, whose label arrays may repeat a label or hold an unknown or
+    non-string one; the rest nest arrays and objects that may miss any
+    field and carry a tag of any type."""
+    P = draw(st.sampled_from(DOCUMENT_POSETS))
+    label = st.sampled_from(P.elements * 3 + ("zz", 0))
+    labels = st.lists(label, max_size=3)
+    tag = st.sampled_from(("Unresolved", "Nope", *PAYLOAD_KEYS))
+    subset = st.lists(st.sampled_from(P.elements), max_size=2, unique=True)
+    parts = st.lists(labels, min_size=1, max_size=3)
+    leaves = st.one_of(label, labels, tag, st.none(), st.booleans())
+    near = {
+        "tuple": parts,
+        "family": st.fixed_dictionaries(
+            {"generators": st.lists(st.lists(label, min_size=1, max_size=3),
+                                    max_size=3)}),
+        # string tags and tags of any type in separate branches, so that
+        # both are drawn often
+        "form": st.one_of(st.fixed_dictionaries({
+            "form": head, "canonical": parts,
+            **dict.fromkeys(DOCUMENT_KEYS[3:], subset | labels)})
+            for head in (tag, leaves)),
+    }[kind]
+    grow = lambda inner: st.one_of(
+        st.lists(inner, max_size=3),
+        st.fixed_dictionaries({}, optional=dict.fromkeys(DOCUMENT_KEYS, inner)))
+    return P, draw(st.one_of(near, st.recursive(leaves, grow, max_leaves=8)))
+
+
+def _parse_or_reject(parse, emit, P, doc):
+    try:
+        x = parse(P, doc)
+    except SpectrumError:
+        return
+    assert parse(P, emit(P, x)) == x
+
+
+@given(poset_and_document("tuple"))
+def test_tuple_documents_parse_or_reject(pd):
+    _parse_or_reject(tuple_from_lists, tuple_to_lists, *pd)
+
+
+@given(poset_and_document("family"))
+def test_family_documents_parse_or_reject(pd):
+    _parse_or_reject(family_from_dict, family_to_dict, *pd)
+
+
+@given(poset_and_document("form"))
+def test_form_documents_parse_or_reject(pd):
+    _parse_or_reject(form_from_dict, form_to_dict, *pd)
 
 
 def test_payload_keys_cover_all_tags():
