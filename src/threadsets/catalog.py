@@ -26,6 +26,11 @@ class CatalogEntry:
     tuples: dict[str, SubsetTuple] = field(default_factory=dict)
     notes: str = ""
 
+    @property
+    def label(self) -> str:
+        """The entry written as its builder call, e.g. ``zariski_xy(2, 2)``."""
+        return f"{self.name}({', '.join(map(str, self.params))})"
+
 
 def _chain_poset(n: int) -> Poset:
     names = [str(i) for i in range(n + 1)]

@@ -146,7 +146,7 @@ def _cmd_catalog(args) -> int:
                    for k, v in entry.tuples.items()},
         "notes": entry.notes,
     }
-    lines = [f"{entry.name}{entry.params}: {entry.notes}",
+    lines = [f"{entry.label}: {entry.notes}",
              serialize.poset_to_text(entry.poset).rstrip()]
     for tname, t in entry.tuples.items():
         lines.append(f"tuple {tname}: {tuple_text(entry.poset, t)}")

@@ -65,12 +65,15 @@ def _text(value: Any, what: str) -> str:
 
 def _label(value: Any, line: int | None = None) -> str:
     """A label the text form carries: one non-empty line (as ``splitlines``
-    reads it), no outer whitespace, no ``<`` (relation) or ``#`` (comment)."""
+    reads it), no outer whitespace, no ``<`` (relation) or ``#`` (comment),
+    and no leading ``{`` or ``[``, which would make ``load_poset`` read the
+    text form as JSON."""
     label = _text(value, "element")
     if (label.splitlines() != [label] or label.strip() != label
-            or "<" in label or "#" in label):
+            or "<" in label or "#" in label or label[0] in "{["):
         raise ParseError(f"element {label!r} must be one non-empty line "
-                         "without outer whitespace, '<' or '#'", line=line)
+                         "without outer whitespace, '<' or '#', and must "
+                         "not start with '{' or '['", line=line)
     return label
 
 
@@ -203,7 +206,8 @@ def loads(text: str) -> Any:
 
 
 def load_poset(text: str) -> Poset:
-    """Parse a poset from JSON or the line-oriented text form (sniffed)."""
-    if text.lstrip().startswith("{"):
+    """Parse a poset from JSON, when the first non-blank character is
+    ``{`` or ``[``, or else from the line-oriented text form."""
+    if text.lstrip()[:1] in ("{", "["):
         return poset_from_dict(loads(text))
     return poset_from_text(text)

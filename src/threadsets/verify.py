@@ -13,7 +13,7 @@ from __future__ import annotations
 
 import random
 import time
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 from itertools import chain, product
 from typing import Callable, Iterator
 
@@ -51,88 +51,41 @@ class Bounds:
     seed: int = 0
 
     def __post_init__(self):
-        for name in ("max_k", "budget"):
-            value = getattr(self, name)
-            if not isinstance(value, int) or value < 1:
+        for name in ("max_k", "budget", "seed"):
+            value = getattr(self, name)  # a bool is an int to isinstance
+            if not isinstance(value, int) or isinstance(value, bool):
+                raise BadParameter(f"{name} must be an integer, got {value!r}")
+            if name != "seed" and value < 1:
                 raise BadParameter(f"{name} must be a positive integer, "
                                    f"got {value!r}")
+        if not isinstance(self.exhaustive, bool):
+            raise BadParameter("exhaustive must be a boolean, "
+                               f"got {self.exhaustive!r}")
 
 
-@dataclass
-class Failure:
-    prop: str
-    inputs: dict
-    expected: str
-    actual: str
-
-    def to_dict(self) -> dict:
-        return {"property": self.prop, "inputs": self.inputs,
-                "expected": self.expected, "actual": self.actual}
-
-
-@dataclass
 class VerificationReport:
-    suite: str
-    poset_name: str
-    poset: dict
-    mode: str
-    cases: int
-    failure_count: int
-    failures: list[Failure]
-    elapsed: float
-    seed: int | None
-    details: dict = field(default_factory=dict)
+    """One suite run: its case stream and failures while the suite runs,
+    then its report.
 
-    @property
-    def passed(self) -> bool:
-        return self.failure_count == 0
-
-    def to_dict(self) -> dict:
-        # elapsed is deliberately omitted: reports must be byte-identical
-        # for identical inputs and seed
-        return {
-            "suite": self.suite,
-            "poset_name": self.poset_name,
-            "poset": self.poset,
-            "mode": self.mode,
-            "cases": self.cases,
-            "seed": self.seed,
-            "passed": self.passed,
-            "failure_count": self.failure_count,
-            "failures": [f.to_dict() for f in self.failures],
-            "details": self.details,
-        }
-
-    def to_text(self) -> str:
-        status = "pass" if self.passed else f"FAIL ({self.failure_count})"
-        head = (f"[{status}] {self.suite} on {self.poset_name}: "
-                f"{self.cases} cases, {self.mode}, {self.elapsed:.2f}s")
-        lines = [head]
-        for f in self.failures:
-            lines.append(f"  {f.prop}: expected {f.expected}, got {f.actual}"
-                         f" on {f.inputs}")
-        if self.failure_count > len(self.failures):
-            lines.append(f"  ... {self.failure_count - len(self.failures)}"
-                         " further failures not shown")
-        return "\n".join(lines)
-
-
-class _Session:
-    """The case stream and the failure collection of one suite run."""
+    A failure is recorded as the dict that ``to_dict`` emits: ``property``,
+    ``inputs``, ``expected`` and ``actual``.
+    """
 
     def __init__(self, suite: str, P: Poset, bounds: Bounds, name: str = ""):
         self.suite = suite
-        self.P = P
+        self.P: Poset | None = P
+        self.poset: dict | None = None  # poset_to_dict(P), set by finish
         self.bounds = bounds
-        self.name = name or f"poset:{','.join(P.elements) or '<empty>'}"
+        self.poset_name = name or f"poset:{','.join(P.elements) or '<empty>'}"
+        self.mode = "exhaustive"
         self.cases = 0
         self.failure_count = 0
-        self.failures: list[Failure] = []
+        self.failures: list[dict] = []
+        self.seed: int | None = None
         self.details: dict = {}
-        self.mode = "exhaustive"
-        self.seed_used: int | None = None
         self.case: SubsetTuple = ()
         self.start = time.perf_counter()
+        self.elapsed = 0.0
 
     def fail(self, prop: str, expected, actual,
              inputs: dict | None = None) -> None:
@@ -145,8 +98,9 @@ class _Session:
         if len(self.failures) < FAILURE_CAP:
             if inputs is None:
                 inputs = {"tuple": tuple_to_lists(self.P, self.case)}
-            self.failures.append(
-                Failure(prop, inputs, repr(expected), repr(actual)))
+            self.failures.append({"property": prop, "inputs": inputs,
+                                  "expected": repr(expected),
+                                  "actual": repr(actual)})
 
     def check(self, prop: str, expected, actual,
               inputs: dict | None = None) -> None:
@@ -166,7 +120,7 @@ class _Session:
         if b.exhaustive:
             raise BudgetExceeded(f"exhaustive mode forced on {space} {what} "
                                  f"with budget {b.budget}")
-        self.seed_used = b.seed
+        self.seed = b.seed
         rng = random.Random(b.seed)
         return SAMPLES, (_decode_tuple(rng.randrange(space), n, lengths)
                          for _ in range(SAMPLES))
@@ -175,18 +129,52 @@ class _Session:
         """The tuple corpus, each tuple kept as the current case; ``mode``
         says whether it was sampled."""
         count, cases = self.draw(range(1, self.bounds.max_k + 1), "tuples")
-        self.mode = "exhaustive" if self.seed_used is None else "sampled"
+        self.mode = "exhaustive" if self.seed is None else "sampled"
         self.cases += count
         for t in cases:
             self.case = t
             yield t
 
-    def report(self) -> VerificationReport:
-        return VerificationReport(
-            suite=self.suite, poset_name=self.name, poset=poset_to_dict(self.P),
-            mode=self.mode, cases=self.cases, failure_count=self.failure_count,
-            failures=self.failures, elapsed=time.perf_counter() - self.start,
-            seed=self.seed_used, details=self.details)
+    def finish(self) -> VerificationReport:
+        """The report: the wall time and the poset's dict are recorded and
+        the poset is dropped, since a kept report would keep its memo
+        tables alive."""
+        self.elapsed = time.perf_counter() - self.start
+        self.poset, self.P = poset_to_dict(self.P), None
+        return self
+
+    @property
+    def passed(self) -> bool:
+        return self.failure_count == 0
+
+    def to_dict(self) -> dict:
+        # elapsed is deliberately omitted: reports must be byte-identical
+        # for identical inputs and seed
+        return {
+            "suite": self.suite,
+            "poset_name": self.poset_name,
+            "poset": self.poset,
+            "mode": self.mode,
+            "cases": self.cases,
+            "seed": self.seed,
+            "passed": self.passed,
+            "failure_count": self.failure_count,
+            "failures": self.failures,
+            "details": self.details,
+        }
+
+    def to_text(self) -> str:
+        status = "pass" if self.passed else f"FAIL ({self.failure_count})"
+        head = (f"[{status}] {self.suite} on {self.poset_name}: "
+                f"{self.cases} cases, {self.mode}, {self.elapsed:.2f}s")
+        lines = [head]
+        for f in self.failures:
+            lines.append(f"  {f['property']}: expected {f['expected']}, "
+                         f"got {f['actual']} on {f['inputs']}")
+        if self.failure_count > len(self.failures):
+            lines.append(f"  ... {self.failure_count - len(self.failures)}"
+                         " further failures not shown")
+        return "\n".join(lines)
 
 
 def _all_tuples(n: int, lengths: range) -> Iterator[SubsetTuple]:
@@ -237,7 +225,7 @@ def _collapse_results_all_orders(
 def verify_operator_laws(P: Poset, bounds: Bounds = Bounds(),
                          name: str = "") -> VerificationReport:
     """Idempotence, commutation and confluence of the reduction operators."""
-    s = _Session("operator-laws", P, bounds, name)
+    s = VerificationReport("operator-laws", P, bounds, name)
     for t in s.corpus():
         upward = prune_upward(P, t)
         downward = prune_downward(P, t)
@@ -270,7 +258,7 @@ def verify_operator_laws(P: Poset, bounds: Bounds = Bounds(),
         s.check("canonical_shape", True,
                 reduced == ZERO_TUPLE
                 or (is_collapsed(reduced) and is_concatenated(P, reduced)))
-    return s.report()
+    return s.finish()
 
 
 def verify_thread_monoid(P: Poset, bounds: Bounds = Bounds(),
@@ -279,7 +267,7 @@ def verify_thread_monoid(P: Poset, bounds: Bounds = Bounds(),
     the chains, principal families and zones that tuples of them name.
 
     ``P.chains()`` is checked only when its 2^n bound fits the budget."""
-    s = _Session("monoid", P, bounds, name)
+    s = VerificationReport("monoid", P, bounds, name)
     chain_set = None
     if 1 << P.n <= bounds.budget:  # P has fewer than 2^n chains
         chains = list(P.chains())
@@ -317,10 +305,10 @@ def verify_thread_monoid(P: Poset, bounds: Bounds = Bounds(),
             s.check("tail_restricts_to_downset", F,
                     thread_sets(P, (a, b & P.down_set(a))))
     _associativity(s)
-    return s.report()
+    return s.finish()
 
 
-def _associativity(s: _Session) -> None:
+def _associativity(s: VerificationReport) -> None:
     """``compose`` is associative on the families ``chains_meeting(P, a)``.
 
     The triples ``(a, b, c)`` are drawn as tuples of length 3.  Families
@@ -386,7 +374,7 @@ def verify_conjecture(P: Poset, bounds: Bounds = Bounds(),
     form; on other finite posets the bucket partition is still computed and
     the invariance of thread sets under canonical reduction is checked.
     """
-    s = _Session("conjecture", P, bounds, name)
+    s = VerificationReport("conjecture", P, bounds, name)
     shape = shape_of(P)
     supported = shape in CLASSIFIED_SHAPES
     buckets: dict[ChainFamily, tuple[NormalForm, SubsetTuple]] = {}
@@ -415,7 +403,7 @@ def verify_conjecture(P: Poset, bounds: Bounds = Bounds(),
     for count in sizes.values():
         histogram[count] = histogram.get(count, 0) + 1
     s.details["bucket_size_histogram"] = dict(sorted(histogram.items()))
-    return s.report()
+    return s.finish()
 
 
 def verify_classifier(P: Poset, bounds: Bounds = Bounds(),
@@ -425,7 +413,7 @@ def verify_classifier(P: Poset, bounds: Bounds = Bounds(),
     Each instance must classify back to itself with equal payloads, and
     all instances must have pairwise distinct thread-set families.
     """
-    s = _Session("classifier", P, bounds, name)
+    s = VerificationReport("classifier", P, bounds, name)
     seen: dict[ChainFamily, NormalForm] = {}
     for inst in form_instances(P):
         s.cases += 1
@@ -447,7 +435,7 @@ def verify_classifier(P: Poset, bounds: Bounds = Bounds(),
     s.cases += 1
     s.check("zero_from_empty_family", ZERO,
             classify_family(P, EMPTY_FAMILY), {"form": "Zero"})
-    return s.report()
+    return s.finish()
 
 
 _SUITES: dict[str, Callable[..., VerificationReport]] = {
@@ -495,12 +483,8 @@ def catalog_corpus() -> list[tuple[str, Poset]]:
     picks = [("chain", (3,)), ("diamond", (2,)), ("diamond", (3,)),
              ("star", (3,)), ("star", (4,)), ("chromatic", (4,)),
              ("circle", (4,)), ("zariski_xy", (2, 2)), ("torus2", (2,))]
-    out = []
-    for name, params in picks:
-        entry = _catalog.catalog(name, *params)
-        label = f"{name}({', '.join(map(str, params))})"
-        out.append((label, entry.poset))
-    return out
+    entries = [_catalog.catalog(name, *params) for name, params in picks]
+    return [(entry.label, entry.poset) for entry in entries]
 
 
 def default_corpus() -> list[tuple[str, Poset]]:

@@ -3,6 +3,10 @@ from __future__ import annotations
 import contextlib
 import io
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 from hypothesis import HealthCheck, given, settings
@@ -153,6 +157,18 @@ def test_catalog_emit_json(capsys):
     assert data["tuples"]["reduced"] == [["S1", "S2"], ["F1", "F2", "e"]]
 
 
+@pytest.mark.parametrize("entry, head", [
+    (["chain", "3"], "chain(3): total order on 4 points, 0 minimal"),
+    (["zariski_xy", "2", "1"], "zariski_xy(2, 1): Spec k[x,y]/(xy) truncated; "
+     "Balmer order is reversed Zariski inclusion, O = (x,y)"),
+])
+def test_catalog_emit_text_names_the_entry_as_verify_does(capsys, entry,
+                                                          head):
+    code, out, _ = run(capsys, "catalog", "emit", *entry)
+    assert code == 0
+    assert out.splitlines()[0] == head
+
+
 def test_catalog_emit_dot(capsys):
     code, out, _ = run(capsys, "catalog", "emit", "diamond", "2",
                        "--format", "dot")
@@ -182,6 +198,19 @@ def test_verify_json_output(write, capsys):
     assert data["passed"] is True
     assert data["reports"][0]["suite"] == "conjecture"
     assert "elapsed" not in data["reports"][0]
+
+
+@pytest.mark.parametrize("fmt", ["text", "json"])
+def test_verify_rejects_a_tuple_given_as_poset(write, capsys, fmt):
+    # a JSON array is read as JSON, not as a one-element text poset
+    poset = write("t.json", [["t", "a", "b", "c"], ["a"]])
+    code, out, err = run(capsys, "verify", "all", "--poset", poset,
+                         "--format", fmt)
+    assert code == 2
+    if fmt == "json":
+        assert json.loads(out)["error"]["code"] == "ParseError"
+    else:
+        assert (out, err.split(":")[0]) == ("", "error[ParseError]")
 
 
 def test_verify_budget_error(write, capsys):
@@ -499,3 +528,32 @@ def test_main_fuzz_exits_cleanly(tmp_path, command, data, tuples, fmt, suite,
     assert "Traceback" not in err.getvalue()
     if code == 2 and fmt == "json":
         assert "code" in json.loads(out.getvalue())["error"]
+
+
+def _python_m(*argv: str) -> subprocess.CompletedProcess:
+    """``python -m threadsets`` in a child process, the package from src."""
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    path = os.environ.get("PYTHONPATH")
+    env = dict(os.environ, PYTHONPATH=src + (os.pathsep + path if path else ""))
+    return subprocess.run([sys.executable, "-m", "threadsets", *argv],
+                          capture_output=True, text=True, env=env,
+                          timeout=120)
+
+
+def test_process_exit_status(write):
+    listed = _python_m("catalog", "list", "--format", "json")
+    assert listed.returncode == 0
+    assert "torus2" in json.loads(listed.stdout)["entries"]
+
+    poset = write("p.json", DIAMOND)
+    first, second = write("a.json", [["t"]]), write("b.json", [["a"]])
+    unequal = _python_m("eq", "--poset", poset, "--tuple", first,
+                        "--tuple", second)
+    assert unequal.returncode == 1
+    assert unequal.stdout.startswith("unequal: ")
+
+    missing = _python_m("tset", "--tuple", first, "--format", "json")
+    assert missing.returncode == 2
+    assert json.loads(missing.stdout)["error"]["code"] == "BadParameter"
+    for done in (listed, unequal, missing):
+        assert "Traceback" not in done.stderr

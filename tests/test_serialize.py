@@ -75,7 +75,7 @@ def test_poset_text_bad_relation_has_line_number():
 
 @pytest.mark.parametrize("elements", [["a < b", "t"], ["b<c"], ["a#b"],
                                       [" a"], ["a\t"], [""], ["a\u2028b"],
-                                      ["a\nb"]])
+                                      ["a\nb"], ["{x}"], ["[a]"]])
 def test_poset_json_rejects_labels_the_text_form_cannot_carry(elements):
     with pytest.raises(ParseError, match="one non-empty line"):
         poset_from_dict({"elements": elements, "relations": []})
@@ -87,7 +87,7 @@ def test_poset_text_rejects_padded_relation_sides():
     assert err.value.line == 3
 
 
-@given(st.lists(st.text("ab <#\t\u2028", max_size=4), max_size=4),
+@given(st.lists(st.text("ab <#{[\t\u2028", max_size=4), max_size=4),
        st.data())
 def test_accepted_json_poset_round_trips_through_text(elements, data):
     pairs = [(i, j) for i in range(len(elements))
@@ -100,11 +100,18 @@ def test_accepted_json_poset_round_trips_through_text(elements, data):
     except SpectrumError:
         return
     assert poset_from_text(poset_to_text(P)) == P
+    assert load_poset(poset_to_text(P)) == P
 
 
 def test_load_poset_sniffs_format(diamond):
     assert load_poset(dumps(poset_to_dict(diamond))) == diamond
     assert load_poset(poset_to_text(diamond)) == diamond
+    # a JSON array is JSON too: a tuple file is no one-element poset
+    for text in ('[["t", "a"], ["a"]]', ' \n [["t"]]\n', "[t"):
+        with pytest.raises(ParseError):
+            load_poset(text)
+    with pytest.raises(ParseError, match="line 2"):
+        load_poset("a\n{b} < a\n")
 
 
 def test_dot_output(diamond):

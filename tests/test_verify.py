@@ -14,8 +14,8 @@ from threadsets.errors import BadParameter, BudgetExceeded
 from threadsets.families import ChainFamily, chains_meeting
 from threadsets.poset import build_poset
 from threadsets.serialize import dumps, tuple_to_lists
-from threadsets.verify import (SAMPLES, Bounds, Failure, _all_tuples,
-                               _associativity, _decode_tuple, _Session,
+from threadsets.verify import (SAMPLES, Bounds, VerificationReport,
+                               _all_tuples, _associativity, _decode_tuple,
                                all_posets, deepened, default_corpus,
                                labeled_corpus, run_suite, verify_classifier,
                                verify_conjecture, verify_operator_laws,
@@ -122,6 +122,18 @@ def test_bounds_reject_non_positive(field):
             Bounds(**{field: value})
 
 
+@pytest.mark.parametrize("field, value", [
+    ("max_k", 2.0), ("max_k", True), ("budget", "10"), ("budget", None),
+    ("seed", None), ("seed", 1.5), ("seed", False),
+    ("exhaustive", "no"), ("exhaustive", 0), ("exhaustive", None)])
+def test_bounds_reject_fields_of_the_wrong_type(field, value):
+    # seed=None would sample unseeded under a report that reads
+    # "exhaustive", and exhaustive="no" would force exhaustive mode
+    with pytest.raises(BadParameter, match=field):
+        Bounds(**{field: value})
+    assert Bounds(seed=-7).seed == -7  # any integer seeds the sampler
+
+
 @pytest.mark.parametrize("n", [0, 1, 2])
 @pytest.mark.parametrize("lengths", [range(1, 4), range(3, 4)])
 def test_decoder_covers_the_tuple_space(n, lengths):
@@ -139,24 +151,25 @@ def test_decoder_reaches_every_length_on_the_empty_poset():
 
 
 def test_failure_records_carry_inputs(diamond):
-    session = _Session("demo", diamond, Bounds())
-    session.check("some_property", 1, 2, {"tuple": [["a"]]})
-    report = session.report()
+    report = VerificationReport("demo", diamond, Bounds())
+    report.check("some_property", 1, 2, {"tuple": [["a"]]})
+    assert report.finish() is report
+    assert report.P is None  # a kept report keeps no memo tables alive
     assert not report.passed
     assert report.failure_count == 1
-    failure = report.failures[0]
-    assert isinstance(failure, Failure)
-    assert failure.to_dict() == {"property": "some_property",
-                                 "inputs": {"tuple": [["a"]]},
-                                 "expected": "1", "actual": "2"}
+    assert report.failures == [{"property": "some_property",
+                                "inputs": {"tuple": [["a"]]},
+                                "expected": "1", "actual": "2"}]
+    assert report.to_dict()["failures"] == report.failures
     assert report.to_dict()["poset"]["elements"] == ["t", "a", "b", "m"]
 
 
 def test_report_text_lists_failures_up_to_the_cap(diamond):
-    session = _Session("demo", diamond, Bounds())
+    report = VerificationReport("demo", diamond, Bounds())
     for i in range(verify.FAILURE_CAP + 2):
-        session.fail("some_property", i, -i, {"case": i})
-    lines = session.report().to_text().splitlines()
+        report.fail("some_property", i, -i, {"case": i})
+    assert len(report.failures) == verify.FAILURE_CAP
+    lines = report.finish().to_text().splitlines()
     assert lines[0].startswith(
         f"[FAIL ({verify.FAILURE_CAP + 2})] demo on poset:t,a,b,m: 0 cases")
     assert lines[1] == "  some_property: expected 0, got 0 on {'case': 0}"
@@ -196,9 +209,9 @@ def test_associativity_failures_map_back_to_families(chain2, monkeypatch,
 
     monkeypatch.setattr(verify, "compose", difference)
     bounds = Bounds(budget=budget, seed=5)
-    session = _Session("monoid", chain2, bounds)
-    _associativity(session)
-    report = session.report()
+    report = VerificationReport("monoid", chain2, bounds)
+    _associativity(report)
+    report.finish()
 
     size = 1 << chain2.n
     if size ** 3 <= budget:
@@ -222,13 +235,13 @@ def test_associativity_failures_map_back_to_families(chain2, monkeypatch,
     assert calls_by_check == len(pairs)
 
     assert failing and report.failure_count == len(failing)
-    assert {f.prop for f in report.failures} == {"compose_associative"}
+    assert {f["property"] for f in report.failures} == {"compose_associative"}
     for failure, (subsets, left, right) in zip(report.failures, failing):
-        assert failure.expected == repr(left)
-        assert failure.actual == repr(right)
-        assert failure.expected.startswith("ChainFamily<")
-        assert failure.inputs == {"subsets": [list(chain2.labels(m))
-                                              for m in subsets]}
+        assert failure["expected"] == repr(left)
+        assert failure["actual"] == repr(right)
+        assert failure["expected"].startswith("ChainFamily<")
+        assert failure["inputs"] == {"subsets": [list(chain2.labels(m))
+                                                 for m in subsets]}
 
 
 def test_tables_hold_at_most_one_entry_per_subset():
@@ -245,10 +258,10 @@ def test_corpus_failure_inputs_are_the_labeled_tuple(chain1, monkeypatch):
     monkeypatch.setattr(verify, "collapse", lambda t: t + t)
     report = verify_operator_laws(chain1, Bounds(max_k=1))
     tuples = [(m,) for m in range(1 << chain1.n)]
-    recorded = [f.inputs for f in report.failures
-                if f.prop == "collapse_idempotent"]
+    recorded = [f["inputs"] for f in report.failures
+                if f["property"] == "collapse_idempotent"]
     assert recorded == [{"tuple": tuple_to_lists(chain1, t)} for t in tuples]
-    assert all(isinstance(f.inputs, dict) for f in report.failures)
+    assert all(isinstance(f["inputs"], dict) for f in report.failures)
 
 
 def test_passing_run_builds_no_failure_inputs(diamond, monkeypatch):
