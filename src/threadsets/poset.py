@@ -55,7 +55,9 @@ class Poset:
     check.  Concurrent callers can at worst compute an entry twice and
     store equal values.
 
-    The constructor checks its input: a repeated label raises
+    The constructor stores both arguments as tuples and checks them: a
+    label that is not a ``str`` or a row that is not an ``int`` (a ``bool``
+    is not one) raises BadParameter; a repeated label raises
     DuplicateElement; ``down`` must hold one row per element, each within
     the poset, holding its own bit and closed under ``down`` (else
     BadParameter); two distinct elements below each other raise
@@ -66,11 +68,19 @@ class Poset:
                  "_comp", "_dimension", "_down_sets", "_up_sets", "_floors",
                  "_meeting")
 
-    def __init__(self, elements: tuple[str, ...], down: tuple[int, ...]):
-        self.elements = elements
+    def __init__(self, elements: Iterable[str], down: Iterable[int]):
+        self.elements = elements = tuple(elements)
+        self.down = down = tuple(down)
+        for e in elements:
+            if not isinstance(e, str):
+                raise BadParameter("an element label must be a string, "
+                                   f"got {e!r}")
+        for row in down:  # a bool is an int to isinstance
+            if not isinstance(row, int) or isinstance(row, bool):
+                raise BadParameter("a down-set row must be an integer, "
+                                   f"got {row!r}")
         self.n = n = len(elements)
         self.full = full = (1 << n) - 1
-        self.down = down
         self._index = {e: i for i, e in enumerate(elements)}
         if len(self._index) != n:
             raise DuplicateElement("duplicate element %r" % next(

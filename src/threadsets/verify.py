@@ -108,28 +108,29 @@ class VerificationReport:
             self.fail(prop, expected, actual, inputs)
 
     def draw(self, lengths: range,
-             what: str) -> tuple[int, Iterator[SubsetTuple]]:
-        """The number of cases and the cases: every tuple with a length in
-        ``lengths`` when they fit the budget, else ``SAMPLES`` of them drawn
-        with the seed.  Forced exhaustive mode raises ``BudgetExceeded``
-        instead of drawing."""
+             what: str) -> tuple[int, Iterator[SubsetTuple], bool]:
+        """The number of cases, the cases and whether they were sampled:
+        every tuple with a length in ``lengths`` when they fit the budget,
+        else ``SAMPLES`` of them drawn with the seed.  Forced exhaustive
+        mode raises ``BudgetExceeded`` instead of drawing."""
         n, b = self.P.n, self.bounds
         space = sum((1 << n) ** k for k in lengths)
         if space <= b.budget:
-            return space, _all_tuples(n, lengths)
+            return space, _all_tuples(n, lengths), False
         if b.exhaustive:
             raise BudgetExceeded(f"exhaustive mode forced on {space} {what} "
                                  f"with budget {b.budget}")
         self.seed = b.seed
         rng = random.Random(b.seed)
         return SAMPLES, (_decode_tuple(rng.randrange(space), n, lengths)
-                         for _ in range(SAMPLES))
+                         for _ in range(SAMPLES)), True
 
     def corpus(self) -> Iterator[SubsetTuple]:
         """The tuple corpus, each tuple kept as the current case; ``mode``
         says whether it was sampled."""
-        count, cases = self.draw(range(1, self.bounds.max_k + 1), "tuples")
-        self.mode = "exhaustive" if self.seed is None else "sampled"
+        count, cases, sampled = self.draw(range(1, self.bounds.max_k + 1),
+                                          "tuples")
+        self.mode = "sampled" if sampled else "exhaustive"
         self.cases += count
         for t in cases:
             self.case = t
@@ -261,13 +262,63 @@ def verify_operator_laws(P: Poset, bounds: Bounds = Bounds(),
     return s.finish()
 
 
+class _FamilyTable:
+    """The chain families of one suite run on one poset, interned as ints.
+
+    ``family[i]`` is the family with id ``i``, ``ids`` maps each family to
+    its id, and ``products[x][y]`` is the id of ``compose`` of families
+    ``x`` and ``y``.  ``product`` composes each distinct pair of ids once
+    and ``of`` computes each tuple's thread sets once, both through this
+    module's ``compose`` and ``thread_sets``, so a check compares ints
+    where it would compare families.  Equal ids mean equal families, and a
+    failure maps the ids back through ``family``.  A suite keeps its table
+    as a local, so the table is dropped when the run returns.
+    """
+
+    __slots__ = ("P", "ids", "family", "products", "_tuples")
+
+    def __init__(self, P: Poset):
+        self.P = P
+        self.ids: dict[ChainFamily, int] = {}
+        self.family: list[ChainFamily] = []
+        self.products: list[dict[int, int]] = []
+        self._tuples: dict[SubsetTuple, int] = {}
+
+    def intern(self, F: ChainFamily) -> int:
+        i = self.ids.get(F)
+        if i is None:
+            i = self.ids[F] = len(self.family)
+            self.family.append(F)
+            self.products.append({})
+        return i
+
+    def product(self, x: int, y: int) -> int:
+        z = self.products[x].get(y)
+        if z is None:
+            z = self.products[x][y] = self.intern(
+                compose(self.P, self.family[x], self.family[y]))
+        return z
+
+    def of(self, t: SubsetTuple) -> int:
+        i = self._tuples.get(t)
+        if i is None:
+            i = self._tuples[t] = self.intern(thread_sets(self.P, t))
+        return i
+
+
 def verify_thread_monoid(P: Poset, bounds: Bounds = Bounds(),
                          name: str = "") -> VerificationReport:
     """Thread-set decomposition, composition laws, reduction shadows, and
     the chains, principal families and zones that tuples of them name.
 
-    ``P.chains()`` is checked only when its 2^n bound fits the budget."""
+    Every family goes through one ``_FamilyTable``: each tuple's thread
+    sets are computed once, whether it is a corpus tuple or a slice, a
+    reduction or a restriction of one, and each pair of families is
+    composed once.  ``P.chains()`` is checked only when its 2^n bound fits
+    the budget."""
     s = VerificationReport("monoid", P, bounds, name)
+    table = _FamilyTable(P)
+    of, times, family = table.of, table.product, table.family
     chain_set = None
     if 1 << P.n <= bounds.budget:  # P has fewer than 2^n chains
         chains = list(P.chains())
@@ -275,16 +326,20 @@ def verify_thread_monoid(P: Poset, bounds: Bounds = Bounds(),
         s.check("chains_are_the_chain_subsets", len(chain_set), len(chains),
                 {"enumeration": "Poset.chains"})
     for t in s.corpus():
-        F = thread_sets(P, t)
+        x = of(t)
+        F = family[x]
         # threads() is the reference: minimal supports of the enumerated
         # threads, computed without compose
         enumerated = minimize({th.support for th in threads(P, t)})
         s.check("thread_sets_decompose", enumerated, F)
         for j in range(1, len(t)):
-            s.check("thread_sets_of_concatenation", F,
-                    compose(P, thread_sets(P, t[:j]), thread_sets(P, t[j:])))
+            y = times(of(t[:j]), of(t[j:]))
+            if y != x:
+                s.fail("thread_sets_of_concatenation", F, family[y])
         reduced = canonical(P, t)
-        s.check("canonical_preserves_thread_sets", F, thread_sets(P, reduced))
+        y = of(reduced)
+        if y != x:
+            s.fail("canonical_preserves_thread_sets", F, family[y])
         s.check("no_thread_iff_zero", F.is_empty(), reduced == ZERO_TUPLE)
         if len(t) == 1:
             a = t[0]
@@ -294,74 +349,69 @@ def verify_thread_monoid(P: Poset, bounds: Bounds = Bounds(),
                         a in chain_set)
             if is_chain:
                 s.check("singleton_tuple_is_principal", principal(P, a),
-                        thread_sets(P, singleton_tuple(P, a)))
+                        family[of(singleton_tuple(P, a))])
         elif P.is_upward_closed(t[-1]):
             s.check("restrict_is_appending_the_zone", reduced,
                     canonical(P, restrict(P, t[:-1], t[-1])))
         if len(t) == 2:
             a, b = t
-            s.check("head_restricts_to_upset", F,
-                    thread_sets(P, (a & P.up_set(b), b)))
-            s.check("tail_restricts_to_downset", F,
-                    thread_sets(P, (a, b & P.down_set(a))))
-    _associativity(s)
+            y = of((a & P.up_set(b), b))
+            if y != x:
+                s.fail("head_restricts_to_upset", F, family[y])
+            y = of((a, b & P.down_set(a)))
+            if y != x:
+                s.fail("tail_restricts_to_downset", F, family[y])
+    _associativity(s, table)
     return s.finish()
 
 
-def _associativity(s: VerificationReport) -> None:
+def _associativity(s: VerificationReport, table: _FamilyTable) -> None:
     """``compose`` is associative on the families ``chains_meeting(P, a)``.
 
-    The triples ``(a, b, c)`` are drawn as tuples of length 3.  Families
-    are interned as ints: ``family[i]`` is the family with id ``i``,
-    ``gen[a]`` the id of ``chains_meeting(P, a)``, made on first use, and
-    ``products[x][y]`` the id of ``compose`` of families ``x`` and ``y``,
-    so each distinct pair is composed once and the triple loop hashes and
-    compares ints only.  Failures map the ids back to families.
+    The triples ``(a, b, c)`` are drawn as tuples of length 3, and every
+    product is read from ``table``, so each distinct pair of families is
+    composed once and the loops compare ints only.  An enumerated space is
+    checked a row at a time: for each ``(a, b)`` in order, the row of
+    ``(ab)c`` over every ``c`` is compared with the row of ``a(bc)``.  The
+    row of a family, its products with every ``chains_meeting(P, c)``, is
+    kept by id, so ``(ab)c`` and ``bc`` are read from rows.  A sampled
+    draw is checked one triple at a time.  Either way failures come in
+    triple order, and map the ids back to families.
     """
-    P = s.P
-    total, triples = s.draw(range(3, 4), "triples")
-    ids: dict[ChainFamily, int] = {}
-    family: list[ChainFamily] = []
-    products: list[dict[int, int]] = []
+    P, times, family = s.P, table.product, table.family
+    total, triples, sampled = s.draw(range(3, 4), "triples")
 
-    def intern(F: ChainFamily) -> int:
-        i = ids.get(F)
-        if i is None:
-            i = ids[F] = len(family)
-            family.append(F)
-            products.append({})
-        return i
+    def gen(a: int) -> int:
+        return table.intern(chains_meeting(P, a))
 
-    def composed(x: int, y: int) -> int:
-        z = products[x][y] = intern(compose(P, family[x], family[y]))
-        return z
+    def fail(a: int, b: int, c: int, left: int, right: int) -> None:
+        s.fail("compose_associative", family[left], family[right],
+               {"subsets": tuple_to_lists(P, (a, b, c))})
 
-    gen: dict[int, int] = {}
-    for a, bb, c in triples:
-        x = gen.get(a)
-        if x is None:
-            x = gen[a] = intern(chains_meeting(P, a))
-        y = gen.get(bb)
-        if y is None:
-            y = gen[bb] = intern(chains_meeting(P, bb))
-        z = gen.get(c)
-        if z is None:
-            z = gen[c] = intern(chains_meeting(P, c))
-        xy = products[x].get(y)
-        if xy is None:
-            xy = composed(x, y)
-        left = products[xy].get(z)
-        if left is None:
-            left = composed(xy, z)
-        yz = products[y].get(z)
-        if yz is None:
-            yz = composed(y, z)
-        right = products[x].get(yz)
-        if right is None:
-            right = composed(x, yz)
-        if left != right:
-            s.fail("compose_associative", family[left], family[right],
-                   {"subsets": tuple_to_lists(P, (a, bb, c))})
+    if sampled:
+        for a, b, c in triples:
+            x, y, z = gen(a), gen(b), gen(c)
+            left, right = times(times(x, y), z), times(x, times(y, z))
+            if left != right:
+                fail(a, b, c, left, right)
+    else:
+        column = [gen(c) for c in range(1 << P.n)]
+        rows: dict[int, list[int]] = {}
+
+        def row(x: int) -> list[int]:
+            r = rows.get(x)
+            if r is None:
+                r = rows[x] = [times(x, z) for z in column]
+            return r
+
+        for a, x in enumerate(column):
+            for b, y in enumerate(column):
+                left = row(times(x, y))
+                right = [times(x, yz) for yz in row(y)]
+                if left != right:
+                    for c, (u, v) in enumerate(zip(left, right)):
+                        if u != v:
+                            fail(a, b, c, u, v)
     s.cases += total
     s.details["associativity_triples"] = total
 
@@ -373,17 +423,30 @@ def verify_conjecture(P: Poset, bounds: Bounds = Bounds(),
     On shape-supported posets every bucket must classify to a single normal
     form; on other finite posets the bucket partition is still computed and
     the invariance of thread sets under canonical reduction is checked.
+    Thread sets are read from a ``_FamilyTable``, so a canonical form that
+    is itself a corpus tuple is not computed again, and buckets are keyed
+    by family id.
+
+    ``same_thread_sets_same_form`` cannot fail on the classified shapes:
+    ``classify_family`` reads only ``P`` and the family, so two tuples with
+    equal thread sets always get equal forms.  There the real check is
+    ``family_realized``, that every family classifies; the check stays for
+    the thread-set closure of ROADMAP item 11 to give it content.
     """
     s = VerificationReport("conjecture", P, bounds, name)
     shape = shape_of(P)
     supported = shape in CLASSIFIED_SHAPES
-    buckets: dict[ChainFamily, tuple[NormalForm, SubsetTuple]] = {}
-    sizes: dict[ChainFamily, int] = {}
+    table = _FamilyTable(P)
+    of, family = table.of, table.family
+    buckets: dict[int, tuple[NormalForm, SubsetTuple]] = {}
+    sizes: dict[int, int] = {}
     for t in s.corpus():
-        F = thread_sets(P, t)
-        s.check("canonical_preserves_thread_sets", F,
-                thread_sets(P, canonical(P, t)))
-        sizes[F] = sizes.get(F, 0) + 1
+        x = of(t)
+        F = family[x]
+        y = of(canonical(P, t))
+        if y != x:
+            s.fail("canonical_preserves_thread_sets", F, family[y])
+        sizes[x] = sizes.get(x, 0) + 1
         if not supported:
             continue
         try:
@@ -391,9 +454,9 @@ def verify_conjecture(P: Poset, bounds: Bounds = Bounds(),
         except Inconsistent as exc:  # a counterexample to the theorem
             s.fail("family_realized", "a normal form", exc)
             continue
-        held = buckets.get(F)
+        held = buckets.get(x)
         if held is None:
-            buckets[F] = (nf, t)
+            buckets[x] = (nf, t)
         elif held[0] != nf:
             s.fail("same_thread_sets_same_form", held[0], nf,
                    {"tuples": [tuple_to_lists(P, u) for u in (held[1], t)]})

@@ -69,11 +69,26 @@ def test_build_duplicate_element():
     (("a",), (0,), BadParameter),
     (("a", "b", "c"), (0b001, 0b011, 0b110), BadParameter),
     (("a", "b"), (0b11, 0b11), CycleDetected),
+    (("a",), ("1",), BadParameter),
+    (("a",), (True,), BadParameter),
+    (("a",), (1.0,), BadParameter),
+    ((None,), (1,), BadParameter),
+    ((1,), (1,), BadParameter),
+    ((["a"],), (1,), BadParameter),
 ], ids=["repeated-label", "row-count", "bit-outside", "negative-row",
-        "row-without-own-bit", "not-transitive", "two-cycle"])
+        "row-without-own-bit", "not-transitive", "two-cycle", "str-row",
+        "bool-row", "float-row", "none-label", "int-label", "list-label"])
 def test_constructor_rejects_non_orders(elements, down, error):
     with pytest.raises(error):
         Poset(elements, down)
+
+
+def test_constructor_stores_tuples():
+    # a poset built from lists is the poset built from tuples, and hashable
+    listed, tupled = Poset(["a", "b"], [1, 2]), Poset(("a", "b"), (1, 2))
+    assert listed.elements == ("a", "b") and listed.down == (1, 2)
+    assert listed == tupled and hash(listed) == hash(tupled)
+    assert len({listed, tupled}) == 1
 
 
 def test_build_unknown_element_in_relation():

@@ -3,6 +3,7 @@ from __future__ import annotations
 import gc
 import hashlib
 import random
+from collections import Counter
 from dataclasses import fields
 from itertools import product
 
@@ -11,15 +12,16 @@ import pytest
 from threadsets import verify
 from threadsets.catalog import catalog
 from threadsets.errors import BadParameter, BudgetExceeded
-from threadsets.families import ChainFamily, chains_meeting
-from threadsets.poset import build_poset
+from threadsets.families import (ChainFamily, chains_meeting, compose,
+                                 thread_sets)
+from threadsets.poset import Poset, build_poset
 from threadsets.serialize import dumps, tuple_to_lists
 from threadsets.verify import (SAMPLES, Bounds, VerificationReport,
                                _all_tuples, _associativity, _decode_tuple,
-                               all_posets, deepened, default_corpus,
-                               labeled_corpus, run_suite, verify_classifier,
-                               verify_conjecture, verify_operator_laws,
-                               verify_thread_monoid)
+                               _FamilyTable, all_posets, deepened,
+                               default_corpus, labeled_corpus, run_suite,
+                               verify_classifier, verify_conjecture,
+                               verify_operator_laws, verify_thread_monoid)
 
 
 def test_all_posets_counts():
@@ -196,11 +198,16 @@ def _union(F: ChainFamily) -> int:
     return out
 
 
-@pytest.mark.parametrize("budget", [1 << 20, 100])
-def test_associativity_failures_map_back_to_families(chain2, monkeypatch,
-                                                     budget):
+@pytest.mark.parametrize("poset, budget", [
+    ("chain2", 1 << 20), ("chain2", 100),
+    ("antichain3", 1 << 20), ("antichain3", 100),
+], ids=["1048576", "100", "antichain3-1048576", "antichain3-100"])
+def test_associativity_failures_map_back_to_families(poset, budget, request,
+                                                     monkeypatch):
     # set difference of the supports is not associative: (a-b)-c misses
-    # a&c, which a-(b-c) keeps
+    # a&c, which a-(b-c) keeps, so a row (a, b) fails at several c; the
+    # triples are enumerated at the large budget and sampled at the small
+    P = request.getfixturevalue(poset)
     calls = []
 
     def difference(P, U, V):
@@ -209,24 +216,24 @@ def test_associativity_failures_map_back_to_families(chain2, monkeypatch,
 
     monkeypatch.setattr(verify, "compose", difference)
     bounds = Bounds(budget=budget, seed=5)
-    report = VerificationReport("monoid", chain2, bounds)
-    _associativity(report)
+    report = VerificationReport("monoid", P, bounds)
+    _associativity(report, _FamilyTable(P))
     report.finish()
 
-    size = 1 << chain2.n
+    size = 1 << P.n
     if size ** 3 <= budget:
         triples = list(product(range(size), repeat=3))
     else:
         rng = random.Random(bounds.seed)
-        triples = [_decode_tuple(rng.randrange(size ** 3), chain2.n,
+        triples = [_decode_tuple(rng.randrange(size ** 3), P.n,
                                  range(3, 4)) for _ in range(SAMPLES)]
     assert report.cases == report.details["associativity_triples"] \
         == len(triples)
     pairs, failing = set(), []
     for a, b, c in triples:
-        A, B, C = (chains_meeting(chain2, m) for m in (a, b, c))
-        AB, BC = difference(chain2, A, B), difference(chain2, B, C)
-        left, right = difference(chain2, AB, C), difference(chain2, A, BC)
+        A, B, C = (chains_meeting(P, m) for m in (a, b, c))
+        AB, BC = difference(P, A, B), difference(P, B, C)
+        left, right = difference(P, AB, C), difference(P, A, BC)
         pairs |= {(A, B), (AB, C), (B, C), (A, BC)}
         if left != right:
             failing.append(((a, b, c), left, right))
@@ -235,13 +242,77 @@ def test_associativity_failures_map_back_to_families(chain2, monkeypatch,
     assert calls_by_check == len(pairs)
 
     assert failing and report.failure_count == len(failing)
+    assert max(Counter(subsets[:2] for subsets, _, _ in failing).values()) > 1
     assert {f["property"] for f in report.failures} == {"compose_associative"}
+    assert len(report.failures) == min(len(failing), verify.FAILURE_CAP)
     for failure, (subsets, left, right) in zip(report.failures, failing):
         assert failure["expected"] == repr(left)
         assert failure["actual"] == repr(right)
         assert failure["expected"].startswith("ChainFamily<")
-        assert failure["inputs"] == {"subsets": [list(chain2.labels(m))
+        assert failure["inputs"] == {"subsets": [list(P.labels(m))
                                                  for m in subsets]}
+
+
+def test_associativity_loop_follows_the_triple_draw():
+    # the empty poset's 2 tuples exceed budget 1 and are sampled, with the
+    # seed set, but its one triple fits and is enumerated
+    report = verify_thread_monoid(Poset((), ()), Bounds(budget=1))
+    assert report.mode == "sampled" and report.seed == 0
+    assert report.details["associativity_triples"] == 1
+    assert report.passed
+
+
+@pytest.mark.parametrize("poset", ["diamond", "labeled-3-7"])
+def test_family_table_keeps_the_monoid_checks(poset, request, monkeypatch):
+    # a faulty product that drops the first generator of a left factor with
+    # two or more: every concatenation it breaks is still a failure, and
+    # each tuple's thread sets are computed once
+    P = (all_posets(3)[7] if poset == "labeled-3-7"
+         else request.getfixturevalue(poset))
+    bounds = Bounds(max_k=3)
+
+    def faulty(P, U, V):
+        if len(U) >= 2:
+            U = ChainFamily(U.sorted_generators()[1:])
+        return compose(P, U, V)
+
+    asked = []
+
+    def counted(P, t):
+        asked.append(t)
+        return thread_sets(P, t)
+
+    failed = Counter()
+    fail = VerificationReport.fail
+
+    def counting_fail(self, prop, *args, **kwargs):
+        failed[prop] += 1
+        fail(self, prop, *args, **kwargs)
+
+    monkeypatch.setattr(verify, "compose", faulty)
+    monkeypatch.setattr(verify, "thread_sets", counted)
+    monkeypatch.setattr(VerificationReport, "fail", counting_fail)
+    report = verify_thread_monoid(P, bounds)
+
+    corpus = list(_all_tuples(P.n, range(1, bounds.max_k + 1)))
+    failing = []
+    for t in corpus:
+        F = thread_sets(P, t)
+        for j in range(1, len(t)):
+            G = faulty(P, thread_sets(P, t[:j]), thread_sets(P, t[j:]))
+            if G != F:
+                failing.append((t, F, G))
+    assert failing
+    assert failed["thread_sets_of_concatenation"] == len(failing)
+    recorded = [f for f in report.failures
+                if f["property"] == "thread_sets_of_concatenation"]
+    assert recorded and recorded == [
+        {"property": "thread_sets_of_concatenation",
+         "inputs": {"tuple": tuple_to_lists(P, t)},
+         "expected": repr(F), "actual": repr(G)}
+        for t, F, G in failing[:len(recorded)]]
+    assert len(asked) == len(set(asked))
+    assert set(corpus) <= set(asked)
 
 
 def test_tables_hold_at_most_one_entry_per_subset():
