@@ -40,6 +40,18 @@ def _union(principal: tuple[int, ...], mask: int) -> int:
     return out
 
 
+def _stored(what: str, given) -> tuple:
+    """``given`` as a tuple.  A ``str`` or ``bytes`` would iterate as its
+    characters or byte values, so it is rejected like a non-iterable."""
+    if isinstance(given, (str, bytes)):
+        raise BadParameter(f"{what} must be a collection, not {given!r}")
+    try:
+        return tuple(given)
+    except TypeError:
+        raise BadParameter(f"{what} must be a collection, "
+                           f"got {given!r}") from None
+
+
 class Poset:
     """Finite partial order over opaque string identifiers.
 
@@ -55,13 +67,13 @@ class Poset:
     check.  Concurrent callers can at worst compute an entry twice and
     store equal values.
 
-    The constructor stores both arguments as tuples and checks them: a
-    label that is not a ``str`` or a row that is not an ``int`` (a ``bool``
-    is not one) raises BadParameter; a repeated label raises
-    DuplicateElement; ``down`` must hold one row per element, each within
-    the poset, holding its own bit and closed under ``down`` (else
-    BadParameter); two distinct elements below each other raise
-    CycleDetected.
+    The constructor stores both arguments as tuples and checks them: an
+    argument that is a ``str``, ``bytes`` or not iterable, a label that is
+    not a ``str`` or a row that is not an ``int`` (a ``bool`` is not one)
+    raises BadParameter; a repeated label raises DuplicateElement;
+    ``down`` must hold one row per element, each within the poset, holding
+    its own bit and closed under ``down`` (else BadParameter); two
+    distinct elements below each other raise CycleDetected.
     """
 
     __slots__ = ("elements", "down", "up", "covers", "n", "full", "_index",
@@ -69,8 +81,8 @@ class Poset:
                  "_meeting")
 
     def __init__(self, elements: Iterable[str], down: Iterable[int]):
-        self.elements = elements = tuple(elements)
-        self.down = down = tuple(down)
+        self.elements = elements = _stored("the elements", elements)
+        self.down = down = _stored("the down-set rows", down)
         for e in elements:
             if not isinstance(e, str):
                 raise BadParameter("an element label must be a string, "

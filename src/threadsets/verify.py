@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import random
 import time
+from collections import Counter
 from dataclasses import dataclass, replace
 from itertools import chain, product
 from typing import Callable, Iterator
@@ -469,16 +470,54 @@ def verify_conjecture(P: Poset, bounds: Bounds = Bounds(),
     return s.finish()
 
 
+# The number of instances of each form over a stratum of m elements, keyed
+# by dimension, since each classified shape has a dimension of its own.
+# They follow from the side conditions alone: choosing for each element
+# the payload sets that hold it, the pairs A ⊊ B number 3^m - 2^m and the
+# triples with B ⊊ A ∩ C number 5^m - 4^m.
+_FORM_COUNTS: dict[int, dict[str, Callable[[int], int]]] = {
+    0: {"D0Smash": lambda m: 2 ** m - 1},
+    1: {
+        "D1_Lambda": lambda m: 2 ** m - 1,
+        "D1_TopSmash": lambda m: 2 ** m,
+        "D1_Mixed": lambda m: 3 ** m - 2 ** m,
+    },
+    2: {
+        "D2_Form1": lambda m: 2 ** m - 1,
+        "D2_Form2": lambda m: 2 ** m,
+        "D2_Form3": lambda m: 2 ** m,
+        "D2_Form4": lambda m: 2 ** m,
+        "D2_Form5": lambda m: 3 ** m - 2 ** m,
+        "D2_Form6": lambda m: 3 ** m - 2 ** m,
+        "D2_Form7": lambda m: 4 ** m,
+        "D2_Form8": lambda m: 3 ** m - 2 ** m,
+        "D2_Form9": lambda m: 3 ** m - 2 ** m,
+        "D2_Form10": lambda m: 5 ** m - 2 * 3 ** m + 2 ** m,
+        "D2_Form11": lambda m: 5 ** m - 4 ** m,
+    },
+}
+
+
 def verify_classifier(P: Poset, bounds: Bounds = Bounds(),
                       name: str = "") -> VerificationReport:
     """Round-trip every syntactic form instance through its thread sets.
 
     Each instance must classify back to itself with equal payloads, and
-    all instances must have pairwise distinct thread-set families.
+    all instances must have pairwise distinct thread-set families.  The
+    instances of each form must number as ``_FORM_COUNTS`` says; that
+    check adds no case.
     """
     s = VerificationReport("classifier", P, bounds, name)
+    instances = form_instances(P)
+    # the stratum is all but the top and bottom: one extreme per dimension
+    dim = P.dimension()
+    m = P.n - dim
+    s.check("form_counts_match_formula",
+            {tag: count(m) for tag, count in _FORM_COUNTS[dim].items()},
+            dict(Counter(inst.tag for inst in instances)),
+            {"stratum_size": m})
     seen: dict[ChainFamily, NormalForm] = {}
-    for inst in form_instances(P):
+    for inst in instances:
         s.cases += 1
         defining = inst.as_tuple(P)
         F = thread_sets(P, defining)
@@ -512,25 +551,52 @@ SUITE_NAMES = tuple(_SUITES) + ("all",)
 
 
 def all_posets(n: int) -> list[Poset]:
-    """All labeled posets on exactly ``n`` elements, named p0..p(n-1)."""
-    names = [f"p{i}" for i in range(n)]
-    pairs = [(i, j) for i in range(n) for j in range(n) if i != j]
-    out = []
-    for mask in range(1 << len(pairs)):
-        above = [0] * n  # above[i]: strict upper bounds of i, irreflexive
-        for b, (i, j) in enumerate(pairs):
-            if mask >> b & 1:
-                above[i] |= 1 << j
-        # transitivity as downward closure of the above-sets; together with
-        # irreflexivity this rules out cycles, hence forces antisymmetry
-        ok = all(not above[j] & ~above[i]
-                 for i in range(n) for j in bits(above[i]))
-        if ok:
-            down = tuple((1 << j) | sum(1 << i for i in range(n)
-                                        if above[i] >> j & 1)
-                         for j in range(n))
-            out.append(Poset(tuple(names), down))
-    return out
+    """All labeled posets on exactly ``n`` elements, named p0..p(n-1).
+
+    They are grown one element at a time from the empty poset: restricting
+    a poset on p0..p(m) to p0..p(m-1) leaves the elements below p(m) an
+    order ideal D and those above it an order filter U, disjoint and with
+    every member of D below every member of U.  So each poset on m + 1
+    elements comes from exactly one such triple, and the layers cost time
+    in proportion to their size (Brinkmann & McKay, "Posets on up to 16
+    points", *Order* 19, 2002).  The posets come in the order of
+    ``_relation_mask``.
+    """
+    layer: list[tuple[int, ...]] = [()]
+    for _ in range(n):
+        layer = [grown for down in layer for grown in _extensions(down)]
+    names = tuple(f"p{i}" for i in range(n))
+    return [Poset(names, down) for down in sorted(layer, key=_relation_mask)]
+
+
+def _extensions(down: tuple[int, ...]) -> Iterator[tuple[int, ...]]:
+    """The down-set rows of every poset that adds one element, above an
+    order ideal and below an order filter, to the poset with rows ``down``."""
+    m = len(down)
+    up = [0] * m
+    for j, row in enumerate(down):
+        for i in bits(row):
+            up[i] |= 1 << j
+    subsets = range(1 << m)
+    ideals = [s for s in subsets if all(not down[i] & ~s for i in bits(s))]
+    filters = [s for s in subsets if all(not up[i] & ~s for i in bits(s))]
+    new = 1 << m
+    for ideal in ideals:
+        allowed = (new - 1) & ~ideal  # above every member of the ideal
+        for i in bits(ideal):
+            allowed &= up[i]
+        for upper in filters:
+            if not upper & ~allowed:
+                yield tuple(row | new if upper >> j & 1 else row
+                            for j, row in enumerate(down)) + (ideal | new,)
+
+
+def _relation_mask(down: tuple[int, ...]) -> int:
+    """Bit b set when ``p_i < p_j`` for the b-th pair ``(i, j)``, i != j, in
+    row-major order: the order in which ``all_posets`` lists posets."""
+    n = len(down)
+    return sum(1 << (i * (n - 1) + j - (j > i))
+               for j, row in enumerate(down) for i in bits(row) if i != j)
 
 
 def labeled_corpus(max_n: int = 4) -> list[tuple[str, Poset]]:

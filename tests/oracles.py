@@ -210,3 +210,27 @@ def brute_is_downward_concatenated(P: Poset, parts) -> bool:
                                       for a in bits(above)):
             return False
     return True
+
+
+def brute_all_posets(n: int) -> list[Poset]:
+    """All labeled posets on ``n`` elements, named p0..p(n-1): every strict
+    relation mask over the pairs ``(i, j)``, i != j, in row-major order,
+    kept when it is transitive, in mask order."""
+    names = [f"p{i}" for i in range(n)]
+    pairs = [(i, j) for i in range(n) for j in range(n) if i != j]
+    out = []
+    for mask in range(1 << len(pairs)):
+        above = [0] * n  # above[i]: strict upper bounds of i, irreflexive
+        for b, (i, j) in enumerate(pairs):
+            if mask >> b & 1:
+                above[i] |= 1 << j
+        # transitivity as downward closure of the above-sets; together with
+        # irreflexivity this rules out cycles, hence forces antisymmetry
+        ok = all(not above[j] & ~above[i]
+                 for i in range(n) for j in bits(above[i]))
+        if ok:
+            down = tuple((1 << j) | sum(1 << i for i in range(n)
+                                        if above[i] >> j & 1)
+                         for j in range(n))
+            out.append(Poset(tuple(names), down))
+    return out

@@ -75,9 +75,15 @@ def test_build_duplicate_element():
     ((None,), (1,), BadParameter),
     ((1,), (1,), BadParameter),
     ((["a"],), (1,), BadParameter),
+    ("ab", (1, 2), BadParameter),
+    (("a",), "1", BadParameter),
+    (("a", "b"), b"\x01\x02", BadParameter),
+    (["a"], 1, BadParameter),
+    (1, (), BadParameter),
 ], ids=["repeated-label", "row-count", "bit-outside", "negative-row",
         "row-without-own-bit", "not-transitive", "two-cycle", "str-row",
-        "bool-row", "float-row", "none-label", "int-label", "list-label"])
+        "bool-row", "float-row", "none-label", "int-label", "list-label",
+        "str-elements", "str-down", "bytes-down", "int-down", "int-elements"])
 def test_constructor_rejects_non_orders(elements, down, error):
     with pytest.raises(error):
         Poset(elements, down)

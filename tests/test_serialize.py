@@ -103,6 +103,26 @@ def test_accepted_json_poset_round_trips_through_text(elements, data):
     assert load_poset(poset_to_text(P)) == P
 
 
+# pieces of poset text: labels, the relation separator and its near
+# misses, comments, JSON openers, line breaks that ``splitlines`` honours
+# and a lone surrogate
+TEXT_PIECES = ("a", "b", "c", "a < b", "b < c", "c < a", " < ", "<", " <", "#",
+               " ", "\t", "{", "[", "\n", "\r", "\x0b", "\x85", "\u2028",
+               "\ud800")
+
+
+@given(st.one_of(st.lists(st.sampled_from(TEXT_PIECES), max_size=12)
+                 .map("".join), st.text(max_size=12)))
+def test_poset_text_parses_or_rejects(text):
+    # every text either parses into a poset that round-trips through the
+    # text form, or raises a SpectrumError; nothing else escapes
+    try:
+        P = poset_from_text(text)
+    except SpectrumError:
+        return
+    assert poset_from_text(poset_to_text(P)) == P
+
+
 def test_load_poset_sniffs_format(diamond):
     assert load_poset(dumps(poset_to_dict(diamond))) == diamond
     assert load_poset(poset_to_text(diamond)) == diamond

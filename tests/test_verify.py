@@ -1,14 +1,16 @@
 from __future__ import annotations
 
 import gc
-import hashlib
+import json
 import random
 from collections import Counter
 from dataclasses import fields
 from itertools import product
+from pathlib import Path
 
 import pytest
 
+from oracles import brute_all_posets
 from threadsets import verify
 from threadsets.catalog import catalog
 from threadsets.errors import BadParameter, BudgetExceeded
@@ -25,7 +27,15 @@ from threadsets.verify import (SAMPLES, Bounds, VerificationReport,
 
 
 def test_all_posets_counts():
-    assert [len(all_posets(n)) for n in range(5)] == [1, 1, 3, 19, 219]
+    # OEIS A001035
+    assert [len(all_posets(n)) for n in range(6)] == [1, 1, 3, 19, 219, 4231]
+
+
+@pytest.mark.parametrize("n", range(5))
+def test_all_posets_match_the_relation_mask_scan(n):
+    # the same labeled posets in the same order as the 2^(n(n-1)) scan
+    assert [(P.elements, P.down) for P in all_posets(n)] == [
+        (P.elements, P.down) for P in brute_all_posets(n)]
 
 
 def test_all_posets_are_valid():
@@ -85,6 +95,18 @@ def test_classifier_suite_passes(diamond, monkeypatch):
     report = verify_classifier(diamond)
     assert report.passed
     assert report.cases == 71 + 1  # instances plus the Zero round-trip
+
+
+def test_classifier_suite_counts_forms_against_the_formula(star2,
+                                                           monkeypatch):
+    # one lost instance fails only the count, which adds no case
+    instances = verify.form_instances(star2)
+    monkeypatch.setattr(verify, "form_instances", lambda P: instances[1:])
+    report = verify_classifier(star2)
+    assert [f["property"] for f in report.failures] == [
+        "form_counts_match_formula"]
+    assert report.failures[0]["inputs"] == {"stratum_size": 2}
+    assert report.cases == len(instances) - 1 + 1
 
 
 def test_budget_exceeded_when_forced(diamond):
@@ -421,5 +443,14 @@ def test_reports_are_pinned():
                + run_suite("all", [("diamond(2)", diamond)],
                            Bounds(budget=10, seed=3)))
     text = dumps([r.to_dict() for r in reports])
-    assert hashlib.sha256(text.encode()).hexdigest() == (
-        "5bf912a225d9419d14403227d980fcc6ee90cc5bda62994d053cceb25b7b0479")
+    pinned = (Path(__file__).parent / "golden" / "reports_small.json"
+              ).read_bytes()
+    if text.encode() != pinned:
+        got, want = json.loads(text), json.loads(pinned)
+        i = next((i for i, (a, b) in enumerate(zip(got, want)) if a != b),
+                 min(len(got), len(want)))
+        if i < min(len(got), len(want)):
+            pytest.fail(f"report {i} differs from the golden file:\n"
+                        f"got {dumps(got[i])}want {dumps(want[i])}")
+        pytest.fail(f"{len(got)} reports against {len(want)} in the golden "
+                    f"file, the first {i} equal as JSON")
