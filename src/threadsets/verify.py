@@ -3,10 +3,12 @@
 Each suite checks one family of identities over a poset and a generated
 tuple corpus: operator laws of the reduction calculus, the thread-set
 monoid decomposition, the bucket form of the isomorphism conjecture, and
-classifier soundness.  One sampler per suite run draws the tuples and the
-associativity triples: each space is enumerated when it fits the budget
-and sampled with a reported seed otherwise, so every report is
-reproducible from its inputs and seed.
+classifier soundness.  Each suite run is one ``VerificationReport``: its
+sampler draws the tuples and the associativity triples, each space
+enumerated when it fits the budget and sampled with a reported seed
+otherwise, so every report is reproducible from its inputs and seed; and
+its tables intern the run's chain families as ints, so each tuple's
+thread sets are computed once and each pair of families composed once.
 """
 
 from __future__ import annotations
@@ -22,9 +24,8 @@ from . import catalog as _catalog
 from .classify import (CLASSIFIED_SHAPES, ZERO, NormalForm, classify_family,
                        form_instances, shape_of)
 from .errors import BadParameter, BudgetExceeded, Inconsistent, ShapeMismatch
-from .families import (EMPTY_FAMILY, ChainFamily, chains_meeting, compose,
-                       minimize, principal, singleton_tuple, thread_sets,
-                       threads)
+from .families import (EMPTY_FAMILY, ChainFamily, compose, minimize,
+                       principal, singleton_tuple, thread_sets, threads)
 from .poset import Poset, bits
 from .serialize import poset_to_dict, tuple_to_lists
 from .tuples import (ZERO_TUPLE, SubsetTuple, canonical, collapse,
@@ -65,11 +66,20 @@ class Bounds:
 
 
 class VerificationReport:
-    """One suite run: its case stream and failures while the suite runs,
-    then its report.
+    """One suite run: its case stream, chain families and failures while
+    the suite runs, then its report.
 
     A failure is recorded as the dict that ``to_dict`` emits: ``property``,
     ``inputs``, ``expected`` and ``actual``.
+
+    The run's chain families are interned as ints: ``family[i]`` is the
+    family with id ``i``, ``ids`` maps each family to its id, and
+    ``products[x][y]`` is the id of ``compose`` of families ``x`` and
+    ``y``.  ``product`` composes each distinct pair of ids once and ``of``
+    computes each tuple's thread sets once, both through this module's
+    ``compose`` and ``thread_sets``, so a check compares ints where it
+    would compare families; ``same`` records the two families of unequal
+    ids.  ``finish`` empties the tables.
     """
 
     def __init__(self, suite: str, P: Poset, bounds: Bounds, name: str = ""):
@@ -85,6 +95,10 @@ class VerificationReport:
         self.seed: int | None = None
         self.details: dict = {}
         self.case: SubsetTuple = ()
+        self.ids: dict[ChainFamily, int] = {}
+        self.family: list[ChainFamily] = []
+        self.products: list[dict[int, int]] = []
+        self._tuples: dict[SubsetTuple, int] = {}
         self.start = time.perf_counter()
         self.elapsed = 0.0
 
@@ -107,6 +121,34 @@ class VerificationReport:
               inputs: dict | None = None) -> None:
         if expected != actual:
             self.fail(prop, expected, actual, inputs)
+
+    def intern(self, F: ChainFamily) -> int:
+        i = self.ids.get(F)
+        if i is None:
+            i = self.ids[F] = len(self.family)
+            self.family.append(F)
+            self.products.append({})
+        return i
+
+    def of(self, t: SubsetTuple) -> int:
+        i = self._tuples.get(t)
+        if i is None:
+            i = self._tuples[t] = self.intern(thread_sets(self.P, t))
+        return i
+
+    def product(self, x: int, y: int) -> int:
+        z = self.products[x].get(y)
+        if z is None:
+            z = self.products[x][y] = self.intern(
+                compose(self.P, self.family[x], self.family[y]))
+        return z
+
+    def same(self, prop: str, x: int, y: int,
+             inputs: dict | None = None) -> None:
+        """Fail ``prop`` with the families of ids ``x`` and ``y`` when they
+        differ."""
+        if x != y:
+            self.fail(prop, self.family[x], self.family[y], inputs)
 
     def draw(self, lengths: range,
              what: str) -> tuple[int, Iterator[SubsetTuple], bool]:
@@ -138,11 +180,13 @@ class VerificationReport:
             yield t
 
     def finish(self) -> VerificationReport:
-        """The report: the wall time and the poset's dict are recorded and
-        the poset is dropped, since a kept report would keep its memo
-        tables alive."""
+        """The report: the wall time and the poset's dict are recorded, and
+        the poset and the family tables are dropped, since a kept report
+        would keep them and the poset's memo tables alive."""
         self.elapsed = time.perf_counter() - self.start
         self.poset, self.P = poset_to_dict(self.P), None
+        for table in (self.ids, self.family, self.products, self._tuples):
+            table.clear()
         return self
 
     @property
@@ -263,63 +307,18 @@ def verify_operator_laws(P: Poset, bounds: Bounds = Bounds(),
     return s.finish()
 
 
-class _FamilyTable:
-    """The chain families of one suite run on one poset, interned as ints.
-
-    ``family[i]`` is the family with id ``i``, ``ids`` maps each family to
-    its id, and ``products[x][y]`` is the id of ``compose`` of families
-    ``x`` and ``y``.  ``product`` composes each distinct pair of ids once
-    and ``of`` computes each tuple's thread sets once, both through this
-    module's ``compose`` and ``thread_sets``, so a check compares ints
-    where it would compare families.  Equal ids mean equal families, and a
-    failure maps the ids back through ``family``.  A suite keeps its table
-    as a local, so the table is dropped when the run returns.
-    """
-
-    __slots__ = ("P", "ids", "family", "products", "_tuples")
-
-    def __init__(self, P: Poset):
-        self.P = P
-        self.ids: dict[ChainFamily, int] = {}
-        self.family: list[ChainFamily] = []
-        self.products: list[dict[int, int]] = []
-        self._tuples: dict[SubsetTuple, int] = {}
-
-    def intern(self, F: ChainFamily) -> int:
-        i = self.ids.get(F)
-        if i is None:
-            i = self.ids[F] = len(self.family)
-            self.family.append(F)
-            self.products.append({})
-        return i
-
-    def product(self, x: int, y: int) -> int:
-        z = self.products[x].get(y)
-        if z is None:
-            z = self.products[x][y] = self.intern(
-                compose(self.P, self.family[x], self.family[y]))
-        return z
-
-    def of(self, t: SubsetTuple) -> int:
-        i = self._tuples.get(t)
-        if i is None:
-            i = self._tuples[t] = self.intern(thread_sets(self.P, t))
-        return i
-
-
 def verify_thread_monoid(P: Poset, bounds: Bounds = Bounds(),
                          name: str = "") -> VerificationReport:
     """Thread-set decomposition, composition laws, reduction shadows, and
     the chains, principal families and zones that tuples of them name.
 
-    Every family goes through one ``_FamilyTable``: each tuple's thread
+    Every family is read from the report's tables: each tuple's thread
     sets are computed once, whether it is a corpus tuple or a slice, a
     reduction or a restriction of one, and each pair of families is
     composed once.  ``P.chains()`` is checked only when its 2^n bound fits
     the budget."""
     s = VerificationReport("monoid", P, bounds, name)
-    table = _FamilyTable(P)
-    of, times, family = table.of, table.product, table.family
+    of, times, same, family = s.of, s.product, s.same, s.family
     chain_set = None
     if 1 << P.n <= bounds.budget:  # P has fewer than 2^n chains
         chains = list(P.chains())
@@ -334,13 +333,10 @@ def verify_thread_monoid(P: Poset, bounds: Bounds = Bounds(),
         enumerated = minimize({th.support for th in threads(P, t)})
         s.check("thread_sets_decompose", enumerated, F)
         for j in range(1, len(t)):
-            y = times(of(t[:j]), of(t[j:]))
-            if y != x:
-                s.fail("thread_sets_of_concatenation", F, family[y])
+            same("thread_sets_of_concatenation", x,
+                 times(of(t[:j]), of(t[j:])))
         reduced = canonical(P, t)
-        y = of(reduced)
-        if y != x:
-            s.fail("canonical_preserves_thread_sets", F, family[y])
+        same("canonical_preserves_thread_sets", x, of(reduced))
         s.check("no_thread_iff_zero", F.is_empty(), reduced == ZERO_TUPLE)
         if len(t) == 1:
             a = t[0]
@@ -356,47 +352,41 @@ def verify_thread_monoid(P: Poset, bounds: Bounds = Bounds(),
                     canonical(P, restrict(P, t[:-1], t[-1])))
         if len(t) == 2:
             a, b = t
-            y = of((a & P.up_set(b), b))
-            if y != x:
-                s.fail("head_restricts_to_upset", F, family[y])
-            y = of((a, b & P.down_set(a)))
-            if y != x:
-                s.fail("tail_restricts_to_downset", F, family[y])
-    _associativity(s, table)
+            same("head_restricts_to_upset", x, of((a & P.up_set(b), b)))
+            same("tail_restricts_to_downset", x, of((a, b & P.down_set(a))))
+    _associativity(s)
     return s.finish()
 
 
-def _associativity(s: VerificationReport, table: _FamilyTable) -> None:
-    """``compose`` is associative on the families ``chains_meeting(P, a)``.
+def _associativity(s: VerificationReport) -> None:
+    """``compose`` is associative on the generators, the thread sets
+    ``s.of((a,))`` of the 1-tuples, which are ``chains_meeting(P, a)``.
 
     The triples ``(a, b, c)`` are drawn as tuples of length 3, and every
-    product is read from ``table``, so each distinct pair of families is
+    product is read from the report, so each distinct pair of families is
     composed once and the loops compare ints only.  An enumerated space is
     checked a row at a time: for each ``(a, b)`` in order, the row of
     ``(ab)c`` over every ``c`` is compared with the row of ``a(bc)``.  The
-    row of a family, its products with every ``chains_meeting(P, c)``, is
-    kept by id, so ``(ab)c`` and ``bc`` are read from rows.  A sampled
-    draw is checked one triple at a time.  Either way failures come in
-    triple order, and map the ids back to families.
+    row of a family, its products with every generator, is kept by id, so
+    ``(ab)c`` and ``bc`` are read from rows.  A sampled draw is checked
+    one triple at a time.  Either way failures come in triple order, and
+    record the two families.
     """
-    P, times, family = s.P, table.product, table.family
+    P, of, times = s.P, s.of, s.product
     total, triples, sampled = s.draw(range(3, 4), "triples")
 
-    def gen(a: int) -> int:
-        return table.intern(chains_meeting(P, a))
-
     def fail(a: int, b: int, c: int, left: int, right: int) -> None:
-        s.fail("compose_associative", family[left], family[right],
+        s.same("compose_associative", left, right,
                {"subsets": tuple_to_lists(P, (a, b, c))})
 
     if sampled:
         for a, b, c in triples:
-            x, y, z = gen(a), gen(b), gen(c)
+            x, y, z = of((a,)), of((b,)), of((c,))
             left, right = times(times(x, y), z), times(x, times(y, z))
             if left != right:
                 fail(a, b, c, left, right)
     else:
-        column = [gen(c) for c in range(1 << P.n)]
+        column = [of((c,)) for c in range(1 << P.n)]
         rows: dict[int, list[int]] = {}
 
         def row(x: int) -> list[int]:
@@ -424,9 +414,9 @@ def verify_conjecture(P: Poset, bounds: Bounds = Bounds(),
     On shape-supported posets every bucket must classify to a single normal
     form; on other finite posets the bucket partition is still computed and
     the invariance of thread sets under canonical reduction is checked.
-    Thread sets are read from a ``_FamilyTable``, so a canonical form that
-    is itself a corpus tuple is not computed again, and buckets are keyed
-    by family id.
+    Thread sets are read from the report's tables, so a canonical form
+    that is itself a corpus tuple is not computed again, and buckets are
+    keyed by family id.
 
     ``same_thread_sets_same_form`` cannot fail on the classified shapes:
     ``classify_family`` reads only ``P`` and the family, so two tuples with
@@ -437,21 +427,17 @@ def verify_conjecture(P: Poset, bounds: Bounds = Bounds(),
     s = VerificationReport("conjecture", P, bounds, name)
     shape = shape_of(P)
     supported = shape in CLASSIFIED_SHAPES
-    table = _FamilyTable(P)
-    of, family = table.of, table.family
+    of, same, family = s.of, s.same, s.family
     buckets: dict[int, tuple[NormalForm, SubsetTuple]] = {}
-    sizes: dict[int, int] = {}
+    sizes: Counter[int] = Counter()
     for t in s.corpus():
         x = of(t)
-        F = family[x]
-        y = of(canonical(P, t))
-        if y != x:
-            s.fail("canonical_preserves_thread_sets", F, family[y])
-        sizes[x] = sizes.get(x, 0) + 1
+        same("canonical_preserves_thread_sets", x, of(canonical(P, t)))
+        sizes[x] += 1
         if not supported:
             continue
         try:
-            nf = classify_family(P, F)
+            nf = classify_family(P, family[x])
         except Inconsistent as exc:  # a counterexample to the theorem
             s.fail("family_realized", "a normal form", exc)
             continue
@@ -463,10 +449,8 @@ def verify_conjecture(P: Poset, bounds: Bounds = Bounds(),
                    {"tuples": [tuple_to_lists(P, u) for u in (held[1], t)]})
     s.details["shape"] = shape
     s.details["buckets"] = len(sizes)
-    histogram: dict[int, int] = {}
-    for count in sizes.values():
-        histogram[count] = histogram.get(count, 0) + 1
-    s.details["bucket_size_histogram"] = dict(sorted(histogram.items()))
+    s.details["bucket_size_histogram"] = dict(
+        sorted(Counter(sizes.values()).items()))
     return s.finish()
 
 
@@ -516,16 +500,16 @@ def verify_classifier(P: Poset, bounds: Bounds = Bounds(),
             {tag: count(m) for tag, count in _FORM_COUNTS[dim].items()},
             dict(Counter(inst.tag for inst in instances)),
             {"stratum_size": m})
-    seen: dict[ChainFamily, NormalForm] = {}
+    seen: dict[int, NormalForm] = {}
     for inst in instances:
         s.cases += 1
         defining = inst.as_tuple(P)
-        F = thread_sets(P, defining)
+        x = s.of(defining)
         try:
-            got = classify_family(P, F)
+            got = classify_family(P, s.family[x])
         except Inconsistent as exc:  # a counterexample to the theorem
             got = exc
-        other = seen.setdefault(F, inst)
+        other = seen.setdefault(x, inst)
         if inst != got or other is not inst:  # label the inputs on failure
             inputs = {"form": inst.describe(P),
                       "tuple": tuple_to_lists(P, defining)}
@@ -639,6 +623,8 @@ def run_suite(suite: str, posets: list[tuple[str, Poset]] | None = None,
     adapt = posets is None
     if posets is None:
         posets = default_corpus()
+    elif not posets:
+        raise BadParameter(f"no poset to run {suite} on")
     suites = list(_SUITES) if suite == "all" else [suite]
     reports = []
     for which in suites:

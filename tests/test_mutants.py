@@ -1,0 +1,39 @@
+"""Every seeded mutant of ``tools/mutants.py`` still applies to the source.
+
+The runner itself is not part of the test suite, since each mutant costs a
+full ``verify all``; this only checks that each patch's old text occurs
+exactly once, so that an edit of the library cannot silently retire a
+mutant.
+"""
+
+from __future__ import annotations
+
+import importlib.util
+from pathlib import Path
+
+import pytest
+
+ROOT = Path(__file__).resolve().parents[1]
+
+
+def _runner():
+    spec = importlib.util.spec_from_file_location(
+        "mutants", ROOT / "tools" / "mutants.py")
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+RUNNER = _runner()
+
+
+def test_mutant_names_are_distinct():
+    names = [m.name for m in RUNNER.MUTANTS]
+    assert len(names) == len(set(names))
+
+
+@pytest.mark.parametrize("mutant", RUNNER.MUTANTS, ids=lambda m: m.name)
+def test_mutant_applies_exactly_once(mutant):
+    assert RUNNER.SRC == ROOT / "src"
+    assert RUNNER.occurrences(mutant) == 1
+    assert mutant.old != mutant.new

@@ -119,3 +119,18 @@ def _unread() -> set[str]:
 
 def test_every_public_name_has_a_reader_in_the_library():
     assert _unread() == set(ALLOWED)
+
+
+def test_verify_reads_families_through_its_report():
+    """``verify`` computes thread sets and products only in the report's
+    interning methods, so every suite reads its families from one table."""
+    module = _Module("verify")
+    module.visit(ast.parse((SOURCE / "verify.py").read_text(encoding="utf-8")))
+    loads = {name: {scope for n, scope in module.names if n == name}
+             for name in ("thread_sets", "compose", "chains_meeting")}
+    assert loads == {
+        "thread_sets": {("verify", "VerificationReport", "of")},
+        "compose": {("verify", "VerificationReport", "product")},
+        "chains_meeting": set(),
+    }
+    assert ("families", "chains_meeting") not in module.imports

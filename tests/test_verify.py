@@ -13,15 +13,15 @@ import pytest
 from oracles import brute_all_posets
 from threadsets import verify
 from threadsets.catalog import catalog
-from threadsets.errors import BadParameter, BudgetExceeded
+from threadsets.errors import BadParameter, BudgetExceeded, ShapeMismatch
 from threadsets.families import (ChainFamily, chains_meeting, compose,
                                  thread_sets)
 from threadsets.poset import Poset, build_poset
 from threadsets.serialize import dumps, tuple_to_lists
 from threadsets.verify import (SAMPLES, Bounds, VerificationReport,
                                _all_tuples, _associativity, _decode_tuple,
-                               _FamilyTable, all_posets, deepened,
-                               default_corpus, labeled_corpus, run_suite,
+                               all_posets, deepened, default_corpus,
+                               labeled_corpus, run_suite,
                                verify_classifier, verify_conjecture,
                                verify_operator_laws, verify_thread_monoid)
 
@@ -177,8 +177,13 @@ def test_decoder_reaches_every_length_on_the_empty_poset():
 def test_failure_records_carry_inputs(diamond):
     report = VerificationReport("demo", diamond, Bounds())
     report.check("some_property", 1, 2, {"tuple": [["a"]]})
+    report.product(report.of((1,)), report.of((2, 4)))
+    assert report.family and report.products[0]
     assert report.finish() is report
-    assert report.P is None  # a kept report keeps no memo tables alive
+    # a kept report keeps no families and no memo tables alive
+    assert report.P is None
+    assert not (report.family or report.ids or report.products
+                or report._tuples)
     assert not report.passed
     assert report.failure_count == 1
     assert report.failures == [{"property": "some_property",
@@ -239,7 +244,7 @@ def test_associativity_failures_map_back_to_families(poset, budget, request,
     monkeypatch.setattr(verify, "compose", difference)
     bounds = Bounds(budget=budget, seed=5)
     report = VerificationReport("monoid", P, bounds)
-    _associativity(report, _FamilyTable(P))
+    _associativity(report)
     report.finish()
 
     size = 1 << P.n
@@ -400,6 +405,19 @@ def test_run_suite_leaves_no_cycle():
 def test_run_suite_rejects_unknown_name():
     with pytest.raises(ValueError):
         run_suite("everything")
+
+
+@pytest.mark.parametrize("suite", verify.SUITE_NAMES)
+def test_run_suite_rejects_an_empty_corpus(suite):
+    with pytest.raises(BadParameter, match=f"no poset to run {suite} on$"):
+        run_suite(suite, [])
+
+
+def test_run_suite_needs_a_classified_shape_for_the_classifier(two_chains):
+    with pytest.raises(ShapeMismatch, match="needs one of the shapes"):
+        run_suite("classifier", [("two chains", two_chains)])
+    assert len(run_suite("all", [("two chains", two_chains)],
+                         Bounds(max_k=1))) == 3
 
 
 def test_explicit_posets_keep_given_bounds():
