@@ -183,7 +183,8 @@ def classify_dim1(P: Poset, F: ChainFamily) -> NormalForm:
     Writing t for the top and reading off C = {q != t : F.member({q})} and
     D = {q != t : F.member({q, t})}: membership of {t} forces the smashing
     form on {t} | C; otherwise C == D is the colocal form on C and C < D
-    the mixed composite ({t} | C, D).
+    the mixed composite ({t} | C, D).  Membership is monotone (a member's
+    supersets are members), so C is always a subset of D.
     """
     t, _ = _extremes(P, DIM1_IRREDUCIBLE)
     if F.is_empty():
@@ -196,10 +197,8 @@ def classify_dim1(P: Poset, F: ChainFamily) -> NormalForm:
         d = _stratum(F, rest, t)
         if c == d:
             form = NormalForm("D1_Lambda", (c,))
-        elif c | d == d:
-            form = NormalForm("D1_Mixed", (c, d))
         else:
-            raise Inconsistent("singleton thread sets escape the {q, t} ones")
+            form = NormalForm("D1_Mixed", (c, d))
     return _verified(P, F, form)
 
 
@@ -209,7 +208,9 @@ def classify_dim2(P: Poset, F: ChainFamily) -> NormalForm:
     The decision tree follows the characterizations by membership of {t},
     {m}, {t, m} and the strata of members D = {p : F.member({m, p})},
     E = {p : F.member({t, p})}, F0 = {p : F.member({p})} and
-    G = {p : F.member({t, m, p})} over the length-1 primes.
+    G = {p : F.member({t, m, p})} over the length-1 primes.  Membership is
+    monotone, so F0 is a subset of D & E and D | E of G, and the tree tests
+    no inclusion that these imply.
     The reconstructed form is re-expanded through its defining tuple and
     checked against F; a mismatch means no form realizes the family.
     """
@@ -228,31 +229,25 @@ def classify_dim2(P: Poset, F: ChainFamily) -> NormalForm:
     elif has_t:
         if f0 == d:
             form = NormalForm("D2_Form2", (f0,))
-        elif f0 | d == d:
-            form = NormalForm("D2_Form8", (d, f0))
         else:
-            raise Inconsistent("strata of the family fit no form")
+            form = NormalForm("D2_Form8", (d, f0))
     elif has_m:
         if f0 == e:
             form = NormalForm("D2_Form3", (f0,))
-        elif f0 | e == e:
-            form = NormalForm("D2_Form9", (f0, e))
         else:
-            raise Inconsistent("strata of the family fit no form")
+            form = NormalForm("D2_Form9", (f0, e))
     elif has_tm:
         if d & e == f0:
             form = NormalForm("D2_Form7", (d, e))
-        elif f0 | (d & e) == d & e:
-            form = NormalForm("D2_Form11", (d, f0, e))
         else:
-            raise Inconsistent("strata of the family fit no form")
+            form = NormalForm("D2_Form11", (d, f0, e))
     elif f0 == d == e == g:
         form = NormalForm("D2_Form1", (f0,))
-    elif f0 == d and e == g and e | d == e and e != d:
+    elif f0 == d and e == g:
         form = NormalForm("D2_Form5", (f0, e))
-    elif f0 == e and d == g and d | e == d and d != e:
+    elif f0 == e and d == g:
         form = NormalForm("D2_Form6", (d, f0))
-    elif d | g == g and d != g and e | g == g and e != g and d & e == f0:
+    elif d & e == f0:  # then d < g and e < g, else Form5 or Form6
         form = NormalForm("D2_Form10", (d, g, e))
     else:
         raise Inconsistent("strata of the family fit no form")

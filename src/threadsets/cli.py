@@ -43,25 +43,30 @@ def _load_poset(args) -> Poset:
     return serialize.load_poset(_read(args.poset))
 
 
-def _load_tuples(args, P: Poset, count: int) -> list[SubsetTuple]:
-    paths = args.tuple or []
-    if len(paths) != count:
-        raise BadParameter(
-            f"this command needs exactly {count} --tuple FILE argument(s)")
-    return [serialize.tuple_from_lists(P, serialize.loads(_read(p)))
-            for p in paths]
+def _inputs(args) -> list:
+    """The poset and exactly ``args.tuples`` tuples read from the files of
+    ``--poset`` and ``--tuple``."""
+    P = _load_poset(args)
+    paths = getattr(args, "tuple", None) or []
+    if len(paths) != args.tuples:
+        raise BadParameter(f"this command needs exactly {args.tuples} "
+                           "--tuple FILE argument(s)")
+    return [P, *(serialize.tuple_from_lists(P, serialize.loads(_read(p)))
+                 for p in paths)]
 
 
-def _emit(args, payload: dict, text: str) -> None:
-    if args.format == "json":
+def _emit(fmt: str, payload: dict, text: str) -> None:
+    if fmt == "json":
         sys.stdout.write(serialize.dumps(payload))
     else:
         sys.stdout.write(text if text.endswith("\n") else text + "\n")
 
 
-def _cmd_reduce(args) -> int:
-    P = _load_poset(args)
-    (t,) = _load_tuples(args, P, 1)
+# Each command returns its exit code, its JSON payload and its text.
+_Result = tuple[int, dict, str]
+
+
+def _cmd_reduce(P: Poset, t: SubsetTuple) -> _Result:
     stages = {
         "input": t,
         "prune_upward": prune_upward(P, t),
@@ -72,72 +77,54 @@ def _cmd_reduce(args) -> int:
     }
     payload = {k: serialize.tuple_to_lists(P, v) for k, v in stages.items()}
     text = "\n".join(f"{k}: {tuple_text(P, v)}" for k, v in stages.items())
-    _emit(args, payload, text)
-    return 0
+    return 0, payload, text
 
 
-def _cmd_threads(args) -> int:
-    P = _load_poset(args)
-    (t,) = _load_tuples(args, P, 1)
+def _cmd_threads(P: Poset, t: SubsetTuple) -> _Result:
     found = list(threads(P, t))
     payload = {"threads": [list(th.labels(P)) for th in found]}
     text = "\n".join(" >= ".join(th.labels(P)) for th in found) or "(none)"
-    _emit(args, payload, text)
-    return 0
+    return 0, payload, text
 
 
-def _cmd_tset(args) -> int:
-    P = _load_poset(args)
-    (t,) = _load_tuples(args, P, 1)
+def _cmd_tset(P: Poset, t: SubsetTuple) -> _Result:
     F = thread_sets(P, t)
     text = "\n".join(set_text(P, g) for g in F.sorted_generators()) or "(empty)"
-    _emit(args, serialize.family_to_dict(P, F), text)
-    return 0
+    return 0, serialize.family_to_dict(P, F), text
 
 
-def _cmd_eq(args) -> int:
-    P = _load_poset(args)
-    first, second = _load_tuples(args, P, 2)
+def _cmd_eq(P: Poset, first: SubsetTuple, second: SubsetTuple) -> _Result:
     F, G = thread_sets(P, first), thread_sets(P, second)
     if F == G:
-        _emit(args, {"equal": True}, "equal")
-        return 0
+        return 0, {"equal": True}, "equal"
     witness = min(F ^ G, key=lambda m: (m.bit_count(), tuple(P.labels(m))))
     side = "first" if F.member(witness) else "second"
     payload = {"equal": False, "witness": list(P.labels(witness)),
                "witness_only_in": side}
-    _emit(args, payload,
-          f"unequal: generator {set_text(P, witness)} only in the {side} tuple")
-    return 1
+    return 1, payload, (f"unequal: generator {set_text(P, witness)} only in "
+                        f"the {side} tuple")
 
 
-def _cmd_classify(args) -> int:
-    P = _load_poset(args)
-    (t,) = _load_tuples(args, P, 1)
+def _cmd_classify(P: Poset, t: SubsetTuple) -> _Result:
     nf = normal_form(P, t)
-    _emit(args, serialize.form_to_dict(P, nf), nf.describe(P))
-    return 0
+    return 0, serialize.form_to_dict(P, nf), nf.describe(P)
 
 
-def _cmd_dot(args) -> int:
-    P = _load_poset(args)
-    sys.stdout.write(serialize.poset_to_dot(P))
-    return 0
+def _cmd_dot(P: Poset) -> _Result:
+    return 0, {}, serialize.poset_to_dot(P)
 
 
-def _cmd_catalog(args) -> int:
+def _cmd_catalog(args) -> _Result:
     if args.action == "list":
         if args.format == "dot":
             raise BadParameter("catalog list writes text or json, not dot")
-        payload = {"entries": catalog_mod.names()}
-        _emit(args, payload, "\n".join(catalog_mod.names()))
-        return 0
+        names = catalog_mod.names()
+        return 0, {"entries": names}, "\n".join(names)
     if not args.name:
         raise BadParameter("catalog emit needs an entry name")
     entry = catalog_mod.catalog(args.name, *(args.params or []))
     if args.format == "dot":
-        sys.stdout.write(serialize.poset_to_dot(entry.poset))
-        return 0
+        return _cmd_dot(entry.poset)
     payload = {
         "name": entry.name,
         "params": list(entry.params),
@@ -150,11 +137,10 @@ def _cmd_catalog(args) -> int:
              serialize.poset_to_text(entry.poset).rstrip()]
     for tname, t in entry.tuples.items():
         lines.append(f"tuple {tname}: {tuple_text(entry.poset, t)}")
-    _emit(args, payload, "\n".join(lines))
-    return 0
+    return 0, payload, "\n".join(lines)
 
 
-def _cmd_verify(args) -> int:
+def _cmd_verify(args) -> _Result:
     bounds = verify.Bounds(max_k=args.max_k, budget=args.budget,
                            exhaustive=args.exhaustive,
                            seed=args.seed)
@@ -169,8 +155,7 @@ def _cmd_verify(args) -> int:
     status = "pass" if failed == 0 else f"FAIL in {failed} report(s)"
     lines = [r.to_text() for r in reports]
     lines.append(f"== {len(reports)} reports, {total} cases: {status}")
-    _emit(args, payload, "\n".join(lines))
-    return 0 if failed == 0 else 1
+    return (0 if failed == 0 else 1), payload, "\n".join(lines)
 
 
 class _UsageError(BadParameter):
@@ -212,20 +197,23 @@ def build_parser() -> argparse.ArgumentParser:
         p.set_defaults(run=run)
         return p
 
-    def on_tuples(name, run, help):
+    def on_tuples(name, run, help, tuples=1):
+        """A command of the poset and ``tuples`` tuples, read by ``_inputs``."""
         p = command(name, run, help)
+        p.set_defaults(tuples=tuples)
         p.add_argument("--poset", help="poset file (JSON or text)")
-        p.add_argument("--tuple", action="append",
-                       help="tuple file (JSON), repeatable")
-        p.add_argument("--format", choices=("text", "json"), default="text")
+        if tuples:
+            p.add_argument("--tuple", action="append",
+                           help="tuple file (JSON), repeatable")
+            p.add_argument("--format", choices=("text", "json"),
+                           default="text")
 
     on_tuples("reduce", _cmd_reduce, "print all reductions of a tuple")
     on_tuples("threads", _cmd_threads, "enumerate the threads of a tuple")
     on_tuples("tset", _cmd_tset, "minimal generators of the thread sets")
-    on_tuples("eq", _cmd_eq, "compare the thread sets of two tuples")
+    on_tuples("eq", _cmd_eq, "compare the thread sets of two tuples", 2)
     on_tuples("classify", _cmd_classify, "normal form of a tuple")
-    dot = command("dot", _cmd_dot, "emit the cover relation as DOT")
-    dot.add_argument("--poset", help="poset file (JSON or text)")
+    on_tuples("dot", _cmd_dot, "emit the cover relation as DOT", 0)
 
     cat = command("catalog", _cmd_catalog, "list or emit example spectra")
     cat.add_argument("action", choices=("list", "emit"))
@@ -252,8 +240,8 @@ def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     try:
         args = parser.parse_args(argv)
-    except SystemExit as exc:  # --help
-        return 2 if exc.code not in (0, None) else 0
+    except SystemExit:  # --help; every other exit is a _UsageError
+        return 0
     except _UsageError as exc:
         if _format_of(argv) == "json":
             _error("json", exc.code, str(exc))
@@ -263,7 +251,12 @@ def main(argv: list[str] | None = None) -> int:
         return 2
     fmt = getattr(args, "format", "text")
     try:
-        return args.run(args)
+        if hasattr(args, "tuples"):  # set by on_tuples: read its inputs
+            code, payload, text = args.run(*_inputs(args))
+        else:
+            code, payload, text = args.run(args)
+        _emit(fmt, payload, text)
+        return code
     except SpectrumError as exc:
         _error(fmt, exc.code, str(exc))
         return 2

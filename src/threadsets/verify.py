@@ -70,7 +70,9 @@ class VerificationReport:
     the suite runs, then its report.
 
     A failure is recorded as the dict that ``to_dict`` emits: ``property``,
-    ``inputs``, ``expected`` and ``actual``.
+    ``inputs``, ``expected`` and ``actual``.  Every failure is counted per
+    property, also past the first ``FAILURE_CAP`` recorded, and
+    ``failure_count`` is their sum.
 
     The run's chain families are interned as ints: ``family[i]`` is the
     family with id ``i``, ``ids`` maps each family to its id, and
@@ -90,7 +92,7 @@ class VerificationReport:
         self.poset_name = name or f"poset:{','.join(P.elements) or '<empty>'}"
         self.mode = "exhaustive"
         self.cases = 0
-        self.failure_count = 0
+        self.failures_by_property: Counter = Counter()
         self.failures: list[dict] = []
         self.seed: int | None = None
         self.details: dict = {}
@@ -109,7 +111,7 @@ class VerificationReport:
         ``inputs`` defaults to the current corpus case, labeled only when
         the failure is recorded.
         """
-        self.failure_count += 1
+        self.failures_by_property[prop] += 1
         if len(self.failures) < FAILURE_CAP:
             if inputs is None:
                 inputs = {"tuple": tuple_to_lists(self.P, self.case)}
@@ -190,12 +192,19 @@ class VerificationReport:
         return self
 
     @property
+    def failure_count(self) -> int:
+        return sum(self.failures_by_property.values())
+
+    @property
     def passed(self) -> bool:
-        return self.failure_count == 0
+        return not self.failures_by_property
 
     def to_dict(self) -> dict:
         # elapsed is deliberately omitted: reports must be byte-identical
-        # for identical inputs and seed
+        # for identical inputs and seed; only a failed report counts per
+        # property, so passing reports keep their bytes
+        by_property = {} if self.passed else {"failures_by_property": dict(
+            sorted(self.failures_by_property.items()))}
         return {
             "suite": self.suite,
             "poset_name": self.poset_name,
@@ -205,6 +214,7 @@ class VerificationReport:
             "seed": self.seed,
             "passed": self.passed,
             "failure_count": self.failure_count,
+            **by_property,
             "failures": self.failures,
             "details": self.details,
         }

@@ -124,3 +124,6 @@ def test_unknown_entry_and_bad_parameters():
         catalog("zariski_xy", 0, 1)
     with pytest.raises(BadParameter):
         catalog("star", 999)
+    for name, param in [("chromatic", -1), ("diamond", 25), ("circle", 0)]:
+        with pytest.raises(BadParameter):
+            catalog(name, param)

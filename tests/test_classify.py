@@ -1,16 +1,19 @@
 from __future__ import annotations
 
 from collections import Counter
+from itertools import combinations
 
 import pytest
 
 from oracles import normal_form_dim0
 from threadsets import classify
-from threadsets.classify import (DIM0, DIM1_IRREDUCIBLE,
+from threadsets.catalog import catalog
+from threadsets.classify import (CLASSIFIED_SHAPES, DIM0, DIM1_IRREDUCIBLE,
                                  DIM2_UNIQUE_EXTREMES, FINITE, PAYLOAD_KEYS,
                                  ZERO, NormalForm, classify_dim0,
                                  classify_dim1, classify_dim2, classify_family,
-                                 form_instances, normal_form, shape_of)
+                                 form_defect, form_instances, normal_form,
+                                 shape_of)
 from threadsets.errors import Inconsistent, ShapeMismatch
 from threadsets.families import EMPTY_FAMILY, family, thread_sets
 from threadsets.poset import build_poset
@@ -169,6 +172,37 @@ def test_dim2_inconsistent(diamond):
                            diamond.subset(["a", "m"])])
     with pytest.raises(Inconsistent):
         classify_dim2(diamond, bad)
+
+
+def test_unrealized_form_names_the_closest(star2, monkeypatch):
+    # a TopSmash row that builds the colocal tuple: the tree still picks
+    # TopSmash, and the re-expansion check refuses it
+    row = classify._FORMS["D1_TopSmash"]
+    monkeypatch.setitem(classify._FORMS, "D1_TopSmash",
+                        row._replace(build=lambda t, m, c: (c,)))
+    F = thread_sets(star2, (star2.subset(["t"]),))
+    with pytest.raises(Inconsistent, match=r"closest: D1_TopSmash\)"):
+        classify_dim1(star2, F)
+
+
+def test_classified_forms_meet_their_side_conditions():
+    # membership is monotone, so the trees test no implied inclusion; every
+    # form they return must still be one a tuple can classify to
+    posets = [catalog("star", 3).poset, catalog("diamond", 3).poset]
+    posets += [P for n in range(4) for P in all_posets(n)
+               if shape_of(P) in CLASSIFIED_SHAPES]
+    tags = Counter()
+    for P in posets:
+        chains = list(P.chains())
+        for k in range(1, 4):
+            for some in combinations(chains, k):
+                try:
+                    nf = classify_family(P, family(P, some))
+                except Inconsistent:
+                    continue
+                assert form_defect(P, nf.tag, nf.payload) is None, (P, nf)
+                tags[nf.tag] += 1
+    assert set(tags) == set(PAYLOAD_KEYS) - {"Zero"}
 
 
 def test_dim2_shape_mismatch(star2):

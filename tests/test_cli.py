@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import ast
 import contextlib
 import io
 import json
@@ -415,6 +416,31 @@ def test_format_without_value_prints_usage(capsys):
     assert "argument --format: expected one argument" in err
 
 
+@pytest.mark.parametrize("argv", [["--help"], ["verify", "--help"]])
+def test_help_exits_zero_on_stdout(capsys, argv):
+    code, out, err = run(capsys, *argv)
+    assert (code, err) == (0, "")
+    assert out.startswith(" ".join(["usage: threadsets", *argv[:-1]]))
+
+
+def _stdout_writers(tree: ast.AST) -> set[str]:
+    """The functions of a module that name ``sys.stdout`` or call ``print``."""
+    found = set()
+    for fn in ast.walk(tree):
+        if isinstance(fn, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            for node in ast.walk(fn):
+                if (isinstance(node, ast.Attribute) and node.attr == "stdout"
+                        or isinstance(node, ast.Name) and node.id == "print"):
+                    found.add(fn.name)
+    return found
+
+
+def test_only_emit_and_error_write_stdout():
+    # the commands return their payload and text, and main writes them
+    tree = ast.parse(Path(cli.__file__).read_text(encoding="utf-8"))
+    assert _stdout_writers(tree) == {"_emit", "_error"}
+
+
 def test_cycle_error_code(write, capsys):
     poset = write("p.json", {"elements": ["x", "y"],
                              "relations": ["x < y", "y < x"]})
@@ -425,14 +451,15 @@ def test_cycle_error_code(write, capsys):
 
 # -- internal errors and fuzzing of main()
 
-def _broken(args):
+def _broken(P, t):
     raise RuntimeError("boom")
 
 
 def test_internal_error_text_mode(write, capsys, monkeypatch):
     monkeypatch.setattr(cli, "_cmd_tset", _broken)
     poset = write("p.json", ANTICHAIN3)
-    code, out, err = run(capsys, "tset", "--poset", poset)
+    t = write("t.json", [["p"]])
+    code, out, err = run(capsys, "tset", "--poset", poset, "--tuple", t)
     assert code == 3
     assert out == ""
     lines = err.splitlines()
@@ -444,7 +471,9 @@ def test_internal_error_text_mode(write, capsys, monkeypatch):
 def test_internal_error_json_mode(write, capsys, monkeypatch):
     monkeypatch.setattr(cli, "_cmd_tset", _broken)
     poset = write("p.json", ANTICHAIN3)
-    code, out, err = run(capsys, "tset", "--poset", poset, "--format", "json")
+    t = write("t.json", [["p"]])
+    code, out, err = run(capsys, "tset", "--poset", poset, "--tuple", t,
+                         "--format", "json")
     assert code == 3
     assert err == ""
     error = json.loads(out)["error"]

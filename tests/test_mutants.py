@@ -37,3 +37,12 @@ def test_mutant_applies_exactly_once(mutant):
     assert RUNNER.SRC == ROOT / "src"
     assert RUNNER.occurrences(mutant) == 1
     assert mutant.old != mutant.new
+
+
+def test_failing_properties_read_the_exact_counts():
+    reports = [{"failures_by_property": {"a": 60, "b": 2}},
+               {"passed": True},
+               {"failures_by_property": {"b": 3}}]
+    assert RUNNER.failing_properties(reports) == {
+        "a": {"reports": 1, "failures": 60},
+        "b": {"reports": 2, "failures": 5}}

@@ -13,6 +13,7 @@ import pytest
 from oracles import brute_all_posets
 from threadsets import verify
 from threadsets.catalog import catalog
+from threadsets.classify import NormalForm
 from threadsets.errors import BadParameter, BudgetExceeded, ShapeMismatch
 from threadsets.families import (ChainFamily, chains_meeting, compose,
                                  thread_sets)
@@ -107,6 +108,24 @@ def test_classifier_suite_counts_forms_against_the_formula(star2,
         "form_counts_match_formula"]
     assert report.failures[0]["inputs"] == {"stratum_size": 2}
     assert report.cases == len(instances) - 1 + 1
+
+
+def test_classifier_suite_flags_a_repeated_instance(star2, monkeypatch):
+    instances = verify.form_instances(star2)
+    first = instances[0]
+    again = NormalForm(first.tag, first.payload)  # equal, not the same
+    monkeypatch.setattr(verify, "form_instances",
+                        lambda P: instances + [again])
+    report = verify_classifier(star2)
+    repeated = [f for f in report.failures
+                if f["property"] == "forms_have_distinct_thread_sets"]
+    assert repeated == [{
+        "property": "forms_have_distinct_thread_sets",
+        "inputs": {"form": first.describe(star2),
+                   "tuple": tuple_to_lists(star2, first.as_tuple(star2))},
+        "expected": repr(first), "actual": repr(again)}]
+    assert report.failures_by_property == {
+        "form_counts_match_formula": 1, "forms_have_distinct_thread_sets": 1}
 
 
 def test_budget_exceeded_when_forced(diamond):
@@ -204,6 +223,19 @@ def test_report_text_lists_failures_up_to_the_cap(diamond):
     assert lines[1] == "  some_property: expected 0, got 0 on {'case': 0}"
     assert len(lines) == 1 + verify.FAILURE_CAP + 1
     assert lines[-1] == "  ... 2 further failures not shown"
+
+
+def test_failures_are_counted_per_property_past_the_cap(diamond):
+    report = VerificationReport("demo", diamond, Bounds())
+    for i in range(verify.FAILURE_CAP):
+        report.fail("first", i, -i, {"case": i})
+    for i in range(3):  # all after the cap: none of them is recorded
+        report.fail("late", i, -i, {"case": i})
+    data = report.finish().to_dict()
+    assert {f["property"] for f in data["failures"]} == {"first"}
+    assert data["failure_count"] == verify.FAILURE_CAP + 3
+    assert data["failures_by_property"] == {"first": verify.FAILURE_CAP,
+                                            "late": 3}
 
 
 def test_monoid_suite_lists_chains_only_within_the_budget(monkeypatch):

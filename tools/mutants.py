@@ -7,14 +7,15 @@ Per mutant, a copy of ``src/`` is patched under a temporary directory and
 ``python -m threadsets verify all --format json`` runs on it, one
 subprocess at a time.  The table records the exit code, whether the
 emitted report's sha256 moved from the unmutated one, and, per failing
-property, the number of reports that record it (a report records its
-first ``verify.FAILURE_CAP`` failures).  A mutant is ``killed``
+property, the number of reports that count a failure of it and the number
+of its failures, both read from each failed report's exact
+``failures_by_property``.  A mutant is ``killed``
 when ``verify all`` exits non-zero, ``digest`` when it exits 0 with other
 reports, and otherwise ``survived``, or ``equivalent`` when its entry
 gives evidence that it changes no behaviour.
 
-Usage, from the root of the repository (stdlib only; about a minute on 2
-cores with CPython 3.11)::
+Usage, from the root of the repository (stdlib only; about three minutes
+on 2 cores with CPython 3.11)::
 
     python tools/mutants.py --out MUTANTS.json
 """
@@ -94,6 +95,40 @@ MUTANTS = (
                       "its place, since the kept part below it is "
                       "incomparable with it; the same output as collapse on "
                       "every tuple of 3-bit masks with k <= 5"),
+    Mutant("d1-lambda-test", "threadsets/classify.py",
+           "        if c == d:\n", "        if c != d:\n",
+           "classify_dim1 swaps D1_Lambda and D1_Mixed"),
+    Mutant("d2-form2-test", "threadsets/classify.py",
+           "        if f0 == d:\n", "        if f0 != d:\n",
+           "classify_dim2 swaps D2_Form2 and D2_Form8 when {t} is a member"),
+    Mutant("d2-form3-test", "threadsets/classify.py",
+           "        if f0 == e:\n", "        if f0 != e:\n",
+           "classify_dim2 swaps D2_Form3 and D2_Form9 when {m} is a member"),
+    Mutant("d2-form7-test", "threadsets/classify.py",
+           "        if d & e == f0:\n", "        if d & e != f0:\n",
+           "classify_dim2 swaps D2_Form7 and D2_Form11 when {t, m} is a "
+           "member"),
+    Mutant("d2-form5-test", "threadsets/classify.py",
+           "    elif f0 == d and e == g:\n", "    elif f0 == d:\n",
+           "classify_dim2 drops D2_Form5's test e == g"),
+    Mutant("d2-form6-test", "threadsets/classify.py",
+           "    elif f0 == e and d == g:\n", "    elif f0 == e:\n",
+           "classify_dim2 drops D2_Form6's test d == g"),
+    Mutant("d2-form10-test", "threadsets/classify.py",
+           "    elif d & e == f0:", "    elif d & e != f0:",
+           "classify_dim2 negates D2_Form10's test d & e == f0"),
+    Mutant("prune-downward-first", "threadsets/tuples.py",
+           "        last = part & P.up_set(last)\n",
+           "        last = part if len(out) == 2 else part & P.up_set(last)\n",
+           "prune_downward leaves the first of three parts unpruned"),
+    Mutant("restrict-first-only", "threadsets/tuples.py",
+           "    return tuple(part & zone for part in parts)\n",
+           "    return (parts[0] & zone,) + parts[1:]\n",
+           "restrict intersects only the first part with the zone"),
+    Mutant("thread-sets-fold-left", "threadsets/families.py",
+           "        acc = compose(P, acc, chains_meeting(P, part))\n",
+           "        acc = compose(P, chains_meeting(P, part), acc)\n",
+           "the thread_sets fold composes each further part on the left"),
 )
 
 
@@ -101,20 +136,28 @@ def occurrences(mutant: Mutant) -> int:
     return (SRC / mutant.file).read_text(encoding="utf-8").count(mutant.old)
 
 
-def _verify_all(src: Path) -> tuple[int, str, Counter]:
-    """Exit code, sha256 of stdout, and per property the number of reports
-    whose recorded failures name it; an unparsable stdout names none."""
+def failing_properties(reports: list[dict]) -> dict[str, dict[str, int]]:
+    """Per failing property, the number of reports that count a failure of
+    it and the number of its failures."""
+    counts: dict[str, Counter] = {}
+    for report in reports:
+        for prop, n in report.get("failures_by_property", {}).items():
+            counts.setdefault(prop, Counter()).update(reports=1, failures=n)
+    return {prop: dict(counts[prop]) for prop in sorted(counts)}
+
+
+def _verify_all(src: Path) -> tuple[int, str, dict]:
+    """Exit code, sha256 of stdout and the failing properties; an
+    unparsable stdout names none."""
     env = dict(os.environ, PYTHONPATH=str(src))
     run = subprocess.run([sys.executable, *COMMAND], env=env, cwd=src,
                          capture_output=True)
-    failing: Counter = Counter()
     try:
         reports = json.loads(run.stdout)["reports"]
     except (ValueError, KeyError):
         reports = []
-    for report in reports:
-        failing.update({f["property"] for f in report["failures"]})
-    return run.returncode, hashlib.sha256(run.stdout).hexdigest(), failing
+    return (run.returncode, hashlib.sha256(run.stdout).hexdigest(),
+            failing_properties(reports))
 
 
 def _row(mutant: Mutant, unmutated: str) -> dict:
@@ -140,7 +183,7 @@ def _row(mutant: Mutant, unmutated: str) -> dict:
         verdict = "equivalent" if mutant.equivalent else "survived"
     row = {"name": mutant.name, "file": mutant.file, "reason": mutant.reason,
            "exit": code, "digest_moved": moved, "verdict": verdict,
-           "failing": dict(sorted(failing.items()))}
+           "failing": failing}
     if mutant.equivalent:
         row["equivalence"] = mutant.equivalent
     return row
