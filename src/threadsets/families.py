@@ -17,7 +17,7 @@ from typing import Iterable, Iterator
 
 from .errors import EmptyChain, NotAChain
 from .poset import Poset, bits, set_text
-from .tuples import SubsetTuple, _check
+from .tuples import SubsetTuple, _check, _walk
 
 
 @dataclass(frozen=True)
@@ -119,31 +119,11 @@ def threads(P: Poset, parts: SubsetTuple) -> Iterator[Thread]:
     to its threads empties every part.  The number of threads can grow
     exponentially with the tuple length; ``thread_sets`` does not enumerate
     them.  Every part is validated on the first step, so a mask with bits
-    outside the poset, or a negative one, raises ``UnknownElement``.
-
-    The walk is one loop over a stack of partial threads ``(prefix,
-    support, candidates)``, like ``Poset.chains``: an entry extends its
-    prefix by its lowest candidate and pushes that walk above its
-    remaining siblings.  No generator is nested, so a walk leaves no
-    reference cycle behind.
+    outside the poset, or a negative one, raises ``UnknownElement``.  The
+    walk is ``tuples._walk``, which ``prune_to_threads_direct`` reads too.
     """
-    _check(parts)
-    for part in parts:
-        P.check_subset(part)
-    down, k = P.down, len(parts)
-    stack = [((), 0, parts[0])]
-    while stack:
-        prefix, support, rest = stack.pop()
-        if rest:
-            low = rest & -rest
-            stack.append((prefix, support, rest ^ low))
-            a = low.bit_length() - 1
-            sequence = prefix + (a,)
-            if len(sequence) == k:
-                yield Thread(sequence, support | low)
-            else:
-                stack.append((sequence, support | low,
-                              parts[len(sequence)] & down[a]))
+    for sequence, support in _walk(P, parts):
+        yield Thread(sequence, support)
 
 
 def thread_sets(P: Poset, parts: SubsetTuple) -> ChainFamily:

@@ -10,8 +10,10 @@ tuple onto a collapsed concatenated representative with the same threads.
 
 from __future__ import annotations
 
+from typing import Iterator
+
 from .errors import NotUpwardClosed
-from .poset import Poset, bits, set_text
+from .poset import Poset, set_text
 
 SubsetTuple = tuple  # tuple[int, ...] over a fixed Poset, k >= 1
 
@@ -58,38 +60,54 @@ def prune_to_threads(P: Poset, parts: SubsetTuple) -> SubsetTuple:
     """Keep in each part exactly the elements lying on a full thread.
 
     Computed as prune_downward(prune_upward(t)).  The two operators commute
-    and agree with the direct per-element search; the operator-laws
-    verification suite checks both laws.
+    and agree with ``prune_to_threads_direct``, which reads the elements off
+    the threads themselves; the operator-laws verification suite checks
+    both laws.
     """
     return prune_downward(P, prune_upward(P, parts))
 
 
 def prune_to_threads_direct(P: Poset, parts: SubsetTuple) -> SubsetTuple:
-    """Direct form of prune_to_threads: per-element search for a full thread.
+    """Direct form of prune_to_threads: part i keeps the elements that some
+    thread visits at position i, read off the walk behind ``threads``.
 
-    Quadratic in the tuple; the reference that verification compares
-    ``prune_to_threads`` against.  Every part is validated, so a mask with
-    bits outside the poset, or a negative one, raises ``UnknownElement``.
+    The reference that verification compares ``prune_to_threads`` against;
+    its cost grows with the number of threads.  Every part is validated, so
+    a mask with bits outside the poset, or a negative one, raises
+    ``UnknownElement``.
     """
-    _check(parts)
-    out = []
-    for i, part in enumerate(parts):
-        kept = 0
-        for a in bits(P.check_subset(part)):
-            pinned = parts[:i] + (1 << a,) + parts[i + 1:]
-            if _has_thread(P, pinned):
-                kept |= 1 << a
-        out.append(kept)
+    out = [0] * len(parts)
+    for sequence, _ in _walk(P, parts):
+        for i, a in enumerate(sequence):
+            out[i] |= 1 << a
     return tuple(out)
 
 
-def _has_thread(P: Poset, parts: SubsetTuple) -> bool:
-    reachable = parts[0]
-    for part in parts[1:]:
-        reachable = part & P.down_set(reachable)
-        if not reachable:
-            return False
-    return bool(reachable)
+def _walk(P: Poset, parts: SubsetTuple) -> Iterator[tuple[tuple[int, ...], int]]:
+    """The threads of a tuple as ``(sequence, support)`` pairs, depth first,
+    ascending element index; every part is validated on the first step.
+
+    One loop over a stack of partial threads ``(prefix, support,
+    candidates)``, like ``Poset.chains``: an entry extends its prefix by its
+    lowest candidate and pushes that walk above its remaining siblings.
+    """
+    _check(parts)
+    for part in parts:
+        P.check_subset(part)
+    down, k = P.down, len(parts)
+    stack = [((), 0, parts[0])]
+    while stack:
+        prefix, support, rest = stack.pop()
+        if rest:
+            low = rest & -rest
+            stack.append((prefix, support, rest ^ low))
+            a = low.bit_length() - 1
+            sequence = prefix + (a,)
+            if len(sequence) == k:
+                yield sequence, support | low
+            else:
+                stack.append((sequence, support | low,
+                              parts[len(sequence)] & down[a]))
 
 
 def collapse(parts: SubsetTuple) -> SubsetTuple:

@@ -510,8 +510,8 @@ def verify_classifier(P: Poset, bounds: Bounds = Bounds(),
             {tag: count(m) for tag, count in _FORM_COUNTS[dim].items()},
             dict(Counter(inst.tag for inst in instances)),
             {"stratum_size": m})
-    seen: dict[int, NormalForm] = {}
-    for inst in instances:
+    seen: dict[int, int] = {}  # family id -> index of its first instance
+    for i, inst in enumerate(instances):
         s.cases += 1
         defining = inst.as_tuple(P)
         x = s.of(defining)
@@ -519,15 +519,16 @@ def verify_classifier(P: Poset, bounds: Bounds = Bounds(),
             got = classify_family(P, s.family[x])
         except Inconsistent as exc:  # a counterexample to the theorem
             got = exc
-        other = seen.setdefault(x, inst)
-        if inst != got or other is not inst:  # label the inputs on failure
+        first = seen.setdefault(x, i)
+        if inst != got or first != i:  # label the inputs on failure
             inputs = {"form": inst.describe(P),
                       "tuple": tuple_to_lists(P, defining)}
             prop = ("family_realized" if isinstance(got, Inconsistent)
                     else "classifier_round_trip")
             s.check(prop, inst, got, inputs)
-            if other is not inst:
-                s.fail("forms_have_distinct_thread_sets", other, inst, inputs)
+            if first != i:
+                s.fail("forms_have_distinct_thread_sets", instances[first],
+                       inst, inputs)
     s.cases += 1
     s.check("zero_from_empty_family", ZERO,
             classify_family(P, EMPTY_FAMILY), {"form": "Zero"})

@@ -15,7 +15,8 @@ from threadsets.classify import (CLASSIFIED_SHAPES, DIM0, DIM1_IRREDUCIBLE,
                                  form_defect, form_instances, normal_form,
                                  shape_of)
 from threadsets.errors import Inconsistent, ShapeMismatch
-from threadsets.families import EMPTY_FAMILY, family, thread_sets
+from threadsets.families import (EMPTY_FAMILY, ChainFamily, family,
+                                 thread_sets)
 from threadsets.poset import build_poset
 from threadsets.serialize import form_from_dict, form_to_dict
 from threadsets.tuples import ZERO_TUPLE, canonical
@@ -72,6 +73,14 @@ def test_dim0_two_routes_agree():
                 t = (a, b)
                 assert normal_form_dim0(P, t) == classify_dim0(
                     P, thread_sets(P, t))
+
+
+def test_dim0_non_singleton_generator_is_inconsistent(antichain3):
+    # no tuple over a discrete poset has a two-element thread set, but a
+    # family built by hand can hold one
+    F = ChainFamily({antichain3.subset(["p"]), antichain3.subset(["q", "r"])})
+    with pytest.raises(Inconsistent, match="non-singleton"):
+        classify_dim0(antichain3, F)
 
 
 def test_dim0_shape_mismatch(diamond):
@@ -203,6 +212,10 @@ def test_classified_forms_meet_their_side_conditions():
                 assert form_defect(P, nf.tag, nf.payload) is None, (P, nf)
                 tags[nf.tag] += 1
     assert set(tags) == set(PAYLOAD_KEYS) - {"Zero"}
+
+
+def test_form_defect_names_an_unknown_tag(star2):
+    assert form_defect(star2, "D3_Form1", ()) == "no form is tagged 'D3_Form1'"
 
 
 def test_dim2_shape_mismatch(star2):

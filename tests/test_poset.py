@@ -279,6 +279,11 @@ def test_build_poset_matches_reachability(data):
         assert build_poset(names, labeled).down == down
 
 
+def test_poset_repr_lists_labels_and_covers(diamond):
+    assert repr(diamond) == "Poset(['t', 'a', 'b', 'm'], [a<t, b<t, m<a, m<b])"
+    assert repr(build_poset(["p"], [])) == "Poset(['p'], [])"
+
+
 def test_poset_equality_and_hash(diamond):
     again = build_poset(["t", "a", "b", "m"],
                         [("a", "t"), ("b", "t"), ("m", "a"), ("m", "b")])

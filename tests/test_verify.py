@@ -113,19 +113,22 @@ def test_classifier_suite_counts_forms_against_the_formula(star2,
 def test_classifier_suite_flags_a_repeated_instance(star2, monkeypatch):
     instances = verify.form_instances(star2)
     first = instances[0]
-    again = NormalForm(first.tag, first.payload)  # equal, not the same
-    monkeypatch.setattr(verify, "form_instances",
-                        lambda P: instances + [again])
-    report = verify_classifier(star2)
-    repeated = [f for f in report.failures
-                if f["property"] == "forms_have_distinct_thread_sets"]
-    assert repeated == [{
-        "property": "forms_have_distinct_thread_sets",
-        "inputs": {"form": first.describe(star2),
-                   "tuple": tuple_to_lists(star2, first.as_tuple(star2))},
-        "expected": repr(first), "actual": repr(again)}]
-    assert report.failures_by_property == {
-        "form_counts_match_formula": 1, "forms_have_distinct_thread_sets": 1}
+    # an equal copy, and the very same object listed twice
+    for again in (NormalForm(first.tag, first.payload), first):
+        monkeypatch.setattr(verify, "form_instances",
+                            lambda P: instances + [again])
+        report = verify_classifier(star2)
+        repeated = [f for f in report.failures
+                    if f["property"] == "forms_have_distinct_thread_sets"]
+        assert repeated == [{
+            "property": "forms_have_distinct_thread_sets",
+            "inputs": {"form": first.describe(star2),
+                       "tuple": tuple_to_lists(star2,
+                                               first.as_tuple(star2))},
+            "expected": repr(first), "actual": repr(again)}]
+        assert report.failures_by_property == {
+            "form_counts_match_formula": 1,
+            "forms_have_distinct_thread_sets": 1}
 
 
 def test_budget_exceeded_when_forced(diamond):
