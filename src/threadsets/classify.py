@@ -165,16 +165,13 @@ def shape_of(P: Poset) -> str:
 
 
 def classify_dim0(P: Poset, F: ChainFamily) -> NormalForm:
-    """Dimension 0 from the family: all thread sets are singletons."""
+    """Dimension 0 from the family: the smashing form on A = {p :
+    F.member({p})}, checked against F through its defining tuple, so a
+    family with a thread set of two or more elements is ``Inconsistent``."""
     _extremes(P, DIM0)
     if F.is_empty():
         return ZERO
-    meet = 0
-    for g in F:
-        if g.bit_count() != 1:
-            raise Inconsistent("non-singleton thread set on a discrete poset")
-        meet |= g
-    return NormalForm("D0Smash", (meet,))
+    return _verified(P, F, NormalForm("D0Smash", (_stratum(F, P.full, 0),)))
 
 
 def classify_dim1(P: Poset, F: ChainFamily) -> NormalForm:

@@ -62,7 +62,7 @@ def prune_to_threads(P: Poset, parts: SubsetTuple) -> SubsetTuple:
     Computed as prune_downward(prune_upward(t)).  The two operators commute
     and agree with ``prune_to_threads_direct``, which reads the elements off
     the threads themselves; the operator-laws verification suite checks
-    both laws.
+    this function against both.
     """
     return prune_downward(P, prune_upward(P, parts))
 

@@ -30,7 +30,7 @@ from .poset import Poset, bits
 from .serialize import poset_to_dict, tuple_to_lists
 from .tuples import (ZERO_TUPLE, SubsetTuple, canonical, collapse,
                      is_collapsed, is_concatenated, is_downward_concatenated,
-                     is_upward_concatenated, prune_downward,
+                     is_upward_concatenated, prune_downward, prune_to_threads,
                      prune_to_threads_direct, prune_upward, restrict)
 
 FAILURE_CAP = 50  # recorded per report; the failure count is always exact
@@ -280,7 +280,10 @@ def _collapse_results_all_orders(
 
 def verify_operator_laws(P: Poset, bounds: Bounds = Bounds(),
                          name: str = "") -> VerificationReport:
-    """Idempotence, commutation and confluence of the reduction operators."""
+    """Idempotence, commutation and confluence of the reduction operators.
+
+    The library's ``prune_to_threads`` is checked against the other prune
+    order and against ``prune_to_threads_direct``, the thread walk."""
     s = VerificationReport("operator-laws", P, bounds, name)
     for t in s.corpus():
         upward = prune_upward(P, t)
@@ -292,12 +295,11 @@ def verify_operator_laws(P: Poset, bounds: Bounds = Bounds(),
                 prune_downward(P, downward))
         s.check("prune_downward_concatenates", True,
                 is_downward_concatenated(P, downward))
-        both = prune_downward(P, upward)
+        both = prune_to_threads(P, t)
         s.check("prune_order_commutes", both, prune_upward(P, downward))
         s.check("thread_prune_matches_direct", both,
                 prune_to_threads_direct(P, t))
-        s.check("thread_prune_idempotent", both,
-                prune_downward(P, prune_upward(P, both)))
+        s.check("thread_prune_idempotent", both, prune_to_threads(P, both))
         collapsed = collapse(t)
         s.check("collapse_idempotent", collapsed, collapse(collapsed))
         s.check("collapse_collapses", True, is_collapsed(collapsed))
@@ -321,6 +323,7 @@ def verify_thread_monoid(P: Poset, bounds: Bounds = Bounds(),
                          name: str = "") -> VerificationReport:
     """Thread-set decomposition, composition laws, reduction shadows, and
     the chains, principal families and zones that tuples of them name.
+    Both prunes and ``canonical`` keep every tuple's thread sets.
 
     Every family is read from the report's tables: each tuple's thread
     sets are computed once, whether it is a corpus tuple or a slice, a
@@ -360,10 +363,8 @@ def verify_thread_monoid(P: Poset, bounds: Bounds = Bounds(),
         elif P.is_upward_closed(t[-1]):
             s.check("restrict_is_appending_the_zone", reduced,
                     canonical(P, restrict(P, t[:-1], t[-1])))
-        if len(t) == 2:
-            a, b = t
-            same("head_restricts_to_upset", x, of((a & P.up_set(b), b)))
-            same("tail_restricts_to_downset", x, of((a, b & P.down_set(a))))
+        same("prune_upward_keeps_thread_sets", x, of(prune_upward(P, t)))
+        same("prune_downward_keeps_thread_sets", x, of(prune_downward(P, t)))
     _associativity(s)
     return s.finish()
 

@@ -77,10 +77,13 @@ def test_dim0_two_routes_agree():
 
 def test_dim0_non_singleton_generator_is_inconsistent(antichain3):
     # no tuple over a discrete poset has a two-element thread set, but a
-    # family built by hand can hold one
-    F = ChainFamily({antichain3.subset(["p"]), antichain3.subset(["q", "r"])})
-    with pytest.raises(Inconsistent, match="non-singleton"):
-        classify_dim0(antichain3, F)
+    # family built by hand can hold one, beside a singleton or alone; alone,
+    # no singleton is a member, so the payload read off it is empty and
+    # D0Smash with that payload is refused too
+    p, qr = antichain3.subset(["p"]), antichain3.subset(["q", "r"])
+    for F in (ChainFamily({p, qr}), ChainFamily({qr})):
+        with pytest.raises(Inconsistent, match=r"closest: D0Smash\)"):
+            classify_dim0(antichain3, F)
 
 
 def test_dim0_shape_mismatch(diamond):

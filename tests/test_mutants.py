@@ -1,14 +1,18 @@
-"""Every seeded mutant of ``tools/mutants.py`` still applies to the source.
+"""Every seeded mutant of ``tools/mutants.py`` still applies to the source,
+and the committed ``MUTANTS.json`` is the runner's table.
 
 The runner itself is not part of the test suite, since each mutant costs a
 full ``verify all``; this only checks that each patch's old text occurs
 exactly once, so that an edit of the library cannot silently retire a
-mutant.
+mutant, and that the committed table lists the runner's rows, so that a
+row cannot be added without re-running the table.
 """
 
 from __future__ import annotations
 
 import importlib.util
+import json
+from collections import Counter
 from pathlib import Path
 
 import pytest
@@ -46,3 +50,11 @@ def test_failing_properties_read_the_exact_counts():
     assert RUNNER.failing_properties(reports) == {
         "a": {"reports": 1, "failures": 60},
         "b": {"reports": 2, "failures": 5}}
+
+
+def test_committed_table_lists_the_runner_rows():
+    committed = json.loads((ROOT / "MUTANTS.json").read_text(encoding="utf-8"))
+    rows = committed["mutants"]
+    assert [(r["name"], r["file"], r["reason"]) for r in rows] == [
+        (m.name, m.file, m.reason) for m in RUNNER.MUTANTS]
+    assert committed["verdicts"] == Counter(r["verdict"] for r in rows)

@@ -19,6 +19,7 @@ from threadsets.families import (ChainFamily, chains_meeting, compose,
                                  thread_sets)
 from threadsets.poset import Poset, build_poset
 from threadsets.serialize import dumps, tuple_to_lists
+from threadsets.tuples import prune_downward, prune_to_threads
 from threadsets.verify import (SAMPLES, Bounds, VerificationReport,
                                _all_tuples, _associativity, _decode_tuple,
                                all_posets, deepened, default_corpus,
@@ -71,6 +72,31 @@ def test_monoid_suite_passes(diamond):
     report = verify_thread_monoid(diamond, Bounds(max_k=2))
     assert report.passed
     assert report.details["associativity_triples"] == 16 ** 3
+
+
+def test_operator_suite_checks_the_library_thread_prune(diamond, monkeypatch):
+    # a thread prune that skips the upward pass disagrees with the other
+    # prune order and with the thread walk on every tuple it changes
+    monkeypatch.setattr(verify, "prune_to_threads", prune_downward)
+    report = verify_operator_laws(diamond, Bounds(max_k=2))
+    changed = sum(prune_downward(diamond, t) != prune_to_threads(diamond, t)
+                  for t in _all_tuples(diamond.n, range(1, 3)))
+    assert changed == 93
+    failed = report.failures_by_property
+    assert failed["prune_order_commutes"] == changed
+    assert failed["thread_prune_matches_direct"] == changed
+
+
+def test_monoid_suite_checks_that_the_prunes_keep_thread_sets(diamond,
+                                                              monkeypatch):
+    # a downward prune that empties the last part loses every thread
+    monkeypatch.setattr(verify, "prune_downward", lambda P, t: t[:-1] + (0,))
+    report = verify_thread_monoid(diamond, Bounds(max_k=2))
+    threaded = sum(not thread_sets(diamond, t).is_empty()
+                   for t in _all_tuples(diamond.n, range(1, 3)))
+    assert threaded == 219
+    assert report.failures_by_property == {
+        "prune_downward_keeps_thread_sets": threaded}
 
 
 def test_conjecture_suite_buckets_on_antichain(antichain3):

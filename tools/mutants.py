@@ -14,8 +14,8 @@ when ``verify all`` exits non-zero, ``digest`` when it exits 0 with other
 reports, and otherwise ``survived``, or ``equivalent`` when its entry
 gives evidence that it changes no behaviour.
 
-Usage, from the root of the repository (stdlib only; about 3.5 minutes
-on 2 cores with CPython 3.11)::
+Usage, from the root of the repository (stdlib only; about 4 minutes on
+2 cores with CPython 3.11)::
 
     python tools/mutants.py --out MUTANTS.json
 """
@@ -71,6 +71,82 @@ MUTANTS = (
            "                     lambda c, d: _proper(c, d) "
            "and c.bit_count() < 2),",
            "D1_Mixed's side condition also asks C to have < 2 elements"),
+    Mutant("d0-smash-side", "threadsets/classify.py",
+           '"D0Smash": _Form(DIM0, ("A",), lambda t, m, a: (a,), bool),',
+           '"D0Smash": _Form(DIM0, ("A",), lambda t, m, a: (a,)),',
+           "D0Smash drops its non-empty side condition"),
+    Mutant("d1-lambda-side", "threadsets/classify.py",
+           '"D1_Lambda": _Form(_D1, ("C",), lambda t, m, c: (c,), bool),',
+           '"D1_Lambda": _Form(_D1, ("C",), lambda t, m, c: (c,)),',
+           "D1_Lambda drops its non-empty side condition"),
+    Mutant("d1-topsmash-side", "threadsets/classify.py",
+           '"D1_TopSmash": _Form(_D1, ("C",), lambda t, m, c: (t | c,)),',
+           '"D1_TopSmash": _Form(_D1, ("C",), lambda t, m, c: (t | c,), '
+           'bool),',
+           "D1_TopSmash asks a non-empty payload"),
+    Mutant("d2-form1-side", "threadsets/classify.py",
+           '"D2_Form1": _Form(_D2, ("A1",), lambda t, m, a: (a,), bool),',
+           '"D2_Form1": _Form(_D2, ("A1",), lambda t, m, a: (a,)),',
+           "D2_Form1 drops its non-empty side condition"),
+    Mutant("d2-form2-side", "threadsets/classify.py",
+           '"D2_Form2": _Form(_D2, ("A1",), lambda t, m, a: (t | a,)),',
+           '"D2_Form2": _Form(_D2, ("A1",), lambda t, m, a: (t | a,), bool),',
+           "D2_Form2 asks a non-empty payload"),
+    Mutant("d2-form3-side", "threadsets/classify.py",
+           '"D2_Form3": _Form(_D2, ("A1",), lambda t, m, a: (a | m,)),',
+           '"D2_Form3": _Form(_D2, ("A1",), lambda t, m, a: (a | m,), bool),',
+           "D2_Form3 asks a non-empty payload"),
+    Mutant("d2-form4-side", "threadsets/classify.py",
+           '"D2_Form4": _Form(_D2, ("A1",), lambda t, m, a: (t | a | m,)),',
+           '"D2_Form4": _Form(_D2, ("A1",), lambda t, m, a: (t | a | m,),\n'
+           '                      bool),',
+           "D2_Form4 asks a non-empty payload"),
+    Mutant("d2-form5-side", "threadsets/classify.py",
+           '"D2_Form5": _Form(_D2, ("A1", "B1"), lambda t, m, a, b: (t | a, b),'
+           '\n                      _proper),',
+           '"D2_Form5": _Form(_D2, ("A1", "B1"), lambda t, m, a, b: (t | a, b),'
+           '\n                      lambda a, b: a | b == b),',
+           "D2_Form5's proper inclusion A1 < B1 becomes A1 <= B1"),
+    Mutant("d2-form6-side", "threadsets/classify.py",
+           '"D2_Form6": _Form(_D2, ("A1", "B1"), lambda t, m, a, b: (a, b | m),'
+           '\n                      lambda a, b: _proper(b, a)),',
+           '"D2_Form6": _Form(_D2, ("A1", "B1"), lambda t, m, a, b: (a, b | m),'
+           '\n                      lambda a, b: a | b == a),',
+           "D2_Form6's proper inclusion B1 < A1 becomes B1 <= A1"),
+    Mutant("d2-form7-side", "threadsets/classify.py",
+           '"D2_Form7": _Form(_D2, ("A1", "B1"), '
+           'lambda t, m, a, b: (t | a, b | m)),',
+           '"D2_Form7": _Form(_D2, ("A1", "B1"), '
+           'lambda t, m, a, b: (t | a, b | m),\n'
+           '                      lambda a, b: bool(a | b)),',
+           "D2_Form7 asks a non-empty payload"),
+    Mutant("d2-form8-side", "threadsets/classify.py",
+           '"D2_Form8": _Form(_D2, ("A1", "B1"),\n'
+           '                      lambda t, m, a, b: (t | a, t | b | m),\n'
+           '                      lambda a, b: _proper(b, a)),',
+           '"D2_Form8": _Form(_D2, ("A1", "B1"),\n'
+           '                      lambda t, m, a, b: (t | a, t | b | m),\n'
+           '                      lambda a, b: a | b == a),',
+           "D2_Form8's proper inclusion B1 < A1 becomes B1 <= A1"),
+    Mutant("d2-form9-side", "threadsets/classify.py",
+           '"D2_Form9": _Form(_D2, ("A1", "B1"),\n'
+           '                      lambda t, m, a, b: (t | a | m, b | m), '
+           '_proper),',
+           '"D2_Form9": _Form(_D2, ("A1", "B1"),\n'
+           '                      lambda t, m, a, b: (t | a | m, b | m),\n'
+           '                      lambda a, b: a | b == b),',
+           "D2_Form9's proper inclusion A1 < B1 becomes A1 <= B1"),
+    Mutant("d2-form11-side", "threadsets/classify.py",
+           '"D2_Form11": _Form(_D2, ("A1", "B1", "C1"),\n'
+           '                       lambda t, m, a, b, c: '
+           '(t | a, t | b | m, c | m),\n'
+           '                       lambda a, b, c: _proper(b, a & c)),',
+           '"D2_Form11": _Form(_D2, ("A1", "B1", "C1"),\n'
+           '                       lambda t, m, a, b, c: '
+           '(t | a, t | b | m, c | m),\n'
+           '                       lambda a, b, c: b | (a & c) == a & c),',
+           "D2_Form11's proper inclusion B1 < A1 & C1 becomes "
+           "B1 <= A1 & C1"),
     Mutant("minimize-keeps-long", "threadsets/families.py",
            "            if g & c == g:\n                break\n",
            "            if g & c == g and c.bit_count() < 3:\n"
