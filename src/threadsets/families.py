@@ -120,7 +120,8 @@ def threads(P: Poset, parts: SubsetTuple) -> Iterator[Thread]:
     exponentially with the tuple length; ``thread_sets`` does not enumerate
     them.  Every part is validated on the first step, so a mask with bits
     outside the poset, or a negative one, raises ``UnknownElement``.  The
-    walk is ``tuples._walk``, which ``prune_to_threads_direct`` reads too.
+    walk is ``tuples._walk``, which ``prune_to_threads_direct`` and the
+    monoid suite's reference read directly, without ``Thread`` records.
     """
     for sequence, support in _walk(P, parts):
         yield Thread(sequence, support)

@@ -25,10 +25,10 @@ from .classify import (CLASSIFIED_SHAPES, ZERO, NormalForm, classify_family,
                        form_instances, shape_of)
 from .errors import BadParameter, BudgetExceeded, Inconsistent, ShapeMismatch
 from .families import (EMPTY_FAMILY, ChainFamily, compose, minimize,
-                       principal, singleton_tuple, thread_sets, threads)
+                       principal, singleton_tuple, thread_sets)
 from .poset import Poset, bits
 from .serialize import poset_to_dict, tuple_to_lists
-from .tuples import (ZERO_TUPLE, SubsetTuple, canonical, collapse,
+from .tuples import (ZERO_TUPLE, SubsetTuple, _walk, canonical, collapse,
                      is_collapsed, is_concatenated, is_downward_concatenated,
                      is_upward_concatenated, prune_downward, prune_to_threads,
                      prune_to_threads_direct, prune_upward, restrict)
@@ -341,9 +341,9 @@ def verify_thread_monoid(P: Poset, bounds: Bounds = Bounds(),
     for t in s.corpus():
         x = of(t)
         F = family[x]
-        # threads() is the reference: minimal supports of the enumerated
-        # threads, computed without compose
-        enumerated = minimize({th.support for th in threads(P, t)})
+        # the thread walk is the reference: minimal supports of the
+        # enumerated threads, computed without compose
+        enumerated = minimize({support for _, support in _walk(P, t)})
         s.check("thread_sets_decompose", enumerated, F)
         for j in range(1, len(t)):
             same("thread_sets_of_concatenation", x,
@@ -379,9 +379,11 @@ def _associativity(s: VerificationReport) -> None:
     checked a row at a time: for each ``(a, b)`` in order, the row of
     ``(ab)c`` over every ``c`` is compared with the row of ``a(bc)``.  The
     row of a family, its products with every generator, is kept by id, so
-    ``(ab)c`` and ``bc`` are read from rows.  A sampled draw is checked
-    one triple at a time.  Either way failures come in triple order, and
-    record the two families.
+    ``(ab)c`` and ``bc`` are read from rows.  A row of products of ``x`` is
+    read by mapping over the table's dict ``s.products[x]``, and only the
+    products missing from it go through ``product``, in row order.  A
+    sampled draw is checked one triple at a time.  Either way failures come
+    in triple order, and record the two families.
     """
     P, of, times = s.P, s.of, s.product
     total, triples, sampled = s.draw(range(3, 4), "triples")
@@ -400,16 +402,23 @@ def _associativity(s: VerificationReport) -> None:
         column = [of((c,)) for c in range(1 << P.n)]
         rows: dict[int, list[int]] = {}
 
+        def products_of(x: int, ys: list[int]) -> list[int]:
+            known = s.products[x]
+            try:
+                return list(map(known.__getitem__, ys))
+            except KeyError:
+                return [known[y] if y in known else times(x, y) for y in ys]
+
         def row(x: int) -> list[int]:
             r = rows.get(x)
             if r is None:
-                r = rows[x] = [times(x, z) for z in column]
+                r = rows[x] = products_of(x, column)
             return r
 
         for a, x in enumerate(column):
             for b, y in enumerate(column):
                 left = row(times(x, y))
-                right = [times(x, yz) for yz in row(y)]
+                right = products_of(x, row(y))
                 if left != right:
                     for c, (u, v) in enumerate(zip(left, right)):
                         if u != v:

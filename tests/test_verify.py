@@ -11,12 +11,12 @@ from pathlib import Path
 import pytest
 
 from oracles import brute_all_posets
-from threadsets import verify
+from threadsets import families, verify
 from threadsets.catalog import catalog
 from threadsets.classify import NormalForm
 from threadsets.errors import BadParameter, BudgetExceeded, ShapeMismatch
 from threadsets.families import (ChainFamily, chains_meeting, compose,
-                                 thread_sets)
+                                 minimize, thread_sets)
 from threadsets.poset import Poset, build_poset
 from threadsets.serialize import dumps, tuple_to_lists
 from threadsets.tuples import prune_downward, prune_to_threads
@@ -97,6 +97,33 @@ def test_monoid_suite_checks_that_the_prunes_keep_thread_sets(diamond,
     assert threaded == 219
     assert report.failures_by_property == {
         "prune_downward_keeps_thread_sets": threaded}
+
+
+def test_monoid_suite_builds_no_thread(diamond, monkeypatch):
+    # the reference reads the minimal supports straight off the walk
+    def refuse(*args):
+        raise AssertionError("a Thread record was built")
+
+    monkeypatch.setattr(families, "Thread", refuse)
+    assert verify_thread_monoid(diamond).passed
+
+
+def test_monoid_suite_checks_thread_sets_against_the_walk(diamond,
+                                                          monkeypatch):
+    # a walk that drops its last thread changes the minimal supports of
+    # some tuples, and each of them must fail
+    walk = verify._walk
+
+    def short(P, t):
+        return list(walk(P, t))[:-1]
+
+    monkeypatch.setattr(verify, "_walk", short)
+    report = verify_thread_monoid(diamond)
+    expected = sum(minimize({support for _, support in short(diamond, t)})
+                   != thread_sets(diamond, t)
+                   for t in _all_tuples(diamond.n, range(1, 3)))
+    assert expected
+    assert report.failures_by_property == {"thread_sets_decompose": expected}
 
 
 def test_conjecture_suite_buckets_on_antichain(antichain3):
@@ -286,23 +313,39 @@ def _union(F: ChainFamily) -> int:
     return out
 
 
-@pytest.mark.parametrize("poset, budget", [
-    ("chain2", 1 << 20), ("chain2", 100),
-    ("antichain3", 1 << 20), ("antichain3", 100),
-], ids=["1048576", "100", "antichain3-1048576", "antichain3-100"])
-def test_associativity_failures_map_back_to_families(poset, budget, request,
-                                                     monkeypatch):
+def _difference(P, U, V):
     # set difference of the supports is not associative: (a-b)-c misses
-    # a&c, which a-(b-c) keeps, so a row (a, b) fails at several c; the
-    # triples are enumerated at the large budget and sampled at the small
-    P = request.getfixturevalue(poset)
+    # a&c, which a-(b-c) keeps; every value is a generator
+    return chains_meeting(P, _union(U) & ~_union(V))
+
+
+def _drop_first(P, U, V):
+    # compose without the first generator of a left factor with two or
+    # more; its values leave the generators
+    if len(U) >= 2:
+        U = ChainFamily(U.sorted_generators()[1:])
+    return compose(P, U, V)
+
+
+@pytest.mark.parametrize("poset, budget, faulty", [
+    ("chain2", 1 << 20, _difference), ("chain2", 100, _difference),
+    ("antichain3", 1 << 20, _difference), ("antichain3", 100, _difference),
+    ("labeled-3-7", 1 << 20, _drop_first), ("diamond", 1 << 20, _drop_first),
+], ids=["1048576", "100", "antichain3-1048576", "antichain3-100",
+        "labeled-3-7", "diamond"])
+def test_associativity_failures_map_back_to_families(poset, budget, faulty,
+                                                     request, monkeypatch):
+    # a faulty product fails a row (a, b) at several c; the triples are
+    # enumerated at the large budget and sampled at the small
+    P = (all_posets(3)[7] if poset == "labeled-3-7"
+         else request.getfixturevalue(poset))
     calls = []
 
-    def difference(P, U, V):
+    def counted(P, U, V):
         calls.append((U, V))
-        return chains_meeting(P, _union(U) & ~_union(V))
+        return faulty(P, U, V)
 
-    monkeypatch.setattr(verify, "compose", difference)
+    monkeypatch.setattr(verify, "compose", counted)
     bounds = Bounds(budget=budget, seed=5)
     report = VerificationReport("monoid", P, bounds)
     _associativity(report)
@@ -320,14 +363,18 @@ def test_associativity_failures_map_back_to_families(poset, budget, request,
     pairs, failing = set(), []
     for a, b, c in triples:
         A, B, C = (chains_meeting(P, m) for m in (a, b, c))
-        AB, BC = difference(P, A, B), difference(P, B, C)
-        left, right = difference(P, AB, C), difference(P, A, BC)
+        AB, BC = faulty(P, A, B), faulty(P, B, C)
+        left, right = faulty(P, AB, C), faulty(P, A, BC)
         pairs |= {(A, B), (AB, C), (B, C), (A, BC)}
         if left != right:
             failing.append(((a, b, c), left, right))
-    calls_by_check = len(calls) - 4 * len(triples)
     # each distinct pair of families is composed exactly once
-    assert calls_by_check == len(pairs)
+    assert len(calls) == len(pairs)
+    if faulty is _drop_first:
+        # right-hand rows a(bc) met products not yet in the table: a
+        # right factor that is no generator comes only from such a row
+        generators = {chains_meeting(P, m) for m in range(size)}
+        assert any(V not in generators for _, V in calls)
 
     assert failing and report.failure_count == len(failing)
     assert max(Counter(subsets[:2] for subsets, _, _ in failing).values()) > 1
@@ -358,12 +405,7 @@ def test_family_table_keeps_the_monoid_checks(poset, request, monkeypatch):
     P = (all_posets(3)[7] if poset == "labeled-3-7"
          else request.getfixturevalue(poset))
     bounds = Bounds(max_k=3)
-
-    def faulty(P, U, V):
-        if len(U) >= 2:
-            U = ChainFamily(U.sorted_generators()[1:])
-        return compose(P, U, V)
-
+    faulty = _drop_first
     asked = []
 
     def counted(P, t):
