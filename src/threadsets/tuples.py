@@ -89,28 +89,25 @@ def _walk(P: Poset, parts: SubsetTuple) -> Iterator[tuple[tuple[int, ...], int]]
 
     One loop over a stack of partial threads ``(prefix, support,
     candidates)``, like ``Poset.chains``: an entry extends its prefix by its
-    lowest candidate and pushes that walk above its remaining siblings.  An
-    entry whose candidates lie in the last part yields its threads in one
-    plain bit loop, so a leaf costs no stack entry.
+    lowest candidate and pushes that walk above its remaining siblings.
     """
     _check(parts)
     for part in parts:
         P.check_subset(part)
-    down, last = P.down, len(parts) - 1
+    down, k = P.down, len(parts)
     stack = [((), 0, parts[0])]
     while stack:
         prefix, support, rest = stack.pop()
-        if len(prefix) == last:
-            while rest:
-                low = rest & -rest
-                rest ^= low
-                yield prefix + (low.bit_length() - 1,), support | low
-        elif rest:
+        if rest:
             low = rest & -rest
             stack.append((prefix, support, rest ^ low))
             a = low.bit_length() - 1
-            stack.append((prefix + (a,), support | low,
-                          parts[len(prefix) + 1] & down[a]))
+            sequence = prefix + (a,)
+            if len(sequence) == k:
+                yield sequence, support | low
+            else:
+                stack.append((sequence, support | low,
+                              parts[len(sequence)] & down[a]))
 
 
 def collapse(parts: SubsetTuple) -> SubsetTuple:

@@ -77,11 +77,12 @@ class VerificationReport:
     The run's chain families are interned as ints: ``family[i]`` is the
     family with id ``i``, ``ids`` maps each family to its id, and
     ``products[x][y]`` is the id of ``compose`` of families ``x`` and
-    ``y``.  ``product`` composes each distinct pair of ids once and ``of``
-    computes each tuple's thread sets once, both through this module's
-    ``compose`` and ``thread_sets``, so a check compares ints where it
-    would compare families; ``same`` records the two families of unequal
-    ids.  ``finish`` empties the tables.
+    ``y``.  ``product`` composes each distinct pair of ids once, and
+    ``products_of`` reads a row of them.  ``of`` computes each tuple's
+    thread sets once.  Both go through this module's ``compose`` and
+    ``thread_sets``, so a check compares ints where it would compare
+    families; ``same`` records the two families of unequal ids.
+    ``finish`` empties the tables.
     """
 
     def __init__(self, suite: str, P: Poset, bounds: Bounds, name: str = ""):
@@ -144,6 +145,12 @@ class VerificationReport:
             z = self.products[x][y] = self.intern(
                 compose(self.P, self.family[x], self.family[y]))
         return z
+
+    def products_of(self, x: int, ys: list[int]) -> list[int]:
+        """``[self.product(x, y) for y in ys]``, in that order, reading the
+        products already in the table without a call."""
+        known = self.products[x]
+        return [known[y] if y in known else self.product(x, y) for y in ys]
 
     def same(self, prop: str, x: int, y: int,
              inputs: dict | None = None) -> None:
@@ -379,13 +386,12 @@ def _associativity(s: VerificationReport) -> None:
     checked a row at a time: for each ``(a, b)`` in order, the row of
     ``(ab)c`` over every ``c`` is compared with the row of ``a(bc)``.  The
     row of a family, its products with every generator, is kept by id, so
-    ``(ab)c`` and ``bc`` are read from rows.  A row of products of ``x`` is
-    read by mapping over the table's dict ``s.products[x]``, and only the
-    products missing from it go through ``product``, in row order.  A
-    sampled draw is checked one triple at a time.  Either way failures come
-    in triple order, and record the two families.
+    ``(ab)c`` and ``bc`` are read from rows, and a row is read with
+    ``products_of``, which composes only the products not yet in the
+    table.  A sampled draw is checked one triple at a time.  Either way
+    failures come in triple order, and record the two families.
     """
-    P, of, times = s.P, s.of, s.product
+    P, of, times, products_of = s.P, s.of, s.product, s.products_of
     total, triples, sampled = s.draw(range(3, 4), "triples")
 
     def fail(a: int, b: int, c: int, left: int, right: int) -> None:
@@ -401,13 +407,6 @@ def _associativity(s: VerificationReport) -> None:
     else:
         column = [of((c,)) for c in range(1 << P.n)]
         rows: dict[int, list[int]] = {}
-
-        def products_of(x: int, ys: list[int]) -> list[int]:
-            known = s.products[x]
-            try:
-                return list(map(known.__getitem__, ys))
-            except KeyError:
-                return [known[y] if y in known else times(x, y) for y in ys]
 
         def row(x: int) -> list[int]:
             r = rows.get(x)

@@ -58,20 +58,3 @@ def test_committed_table_lists_the_runner_rows():
     assert [(r["name"], r["file"], r["reason"]) for r in rows] == [
         (m.name, m.file, m.reason) for m in RUNNER.MUTANTS]
     assert committed["verdicts"] == Counter(r["verdict"] for r in rows)
-
-
-@pytest.mark.parametrize("argv, named", [
-    (["--only", "compose-wide", "--out", "table.json"], "--out"),
-    (["--only", "compose-wide", "--only", "no-such-mutant"], "no-such-mutant"),
-], ids=["with-out", "unknown-name"])
-def test_only_refusals_start_no_subprocess(argv, named, monkeypatch, capsys):
-    # a table from --only would hold some rows only, and an unknown name
-    # would be found after the unmutated run: both exit 2 before any run
-    def refuse(*args, **kwargs):
-        raise AssertionError("a subprocess was started")
-
-    monkeypatch.setattr(RUNNER.subprocess, "run", refuse)
-    with pytest.raises(SystemExit) as exit_:
-        RUNNER.main(argv)
-    assert exit_.value.code == 2
-    assert named in capsys.readouterr().err

@@ -1,19 +1,16 @@
 from __future__ import annotations
 
-from itertools import product
-
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from oracles import (brute_is_downward_concatenated,
                      brute_is_upward_concatenated, brute_prune_downward,
-                     brute_prune_upward, brute_thread_prune, brute_threads)
+                     brute_prune_upward, brute_thread_prune)
 from test_poset import random_posets
 from threadsets.errors import NotUpwardClosed, UnknownElement
-from threadsets.tuples import (ZERO_TUPLE, _walk, canonical, collapse,
-                               is_collapsed, is_concatenated,
-                               is_downward_concatenated,
+from threadsets.tuples import (ZERO_TUPLE, canonical, collapse, is_collapsed,
+                               is_concatenated, is_downward_concatenated,
                                is_upward_concatenated, prune_downward,
                                prune_to_threads, prune_to_threads_direct,
                                prune_upward, restrict)
@@ -94,27 +91,6 @@ def test_thread_prune_laws_random(pt):
     assert pruned == brute_thread_prune(P, t)
     assert pruned == prune_to_threads(P, pruned)
     assert is_concatenated(P, pruned) or all(p == 0 for p in pruned)
-
-
-# -- the thread walk
-
-@pytest.mark.parametrize("poset", ["diamond", "chain1"])
-def test_walk_matches_brute_threads_at_the_leaves(poset, request):
-    # the threads that end in the last part come from one bit loop per
-    # prefix, not from the stack: every tuple with k <= 3 must give the
-    # oracle's threads in the oracle's order
-    P = request.getfixturevalue(poset)
-    subsets = range(1 << P.n)
-    for k in (1, 2, 3):
-        for parts in product(subsets, repeat=k):
-            assert list(_walk(P, parts)) == brute_threads(P, parts)
-    full = P.full
-    assert list(_walk(P, (full,))) == [((i,), 1 << i) for i in range(P.n)]
-    for parts in ((0, full, full), (full, 0, full), (full, full, 0)):
-        assert list(_walk(P, parts)) == []
-    repeats = [(sequence, support) for sequence, support
-               in _walk(P, (full,) * 3) if len(set(sequence)) == 1]
-    assert repeats == [((i,) * 3, 1 << i) for i in range(P.n)]
 
 
 # -- collapse

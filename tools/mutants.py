@@ -18,11 +18,6 @@ Usage, from the root of the repository (stdlib only; about 4 minutes on
 2 cores with CPython 3.11)::
 
     python tools/mutants.py --out MUTANTS.json
-    python tools/mutants.py --only walk-strict-descent --only compose-wide
-
-``--only NAME`` runs just the named rows, in table order, and prints
-their table on stdout; it is refused together with ``--out``, so the
-committed table always comes from a full run.
 """
 
 from __future__ import annotations
@@ -221,8 +216,8 @@ MUTANTS = (
            "Poset.down_set drops the lowest member of masks with >= 3 "
            "members"),
     Mutant("walk-strict-descent", "threadsets/tuples.py",
-           "parts[len(prefix) + 1] & down[a]))\n",
-           "parts[len(prefix) + 1] & down[a] & ~low))\n",
+           "parts[len(sequence)] & down[a]))\n",
+           "parts[len(sequence)] & down[a] & ~low))\n",
            "the thread walk forbids repeated elements along a thread"),
     Mutant("canonical-collapses-first", "threadsets/tuples.py",
            "    return collapse(prune_to_threads(P, parts))\n",
@@ -292,13 +287,13 @@ def _row(mutant: Mutant, unmutated: str) -> dict:
     return row
 
 
-def table(mutants: tuple[Mutant, ...] = MUTANTS) -> dict:
+def table() -> dict:
     code, unmutated, failing = _verify_all(SRC)
     if code != 0 or failing:
         raise SystemExit(f"verify all fails on the unmutated source "
                          f"(exit {code})")
     rows = []
-    for mutant in mutants:
+    for mutant in MUTANTS:
         rows.append(_row(mutant, unmutated))
         print(f"{mutant.name}: {rows[-1]['verdict']} "
               f"(exit {rows[-1]['exit']})",
@@ -315,20 +310,8 @@ def main(argv: list[str] | None = None) -> int:
         description="Run verify all on each seeded mutant of src/.")
     parser.add_argument("--out", type=Path,
                         help="write the table here instead of stdout")
-    parser.add_argument("--only", action="append", metavar="NAME",
-                        help="run only this mutant (repeatable); its rows "
-                             "go to stdout")
     args = parser.parse_args(argv)
-    mutants = MUTANTS
-    if args.only:
-        if args.out:
-            parser.error("--only cannot be combined with --out: the "
-                         "table is written from a full run only")
-        unknown = sorted(set(args.only) - {m.name for m in MUTANTS})
-        if unknown:
-            parser.error(f"unknown mutant {', '.join(unknown)}")
-        mutants = tuple(m for m in MUTANTS if m.name in args.only)
-    text = json.dumps(table(mutants), indent=2) + "\n"
+    text = json.dumps(table(), indent=2) + "\n"
     if args.out:
         args.out.write_text(text, encoding="utf-8")
     else:
