@@ -8,7 +8,8 @@ sampler draws the tuples and the associativity triples, each space
 enumerated when it fits the budget and sampled with a reported seed
 otherwise, so every report is reproducible from its inputs and seed; and
 its tables intern the run's chain families as ints, so each tuple's
-thread sets are computed once and each pair of families composed once.
+thread sets are computed once, each pair of families composed once and
+each family classified once.
 """
 
 from __future__ import annotations
@@ -79,8 +80,10 @@ class VerificationReport:
     ``products[x][y]`` is the id of ``compose`` of families ``x`` and
     ``y``.  ``product`` composes each distinct pair of ids once, and
     ``products_of`` reads a row of them.  ``of`` computes each tuple's
-    thread sets once.  Both go through this module's ``compose`` and
-    ``thread_sets``, so a check compares ints where it would compare
+    thread sets once.  ``form`` classifies each id once and keeps in
+    ``forms[x]`` its ``classify_family`` or the ``Inconsistent`` that it
+    raised.  They go through this module's ``compose``, ``thread_sets`` and
+    ``classify_family``, so a check compares ints where it would compare
     families; ``same`` records the two families of unequal ids.
     ``finish`` empties the tables.
     """
@@ -101,6 +104,7 @@ class VerificationReport:
         self.ids: dict[ChainFamily, int] = {}
         self.family: list[ChainFamily] = []
         self.products: list[dict[int, int]] = []
+        self.forms: dict[int, NormalForm | None | Inconsistent] = {}
         self._tuples: dict[SubsetTuple, int] = {}
         self.start = time.perf_counter()
         self.elapsed = 0.0
@@ -152,6 +156,16 @@ class VerificationReport:
         known = self.products[x]
         return [known[y] if y in known else self.product(x, y) for y in ys]
 
+    def form(self, x: int) -> NormalForm | None | Inconsistent:
+        """``classify_family`` of family ``x``, or the ``Inconsistent`` that
+        it raised, kept without its traceback."""
+        if x not in self.forms:
+            try:
+                self.forms[x] = classify_family(self.P, self.family[x])
+            except Inconsistent as exc:  # a counterexample to the theorem
+                self.forms[x] = exc.with_traceback(None)
+        return self.forms[x]
+
     def same(self, prop: str, x: int, y: int,
              inputs: dict | None = None) -> None:
         """Fail ``prop`` with the families of ids ``x`` and ``y`` when they
@@ -194,7 +208,8 @@ class VerificationReport:
         would keep them and the poset's memo tables alive."""
         self.elapsed = time.perf_counter() - self.start
         self.poset, self.P = poset_to_dict(self.P), None
-        for table in (self.ids, self.family, self.products, self._tuples):
+        for table in (self.ids, self.family, self.products, self.forms,
+                      self._tuples):
             table.clear()
         return self
 
@@ -428,44 +443,29 @@ def _associativity(s: VerificationReport) -> None:
 
 def verify_conjecture(P: Poset, bounds: Bounds = Bounds(),
                       name: str = "") -> VerificationReport:
-    """Bucket tuples by thread sets; equal thread sets must mean equal form.
+    """Bucket tuples by thread sets; every bucket must have a normal form.
 
-    On shape-supported posets every bucket must classify to a single normal
-    form; on other finite posets the bucket partition is still computed and
-    the invariance of thread sets under canonical reduction is checked.
-    Thread sets are read from the report's tables, so a canonical form
-    that is itself a corpus tuple is not computed again, and buckets are
-    keyed by family id.
-
-    ``same_thread_sets_same_form`` cannot fail on the classified shapes:
-    ``classify_family`` reads only ``P`` and the family, so two tuples with
-    equal thread sets always get equal forms.  There the real check is
-    ``family_realized``, that every family classifies; the check stays for
-    the thread-set closure of ROADMAP item 11 to give it content.
+    Buckets are keyed by family id, and each family is classified once, so
+    the tuples of a bucket share its form by construction.  On
+    shape-supported posets each tuple whose family classifies to no form
+    fails ``family_realized``; on other finite posets the bucket partition
+    is still computed.  Everywhere the invariance of thread sets under
+    canonical reduction is checked, and a canonical form that is itself a
+    corpus tuple is not computed again.
     """
     s = VerificationReport("conjecture", P, bounds, name)
     shape = shape_of(P)
     supported = shape in CLASSIFIED_SHAPES
-    of, same, family = s.of, s.same, s.family
-    buckets: dict[int, tuple[NormalForm, SubsetTuple]] = {}
+    of, same = s.of, s.same
     sizes: Counter[int] = Counter()
     for t in s.corpus():
         x = of(t)
         same("canonical_preserves_thread_sets", x, of(canonical(P, t)))
         sizes[x] += 1
-        if not supported:
-            continue
-        try:
-            nf = classify_family(P, family[x])
-        except Inconsistent as exc:  # a counterexample to the theorem
-            s.fail("family_realized", "a normal form", exc)
-            continue
-        held = buckets.get(x)
-        if held is None:
-            buckets[x] = (nf, t)
-        elif held[0] != nf:
-            s.fail("same_thread_sets_same_form", held[0], nf,
-                   {"tuples": [tuple_to_lists(P, u) for u in (held[1], t)]})
+        if supported:
+            nf = s.form(x)
+            if isinstance(nf, Inconsistent):  # a counterexample to the theorem
+                s.fail("family_realized", "a normal form", nf)
     s.details["shape"] = shape
     s.details["buckets"] = len(sizes)
     s.details["bucket_size_histogram"] = dict(
@@ -524,10 +524,7 @@ def verify_classifier(P: Poset, bounds: Bounds = Bounds(),
         s.cases += 1
         defining = inst.as_tuple(P)
         x = s.of(defining)
-        try:
-            got = classify_family(P, s.family[x])
-        except Inconsistent as exc:  # a counterexample to the theorem
-            got = exc
+        got = s.form(x)
         first = seen.setdefault(x, i)
         if inst != got or first != i:  # label the inputs on failure
             inputs = {"form": inst.describe(P),
@@ -539,8 +536,8 @@ def verify_classifier(P: Poset, bounds: Bounds = Bounds(),
                 s.fail("forms_have_distinct_thread_sets", instances[first],
                        inst, inputs)
     s.cases += 1
-    s.check("zero_from_empty_family", ZERO,
-            classify_family(P, EMPTY_FAMILY), {"form": "Zero"})
+    s.check("zero_from_empty_family", ZERO, s.form(s.intern(EMPTY_FAMILY)),
+            {"form": "Zero"})
     return s.finish()
 
 

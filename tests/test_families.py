@@ -469,6 +469,17 @@ def test_compose_shortcuts_match_definitional_product(diamond):
         assert got == _definitional_product(diamond, U, V)
 
 
+def test_compose_of_principal_families_on_chain4():
+    # every pair of the 31 chains: generators of 3 or more elements meet
+    # here, which no corpus tuple of length <= 3 composes
+    P = catalog("chain", 4).poset
+    principals = [principal(P, c) for c in P.chains()]
+    assert len(principals) == 31
+    for U in principals:
+        for V in principals:
+            assert compose(P, U, V) == _definitional_product(P, U, V)
+
+
 def _enumerated_thread_sets(P, t):
     """Minimal supports of the enumerated threads: the non-fold reference."""
     return frozenset(minimize({th.support for th in threads(P, t)}))

@@ -13,8 +13,9 @@ import pytest
 from oracles import brute_all_posets
 from threadsets import families, verify
 from threadsets.catalog import catalog
-from threadsets.classify import NormalForm
-from threadsets.errors import BadParameter, BudgetExceeded, ShapeMismatch
+from threadsets.classify import NormalForm, classify_family
+from threadsets.errors import (BadParameter, BudgetExceeded, Inconsistent,
+                               ShapeMismatch)
 from threadsets.families import (ChainFamily, chains_meeting, compose,
                                  minimize, thread_sets)
 from threadsets.poset import Poset, build_poset
@@ -141,6 +142,47 @@ def test_conjecture_suite_on_unsupported_shape(two_chains):
     assert report.details["buckets"] > 0
 
 
+@pytest.mark.parametrize("poset", ["diamond", "star2"])
+def test_conjecture_suite_classifies_each_family_once(poset, request,
+                                                      monkeypatch):
+    P = request.getfixturevalue(poset)
+    calls = []
+
+    def counted(P, F):
+        calls.append(F)
+        return classify_family(P, F)
+
+    monkeypatch.setattr(verify, "classify_family", counted)
+    report = verify_conjecture(P, Bounds(max_k=2))
+    assert report.passed
+    assert len(calls) == len(set(calls)) == report.details["buckets"]
+
+
+def test_conjecture_suite_fails_every_tuple_of_an_unrealized_family(
+        star2, monkeypatch):
+    # one family classifies to no form: each tuple of its bucket fails
+    # family_realized, in corpus order, and no other tuple does
+    bounds = Bounds(max_k=2)
+    unrealized = chains_meeting(star2, star2.full)
+    bucket = [t for t in _all_tuples(star2.n, range(1, bounds.max_k + 1))
+              if thread_sets(star2, t) == unrealized]
+    assert len(bucket) > 1
+
+    def refuse_one(P, F):
+        if F == unrealized:
+            raise Inconsistent("no form")
+        return classify_family(P, F)
+
+    monkeypatch.setattr(verify, "classify_family", refuse_one)
+    report = verify_conjecture(star2, bounds)
+    assert report.failures_by_property == {"family_realized": len(bucket)}
+    assert report.failures == [
+        {"property": "family_realized",
+         "inputs": {"tuple": tuple_to_lists(star2, t)},
+         "expected": repr("a normal form"),
+         "actual": repr(Inconsistent("no form"))} for t in bucket]
+
+
 def test_classifier_suite_passes(diamond, monkeypatch):
     def refuse(P, parts):
         raise AssertionError("the classifier suite reads families only")
@@ -253,12 +295,13 @@ def test_failure_records_carry_inputs(diamond):
     report = VerificationReport("demo", diamond, Bounds())
     report.check("some_property", 1, 2, {"tuple": [["a"]]})
     report.product(report.of((1,)), report.of((2, 4)))
-    assert report.family and report.products[0]
+    report.form(report.of((1,)))
+    assert report.family and report.products[0] and report.forms
     assert report.finish() is report
     # a kept report keeps no families and no memo tables alive
     assert report.P is None
     assert not (report.family or report.ids or report.products
-                or report._tuples)
+                or report.forms or report._tuples)
     assert not report.passed
     assert report.failure_count == 1
     assert report.failures == [{"property": "some_property",
