@@ -9,14 +9,13 @@ and verifies the governing identities exhaustively on small posets.
 from .classify import (PAYLOAD_KEYS, ZERO, NormalForm, classify_dim0,
                        classify_dim1, classify_dim2, classify_family,
                        form_instances, normal_form, shape_of)
-from .families import (EMPTY_FAMILY, ChainFamily, Thread, chains_meeting,
-                       compose, family, principal, singleton_tuple,
-                       thread_sets, threads)
+from .families import (EMPTY_FAMILY, ChainFamily, chains_meeting, compose,
+                       family, principal, singleton_tuple, thread_sets)
 from .poset import Poset, bits, build_poset
 from .tuples import (ZERO_TUPLE, canonical, collapse, is_collapsed,
                      is_concatenated, is_downward_concatenated,
                      is_upward_concatenated, prune_downward,
-                     prune_to_threads, prune_upward, restrict)
+                     prune_to_threads, prune_upward, restrict, threads)
 from .verify import (Bounds, VerificationReport, all_posets, default_corpus,
                      run_suite, verify_classifier, verify_conjecture,
                      verify_operator_laws, verify_thread_monoid)
@@ -29,7 +28,7 @@ __all__ = [
     "canonical", "restrict",
     "is_upward_concatenated", "is_downward_concatenated", "is_concatenated",
     "is_collapsed", "ZERO_TUPLE",
-    "Thread", "ChainFamily", "EMPTY_FAMILY", "threads", "thread_sets",
+    "ChainFamily", "EMPTY_FAMILY", "threads", "thread_sets",
     "chains_meeting", "principal", "compose", "family", "singleton_tuple",
     "NormalForm", "ZERO", "PAYLOAD_KEYS", "shape_of",
     "normal_form", "classify_family", "classify_dim0",

@@ -20,10 +20,10 @@ from . import catalog as catalog_mod
 from . import serialize, verify
 from .classify import normal_form
 from .errors import BadParameter, ParseError, SpectrumError
-from .families import thread_sets, threads
+from .families import thread_sets
 from .poset import Poset, set_text, tuple_text
 from .tuples import (SubsetTuple, canonical, collapse, prune_downward,
-                     prune_to_threads, prune_upward)
+                     prune_to_threads, prune_upward, threads)
 
 
 def _read(path: str) -> str:
@@ -81,10 +81,10 @@ def _cmd_reduce(P: Poset, t: SubsetTuple) -> _Result:
 
 
 def _cmd_threads(P: Poset, t: SubsetTuple) -> _Result:
-    found = list(threads(P, t))
-    payload = {"threads": [list(th.labels(P)) for th in found]}
-    text = "\n".join(" >= ".join(th.labels(P)) for th in found) or "(none)"
-    return 0, payload, text
+    found = [[P.elements[i] for i in sequence]
+             for sequence, _ in threads(P, t)]
+    text = "\n".join(" >= ".join(labels) for labels in found) or "(none)"
+    return 0, {"threads": found}, text
 
 
 def _cmd_tset(P: Poset, t: SubsetTuple) -> _Result:
@@ -275,6 +275,3 @@ def _error(fmt: str, code: str, message: str) -> None:
     else:
         sys.stderr.write(f"error[{code}]: {message}\n")
 
-
-if __name__ == "__main__":
-    raise SystemExit(main())

@@ -6,29 +6,19 @@ collection of thread sets of a tuple is upward closed under chain
 inclusion, so it is stored by its inclusion-minimal generators.  These
 families form a monoid under ``compose``, mirroring composition of the
 underlying localizations, and ``thread_sets`` computes a tuple's family as
-the ``compose`` fold of its per-part families; ``threads`` enumerates the
-threads themselves.
+the ``compose`` fold of its per-part families, without enumerating the
+threads that ``tuples.threads`` walks.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Iterable, Iterator
+from typing import Iterable
 
 from .errors import EmptyChain, NotAChain
 from .poset import Poset, bits, set_text
-from .tuples import SubsetTuple, _check, _walk
-
-
-@dataclass(frozen=True)
-class Thread:
-    """A descending element-index sequence with one entry per tuple part."""
-
-    sequence: tuple[int, ...]
-    support: int
-
-    def labels(self, P: Poset) -> tuple[str, ...]:
-        return tuple(P.elements[i] for i in self.sequence)
+from .tuples import SubsetTuple, _check
+# re-exported: bench/tracer.py times the walk as families.threads
+from .tuples import threads  # noqa: F401
 
 
 class ChainFamily(frozenset):
@@ -109,22 +99,6 @@ def require_chain(P: Poset, mask: int) -> int:
     if not P.is_chain(mask):
         raise NotAChain(f"{set_text(P, mask)} is not a chain")
     return mask
-
-
-def threads(P: Poset, parts: SubsetTuple) -> Iterator[Thread]:
-    """All threads of a tuple, depth first, ascending element index.
-
-    Repeated elements are allowed along a thread; the support chain
-    deduplicates them.  The stream is empty exactly when pruning the tuple
-    to its threads empties every part.  The number of threads can grow
-    exponentially with the tuple length; ``thread_sets`` does not enumerate
-    them.  Every part is validated on the first step, so a mask with bits
-    outside the poset, or a negative one, raises ``UnknownElement``.  The
-    walk is ``tuples._walk``, which ``prune_to_threads_direct`` and the
-    monoid suite's reference read directly, without ``Thread`` records.
-    """
-    for sequence, support in _walk(P, parts):
-        yield Thread(sequence, support)
 
 
 def thread_sets(P: Poset, parts: SubsetTuple) -> ChainFamily:

@@ -6,6 +6,8 @@ fixed poset, with k >= 1.  The reduction operators prune parts down to the
 elements that sit on descending chains through the other parts and drop
 redundant adjacent parts; their composite ``canonical`` retracts every
 tuple onto a collapsed concatenated representative with the same threads.
+``threads`` walks those threads, the descending sequences that pick one
+element from each part.
 """
 
 from __future__ import annotations
@@ -69,7 +71,7 @@ def prune_to_threads(P: Poset, parts: SubsetTuple) -> SubsetTuple:
 
 def prune_to_threads_direct(P: Poset, parts: SubsetTuple) -> SubsetTuple:
     """Direct form of prune_to_threads: part i keeps the elements that some
-    thread visits at position i, read off the walk behind ``threads``.
+    thread visits at position i, read off ``threads``.
 
     The reference that verification compares ``prune_to_threads`` against;
     its cost grows with the number of threads.  Every part is validated, so
@@ -77,15 +79,25 @@ def prune_to_threads_direct(P: Poset, parts: SubsetTuple) -> SubsetTuple:
     ``UnknownElement``.
     """
     out = [0] * len(parts)
-    for sequence, _ in _walk(P, parts):
+    for sequence, _ in threads(P, parts):
         for i, a in enumerate(sequence):
             out[i] |= 1 << a
     return tuple(out)
 
 
-def _walk(P: Poset, parts: SubsetTuple) -> Iterator[tuple[tuple[int, ...], int]]:
-    """The threads of a tuple as ``(sequence, support)`` pairs, depth first,
-    ascending element index; every part is validated on the first step.
+def threads(P: Poset,
+            parts: SubsetTuple) -> Iterator[tuple[tuple[int, ...], int]]:
+    """All threads of a tuple, depth first, ascending element index.
+
+    Each thread is a ``(sequence, support)`` pair: the descending element
+    indices it picks, one per part, and the chain of those elements as a
+    bitmask.  Repeated elements are allowed along a thread; the support
+    chain deduplicates them.  The stream is empty exactly when pruning the
+    tuple to its threads empties every part.  The number of threads can
+    grow exponentially with the tuple length; ``families.thread_sets`` does
+    not enumerate them.  Every part is validated on the first step, so a
+    mask with bits outside the poset, or a negative one, raises
+    ``UnknownElement``.
 
     One loop over a stack of partial threads ``(prefix, support,
     candidates)``, like ``Poset.chains``: an entry extends its prefix by its

@@ -29,10 +29,10 @@ from .families import (EMPTY_FAMILY, ChainFamily, compose, minimize,
                        principal, singleton_tuple, thread_sets)
 from .poset import Poset, bits
 from .serialize import poset_to_dict, tuple_to_lists
-from .tuples import (ZERO_TUPLE, SubsetTuple, _walk, canonical, collapse,
+from .tuples import (ZERO_TUPLE, SubsetTuple, canonical, collapse,
                      is_collapsed, is_concatenated, is_downward_concatenated,
                      is_upward_concatenated, prune_downward, prune_to_threads,
-                     prune_to_threads_direct, prune_upward, restrict)
+                     prune_to_threads_direct, prune_upward, restrict, threads)
 
 FAILURE_CAP = 50  # recorded per report; the failure count is always exact
 SAMPLES = 2048  # cases drawn from a space that exceeds the budget
@@ -365,7 +365,7 @@ def verify_thread_monoid(P: Poset, bounds: Bounds = Bounds(),
         F = family[x]
         # the thread walk is the reference: minimal supports of the
         # enumerated threads, computed without compose
-        enumerated = minimize({support for _, support in _walk(P, t)})
+        enumerated = minimize({support for _, support in threads(P, t)})
         s.check("thread_sets_decompose", enumerated, F)
         for j in range(1, len(t)):
             same("thread_sets_of_concatenation", x,

@@ -91,7 +91,8 @@ def test_criterion_3c_zariski_identity_and_thread_shapes():
     P = entry.poset
     same = thread_sets(P, entry.tuples["triple"]) == thread_sets(
         P, entry.tuples["pair"])
-    found = {t.labels(P) for t in threads(P, entry.tuples["triple"])}
+    found = {tuple(P.elements[i] for i in sequence)
+             for sequence, _ in threads(P, entry.tuples["triple"])}
     below_x = {"a1", "a2", "O"}
     below_y = {"b1", "b2", "O"}
     shape1 = {("X", "X", z) for z in below_x}         # (x) = (x) > (x, y-mu)

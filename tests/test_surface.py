@@ -9,15 +9,18 @@ attribute, a module-level name as an attribute or as a plain name in its
 own module or in a module that imports it.  Attributes are matched by
 spelling alone, so a method shares its reads with every other attribute of
 that name.  Module-level names are written ``module.name`` and methods
-``Class.method``.
+``Class.method``.  No module imports a private name from a sibling module
+unless ``PRIVATE_IMPORTS`` gives the reason.
 """
 
 from __future__ import annotations
 
 import ast
+import inspect
 from pathlib import Path
 
 import threadsets
+from threadsets import families, tuples
 
 SOURCE = Path(threadsets.__file__).parent
 CLASSES = ("Poset", "ChainFamily")
@@ -31,6 +34,12 @@ ALLOWED = {
                                   "family documents through it",
     "serialize.form_from_dict": "acceptance criterion 6 round-trips "
                                 "form documents through it",
+}
+
+# private names that a sibling module imports, each with its reason
+PRIVATE_IMPORTS = {
+    "tuples._check": "families.thread_sets rejects the empty tuple the same "
+                     "way the kernels do",
 }
 
 
@@ -119,6 +128,20 @@ def _unread() -> set[str]:
 
 def test_every_public_name_has_a_reader_in_the_library():
     assert _unread() == set(ALLOWED)
+
+
+def test_private_names_stay_in_their_module():
+    imported = set()
+    for file in SOURCE.glob("*.py"):
+        module = _Module(file.stem)
+        module.visit(ast.parse(file.read_text(encoding="utf-8")))
+        imported |= {f"{source}.{name}" for source, name in module.imports
+                     if name.startswith("_")}
+    assert imported == set(PRIVATE_IMPORTS)
+    # one walk over a tuple's threads, which bench/tracer.py times under
+    # the name families.threads
+    assert families.threads is tuples.threads
+    assert inspect.isgeneratorfunction(tuples.threads)
 
 
 def test_verify_reads_families_through_its_report():

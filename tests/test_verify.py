@@ -11,7 +11,7 @@ from pathlib import Path
 import pytest
 
 from oracles import brute_all_posets
-from threadsets import families, verify
+from threadsets import verify
 from threadsets.catalog import catalog
 from threadsets.classify import NormalForm, classify_family
 from threadsets.errors import (BadParameter, BudgetExceeded, Inconsistent,
@@ -100,25 +100,16 @@ def test_monoid_suite_checks_that_the_prunes_keep_thread_sets(diamond,
         "prune_downward_keeps_thread_sets": threaded}
 
 
-def test_monoid_suite_builds_no_thread(diamond, monkeypatch):
-    # the reference reads the minimal supports straight off the walk
-    def refuse(*args):
-        raise AssertionError("a Thread record was built")
-
-    monkeypatch.setattr(families, "Thread", refuse)
-    assert verify_thread_monoid(diamond).passed
-
-
 def test_monoid_suite_checks_thread_sets_against_the_walk(diamond,
                                                           monkeypatch):
     # a walk that drops its last thread changes the minimal supports of
     # some tuples, and each of them must fail
-    walk = verify._walk
+    walk = verify.threads
 
     def short(P, t):
         return list(walk(P, t))[:-1]
 
-    monkeypatch.setattr(verify, "_walk", short)
+    monkeypatch.setattr(verify, "threads", short)
     report = verify_thread_monoid(diamond)
     expected = sum(minimize({support for _, support in short(diamond, t)})
                    != thread_sets(diamond, t)
