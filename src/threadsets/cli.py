@@ -12,6 +12,7 @@ emitted as ``{"error": {"code": ..., "message": ...}}``; usage errors,
 from __future__ import annotations
 
 import argparse
+import functools
 import sys
 import traceback
 from pathlib import Path
@@ -174,12 +175,17 @@ class _Parser(argparse.ArgumentParser):
         raise _UsageError(self, message)
 
 
-def _format_of(argv: list[str] | None) -> str | None:
-    """The ``--format`` value of a command line that failed to parse."""
+@functools.cache
+def _format_probe() -> argparse.ArgumentParser:
     probe = argparse.ArgumentParser(add_help=False, exit_on_error=False)
     probe.add_argument("--format")
+    return probe
+
+
+def _format_of(argv: list[str] | None) -> str | None:
+    """The ``--format`` value of a command line that failed to parse."""
     try:
-        return probe.parse_known_args(argv)[0].format
+        return _format_probe().parse_known_args(argv)[0].format
     except argparse.ArgumentError:
         return None
 
@@ -236,10 +242,17 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    """The parser of every ``main`` call, built on first use and then kept:
+    building one costs more than most commands.  It holds the ``_cmd_*``
+    functions as they were when it was built."""
+    return build_parser()
+
+
 def main(argv: list[str] | None = None) -> int:
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = _parser().parse_args(argv)
     except SystemExit:  # --help; every other exit is a _UsageError
         return 0
     except _UsageError as exc:

@@ -2,6 +2,7 @@ from __future__ import annotations
 
 import ast
 import contextlib
+import gc
 import io
 import json
 import os
@@ -455,8 +456,11 @@ def _broken(P, t):
     raise RuntimeError("boom")
 
 
+# The parser binds the _cmd_* functions when it is built, and main keeps
+# one parser per process, so these patch a library name that _cmd_tset
+# looks up at call time.
 def test_internal_error_text_mode(write, capsys, monkeypatch):
-    monkeypatch.setattr(cli, "_cmd_tset", _broken)
+    monkeypatch.setattr(cli, "thread_sets", _broken)
     poset = write("p.json", ANTICHAIN3)
     t = write("t.json", [["p"]])
     code, out, err = run(capsys, "tset", "--poset", poset, "--tuple", t)
@@ -469,7 +473,7 @@ def test_internal_error_text_mode(write, capsys, monkeypatch):
 
 
 def test_internal_error_json_mode(write, capsys, monkeypatch):
-    monkeypatch.setattr(cli, "_cmd_tset", _broken)
+    monkeypatch.setattr(cli, "thread_sets", _broken)
     poset = write("p.json", ANTICHAIN3)
     t = write("t.json", [["p"]])
     code, out, err = run(capsys, "tset", "--poset", poset, "--tuple", t,
@@ -479,6 +483,91 @@ def test_internal_error_json_mode(write, capsys, monkeypatch):
     error = json.loads(out)["error"]
     assert error["code"] == "InternalError"
     assert error["message"].startswith("RuntimeError: boom")
+
+
+# -- one parser per process
+
+def _calls(write) -> list[list[str]]:
+    """Command lines whose order could carry state from one parse into the
+    next: an ``append`` list, a usage error, a ``--format`` value."""
+    poset = write("p.json", DIAMOND)
+    first, second = write("a.json", [["t"]]), write("b.json", [["a"]])
+    on = ["--poset", poset]
+    return [
+        ["eq", *on, "--tuple", first, "--tuple", second],
+        ["tset", *on, "--tuple", first],
+        ["tset", *on, "--tuple", first, "--bogus"],
+        ["tset", *on, "--tuple", second],
+        ["eq", *on, "--tuple", first, "--format", "json"],
+        ["classify", *on, "--tuple", second, "--format", "json"],
+        ["classify", *on, "--tuple", second],
+        ["reduce", *on, "--tuple", first, "--format=json", "--bogus"],
+        ["threads", *on, "--tuple", first],
+        ["--help"],
+        ["tset", "--help"],
+        ["catalog", "emit", "chain", "2"],
+        # verify's text reports carry their wall time, so JSON only here
+        ["verify", "monoid", *on, "--max-k", "2", "--format", "json"],
+        ["verify", "operator-laws", *on, "--format", "json", "--seed", "3"],
+        ["dot", *on],
+    ]
+
+
+def test_shared_parser_matches_a_fresh_parser_per_call(write, capsys,
+                                                       monkeypatch):
+    calls = _calls(write)
+    shared = [run(capsys, *argv) for argv in calls]
+    monkeypatch.setattr(cli, "_parser", cli.build_parser)
+    monkeypatch.setattr(cli, "_format_probe", cli._format_probe.__wrapped__)
+    fresh = [run(capsys, *argv) for argv in calls]
+    assert shared == fresh
+    assert [code for code, _, _ in shared] == [
+        1, 0, 2, 0, 2, 0, 0, 2, 0, 0, 0, 0, 0, 0, 0]
+
+
+def test_main_builds_one_parser(write, capsys, monkeypatch):
+    built = []
+    build = cli.build_parser
+
+    def counted():
+        built.append(1)
+        return build()
+
+    monkeypatch.setattr(cli, "build_parser", counted)
+    cli._parser.cache_clear()
+    try:
+        for argv in _calls(write):
+            run(capsys, *argv)
+    finally:
+        cli._parser.cache_clear()
+    assert len(built) == 1
+    assert build() is not build()
+
+
+def test_main_leaves_no_parser_for_the_collector(write, capsys):
+    # Printing usage builds an argparse HelpFormatter, which is a reference
+    # cycle of argparse's own, so --help and text-mode argparse errors stay
+    # out; so does the first call, which builds the parsers.
+    calls = [argv for argv in _calls(write) if "--help" not in argv
+             and ("--bogus" not in argv or "--format=json" in argv)]
+    for argv in calls:
+        run(capsys, *argv)
+    gc.collect()
+    enabled = gc.isenabled()
+    gc.disable()
+    gc.set_debug(gc.DEBUG_SAVEALL)
+    try:
+        for argv in calls:
+            run(capsys, *argv)
+        gc.collect()
+        left = {type(o).__name__ for o in gc.garbage
+                if type(o).__module__ == "argparse"}
+    finally:
+        gc.set_debug(0)
+        gc.garbage.clear()
+        if enabled:
+            gc.enable()
+    assert left == set()
 
 
 _NAMES = st.sampled_from(["a", "b", "c", "zz"])
