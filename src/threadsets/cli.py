@@ -30,7 +30,8 @@ from .tuples import (SubsetTuple, canonical, collapse, prune_downward,
 def _read(path: str) -> str:
     """The text of a UTF-8 file, a leading byte order mark dropped."""
     try:
-        return Path(path).read_text(encoding="utf-8-sig")
+        with open(path, encoding="utf-8-sig") as f:
+            return f.read()
     except OSError as exc:
         raise BadParameter(f"cannot read {path}: {exc}") from None
     except UnicodeDecodeError as exc:
@@ -38,10 +39,24 @@ def _read(path: str) -> str:
                          f"{exc.start}") from None
 
 
+# Sized from the bench's cli-batch workload (bench/workloads.py), whose pass
+# reads 6 distinct posets 2 060 times; the bound keeps a long batch from
+# holding more posets and their tables alive.
+_POSETS_KEPT = 8
+
+
+@functools.lru_cache(maxsize=_POSETS_KEPT)
+def _poset_of(text: str) -> Poset:
+    """The poset of a document, parsed once per distinct text and then kept
+    with its operator tables, which change no answer (see ``Poset``).  An
+    invalid document raises on every call: ``lru_cache`` keeps no error."""
+    return serialize.load_poset(text)
+
+
 def _load_poset(args) -> Poset:
     if not args.poset:
         raise BadParameter("this command needs --poset FILE")
-    return serialize.load_poset(_read(args.poset))
+    return _poset_of(_read(args.poset))
 
 
 def _inputs(args) -> list:

@@ -570,6 +570,156 @@ def test_main_leaves_no_parser_for_the_collector(write, capsys):
     assert left == set()
 
 
+# -- one parse per distinct poset document
+
+DIAMOND_TEXT = "a < t\nb < t\nm < a\nm < b\n"
+CHAIN1 = {"elements": ["0", "1"], "relations": ["0 < 1"]}
+ANTICHAIN2 = {"elements": ["0", "1"], "relations": []}
+MALFORMED = '{"elements": [}'
+
+
+def _counted_loads(monkeypatch) -> list[str]:
+    """The texts that ``serialize.load_poset`` is called on from now."""
+    seen = []
+    load = cli.serialize.load_poset
+
+    def counted(text):
+        seen.append(text)
+        return load(text)
+
+    monkeypatch.setattr(cli.serialize, "load_poset", counted)
+    return seen
+
+
+def _cache_steps(tmp_path) -> list:
+    """``main`` calls on poset files, each step a command line or a
+    ``(name, bytes)`` file write; files are rewritten in place between
+    calls."""
+    def at(name):
+        return str(tmp_path / name)
+
+    diamond = dumps(DIAMOND).encode()
+    on = ["--poset", at("p.json")]
+    t, u, v = (["--tuple", at(name)] for name in ("t.json", "u.json",
+                                                   "v.json"))
+    return [
+        ("p.json", diamond),
+        ("t.json", dumps([["t", "a"], ["b", "m"]]).encode()),
+        ("u.json", dumps([["a"]]).encode()),
+        ("v.json", dumps([["1"], ["0"]]).encode()),
+        ["reduce", *on, *t],
+        ["threads", *on, *t],
+        ["tset", *on, *t, "--format", "json"],
+        ["eq", *on, *t, *u],
+        ["classify", *on, *u, "--format", "json"],
+        ["dot", *on],
+        ["verify", "operator-laws", *on, "--format", "json"],
+        # the same document under another path, and with a byte order
+        # mark, which is dropped before the text is looked up
+        ("q.json", diamond),
+        ["tset", "--poset", at("q.json"), *t],
+        ("bom.json", BOM + diamond),
+        ["threads", "--poset", at("bom.json"), *t],
+        # the same poset in the text form is another document
+        ("d.txt", DIAMOND_TEXT.encode()),
+        ["tset", "--poset", at("d.txt"), *t],
+        # rewritten in place with another poset: the new answer
+        ("r.json", dumps(CHAIN1).encode()),
+        ["tset", "--poset", at("r.json"), *v],
+        ("r.json", dumps(ANTICHAIN2).encode()),
+        ["tset", "--poset", at("r.json"), *v],
+        # malformed twice, then mended at the same path
+        ("bad.json", MALFORMED.encode()),
+        ["dot", "--poset", at("bad.json")],
+        ["tset", "--poset", at("bad.json"), *t, "--format", "json"],
+        ("bad.json", dumps(ANTICHAIN3).encode()),
+        ["dot", "--poset", at("bad.json")],
+    ]
+
+
+def _run_steps(tmp_path, capsys, steps) -> list:
+    triples = []
+    for step in steps:
+        if isinstance(step, tuple):
+            (tmp_path / step[0]).write_bytes(step[1])
+        else:
+            triples.append(run(capsys, *step))
+    return triples
+
+
+def test_poset_cache_matches_a_parse_per_call(tmp_path, capsys, monkeypatch):
+    steps = _cache_steps(tmp_path)
+    cli._poset_of.cache_clear()
+    loads = _counted_loads(monkeypatch)
+    cached = _run_steps(tmp_path, capsys, steps)
+    # five distinct valid texts (the diamond as JSON and as text, the chain,
+    # the antichain it became, the mended file) and two malformed calls
+    assert len(loads) == 5 + 2
+    assert loads.count(MALFORMED) == 2
+    monkeypatch.setattr(cli, "_poset_of", cli._poset_of.__wrapped__)
+    uncached = _run_steps(tmp_path, capsys, steps)
+    assert cached == uncached
+    assert [code for code, _, _ in cached] == [
+        0, 0, 0, 1, 0, 0, 0, 0, 0, 0, 0, 0, 2, 2, 0]
+    rewritten = [out for _, out, _ in cached[10:12]]
+    assert rewritten == ["{0, 1}\n", "(empty)\n"]
+
+
+def test_verify_answers_the_same_on_a_warm_shared_poset(write, capsys):
+    poset = write("p.json", DIAMOND)
+    t = write("t.json", [["t", "a"], ["b", "m"]])
+    suites = [["operator-laws"], ["monoid", "--max-k", "2"], ["conjecture"]]
+
+    def verify(suite):
+        return run(capsys, "verify", *suite, "--poset", poset,
+                   "--format", "json")
+
+    for suite in suites:
+        cli._poset_of.cache_clear()
+        cold = verify(suite)
+        cli._poset_of.cache_clear()
+        for command in ("reduce", "tset", "threads", "classify"):
+            assert run(capsys, command, "--poset", poset, "--tuple", t)[0] == 0
+        P = cli._poset_of(dumps(DIAMOND))
+        assert all((P._down_sets, P._up_sets, P._floors, P._meeting))
+        assert verify(suite) == cold
+        assert cli._poset_of.cache_info().currsize == 1
+        assert cold[0] == 0
+
+
+def test_poset_cache_is_bounded(write, capsys, monkeypatch):
+    kept = cli._POSETS_KEPT
+    assert cli._poset_of.cache_info().maxsize == kept
+    paths = [write(f"p{k}.json", {"elements": [f"e{i}" for i in range(k)],
+                                   "relations": []})
+             for k in range(1, kept + 2)]
+    cli._poset_of.cache_clear()
+    loads = _counted_loads(monkeypatch)
+    for path in paths:
+        assert run(capsys, "dot", "--poset", path)[0] == 0
+    assert cli._poset_of.cache_info().currsize == kept
+    assert len(loads) == kept + 1
+    run(capsys, "dot", "--poset", paths[-1])
+    assert len(loads) == kept + 1
+    run(capsys, "dot", "--poset", paths[0])
+    assert len(loads) == kept + 2
+
+
+@pytest.mark.parametrize("fmt", ["text", "json"])
+def test_empty_tuple_path_is_bad_parameter(write, capsys, fmt):
+    poset = write("p.json", DIAMOND)
+    code, out, err = run(capsys, "tset", "--poset", poset, "--tuple", "",
+                         "--format", fmt)
+    assert code == 2
+    if fmt == "json":
+        error = json.loads(out)["error"]
+        assert error["code"] == "BadParameter"
+        assert error["message"].startswith("cannot read : ")
+    else:
+        assert out == ""
+        assert err.startswith("error[BadParameter]: cannot read : ")
+
+
 _NAMES = st.sampled_from(["a", "b", "c", "zz"])
 _ABC = st.sampled_from(["a", "b", "c"])
 _JSON = st.recursive(
