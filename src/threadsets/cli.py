@@ -12,10 +12,12 @@ emitted as ``{"error": {"code": ..., "message": ...}}``; usage errors,
 from __future__ import annotations
 
 import argparse
+import codecs
 import functools
 import sys
 import traceback
 from pathlib import Path
+from typing import Any, Callable
 
 from . import catalog as catalog_mod
 from . import serialize, verify
@@ -28,15 +30,21 @@ from .tuples import (SubsetTuple, canonical, collapse, prune_downward,
 
 
 def _read(path: str) -> str:
-    """The text of a UTF-8 file, a leading byte order mark dropped."""
+    """The text of a UTF-8 file as text mode reads it: a leading byte order
+    mark dropped, and ``\\r\\n`` and a lone ``\\r`` read as ``\\n``."""
     try:
-        with open(path, encoding="utf-8-sig") as f:
-            return f.read()
+        with open(path, "rb") as f:
+            data = f.read()
     except OSError as exc:
         raise BadParameter(f"cannot read {path}: {exc}") from None
+    try:
+        text = data.removeprefix(codecs.BOM_UTF8).decode("utf-8")
     except UnicodeDecodeError as exc:
         raise ParseError(f"{path} is not UTF-8: {exc.reason} at byte "
                          f"{exc.start}") from None
+    if "\r" in text:
+        text = text.replace("\r\n", "\n").replace("\r", "\n")
+    return text
 
 
 # Sized from the bench's cli-batch workload (bench/workloads.py), whose pass
@@ -71,15 +79,18 @@ def _inputs(args) -> list:
                  for p in paths)]
 
 
-def _emit(fmt: str, payload: dict, text: str) -> None:
+def _emit(fmt: str, payload: Callable[[], Any],
+          text: Callable[[], str]) -> None:
     if fmt == "json":
-        sys.stdout.write(serialize.dumps(payload))
+        sys.stdout.write(serialize.dumps(payload()))
     else:
-        sys.stdout.write(text if text.endswith("\n") else text + "\n")
+        body = text()
+        sys.stdout.write(body if body.endswith("\n") else body + "\n")
 
 
-# Each command returns its exit code, its JSON payload and its text.
-_Result = tuple[int, dict, str]
+# Each command returns its exit code, and its JSON payload and its text as
+# functions of no arguments, so that main builds only the one it writes.
+_Result = tuple[int, Callable[[], Any], Callable[[], str]]
 
 
 def _cmd_reduce(P: Poset, t: SubsetTuple) -> _Result:
@@ -91,43 +102,48 @@ def _cmd_reduce(P: Poset, t: SubsetTuple) -> _Result:
         "collapse": collapse(t),
         "canonical": canonical(P, t),
     }
-    payload = {k: serialize.tuple_to_lists(P, v) for k, v in stages.items()}
-    text = "\n".join(f"{k}: {tuple_text(P, v)}" for k, v in stages.items())
-    return 0, payload, text
+    return (0,
+            lambda: {k: serialize.tuple_to_lists(P, v)
+                     for k, v in stages.items()},
+            lambda: "\n".join(f"{k}: {tuple_text(P, v)}"
+                              for k, v in stages.items()))
 
 
 def _cmd_threads(P: Poset, t: SubsetTuple) -> _Result:
     found = [[P.elements[i] for i in sequence]
              for sequence, _ in threads(P, t)]
-    text = "\n".join(" >= ".join(labels) for labels in found) or "(none)"
-    return 0, {"threads": found}, text
+    return (0, lambda: {"threads": found},
+            lambda: ("\n".join(" >= ".join(labels) for labels in found)
+                     or "(none)"))
 
 
 def _cmd_tset(P: Poset, t: SubsetTuple) -> _Result:
     F = thread_sets(P, t)
-    text = "\n".join(set_text(P, g) for g in F.sorted_generators()) or "(empty)"
-    return 0, serialize.family_to_dict(P, F), text
+    return (0, lambda: serialize.family_to_dict(P, F),
+            lambda: ("\n".join(set_text(P, g) for g in F.sorted_generators())
+                     or "(empty)"))
 
 
 def _cmd_eq(P: Poset, first: SubsetTuple, second: SubsetTuple) -> _Result:
     F, G = thread_sets(P, first), thread_sets(P, second)
     if F == G:
-        return 0, {"equal": True}, "equal"
+        return 0, lambda: {"equal": True}, lambda: "equal"
     witness = min(F ^ G, key=lambda m: (m.bit_count(), tuple(P.labels(m))))
     side = "first" if F.member(witness) else "second"
-    payload = {"equal": False, "witness": list(P.labels(witness)),
-               "witness_only_in": side}
-    return 1, payload, (f"unequal: generator {set_text(P, witness)} only in "
-                        f"the {side} tuple")
+    return (1,
+            lambda: {"equal": False, "witness": list(P.labels(witness)),
+                     "witness_only_in": side},
+            lambda: (f"unequal: generator {set_text(P, witness)} only in the "
+                     f"{side} tuple"))
 
 
 def _cmd_classify(P: Poset, t: SubsetTuple) -> _Result:
     nf = normal_form(P, t)
-    return 0, serialize.form_to_dict(P, nf), nf.describe(P)
+    return 0, lambda: serialize.form_to_dict(P, nf), lambda: nf.describe(P)
 
 
 def _cmd_dot(P: Poset) -> _Result:
-    return 0, {}, serialize.poset_to_dot(P)
+    return 0, lambda: {}, lambda: serialize.poset_to_dot(P)
 
 
 def _cmd_catalog(args) -> _Result:
@@ -135,25 +151,31 @@ def _cmd_catalog(args) -> _Result:
         if args.format == "dot":
             raise BadParameter("catalog list writes text or json, not dot")
         names = catalog_mod.names()
-        return 0, {"entries": names}, "\n".join(names)
+        return 0, lambda: {"entries": names}, lambda: "\n".join(names)
     if not args.name:
         raise BadParameter("catalog emit needs an entry name")
     entry = catalog_mod.catalog(args.name, *(args.params or []))
     if args.format == "dot":
         return _cmd_dot(entry.poset)
-    payload = {
-        "name": entry.name,
-        "params": list(entry.params),
-        "poset": serialize.poset_to_dict(entry.poset),
-        "tuples": {k: serialize.tuple_to_lists(entry.poset, v)
-                   for k, v in entry.tuples.items()},
-        "notes": entry.notes,
-    }
-    lines = [f"{entry.label}: {entry.notes}",
-             serialize.poset_to_text(entry.poset).rstrip()]
-    for tname, t in entry.tuples.items():
-        lines.append(f"tuple {tname}: {tuple_text(entry.poset, t)}")
-    return 0, payload, "\n".join(lines)
+
+    def payload() -> dict:
+        return {
+            "name": entry.name,
+            "params": list(entry.params),
+            "poset": serialize.poset_to_dict(entry.poset),
+            "tuples": {k: serialize.tuple_to_lists(entry.poset, v)
+                       for k, v in entry.tuples.items()},
+            "notes": entry.notes,
+        }
+
+    def text() -> str:
+        lines = [f"{entry.label}: {entry.notes}",
+                 serialize.poset_to_text(entry.poset).rstrip()]
+        for tname, t in entry.tuples.items():
+            lines.append(f"tuple {tname}: {tuple_text(entry.poset, t)}")
+        return "\n".join(lines)
+
+    return 0, payload, text
 
 
 def _cmd_verify(args) -> _Result:
@@ -165,13 +187,18 @@ def _cmd_verify(args) -> _Result:
         posets = [(args.poset, _load_poset(args))]
     reports = verify.run_suite(args.suite, posets, bounds)
     failed = sum(1 for r in reports if not r.passed)
-    payload = {"reports": [r.to_dict() for r in reports],
-               "passed": failed == 0}
-    total = sum(r.cases for r in reports)
-    status = "pass" if failed == 0 else f"FAIL in {failed} report(s)"
-    lines = [r.to_text() for r in reports]
-    lines.append(f"== {len(reports)} reports, {total} cases: {status}")
-    return (0 if failed == 0 else 1), payload, "\n".join(lines)
+
+    def text() -> str:
+        total = sum(r.cases for r in reports)
+        status = "pass" if failed == 0 else f"FAIL in {failed} report(s)"
+        lines = [r.to_text() for r in reports]
+        lines.append(f"== {len(reports)} reports, {total} cases: {status}")
+        return "\n".join(lines)
+
+    return ((0 if failed == 0 else 1),
+            lambda: {"reports": [r.to_dict() for r in reports],
+                     "passed": failed == 0},
+            text)
 
 
 class _UsageError(BadParameter):

@@ -190,8 +190,85 @@ def _subset(P: Poset, value: Any, what: str) -> int:
     return P.subset(value)
 
 
+_quote = json.encoder.encode_basestring_ascii
+_INFINITY = float("inf")
+
+
 def dumps(data: Any) -> str:
-    return json.dumps(data, indent=2, sort_keys=False) + "\n"
+    """The bytes of ``json.dumps`` at an indent of 2, and a newline, from
+    one recursive emitter: CPython's ``json`` encodes with an indent only in
+    pure Python, through nested closures that each call leaves to the cycle
+    collector.  Like ``json.dumps``, it raises ``TypeError`` on a value or
+    a key that JSON cannot carry; a container that holds itself exhausts
+    the recursion limit instead of raising ``ValueError``."""
+    out: list[str] = []
+    _write(data, "\n", out)
+    out.append("\n")
+    return "".join(out)
+
+
+def _write(value: Any, newline: str, out: list[str]) -> None:
+    """Append the JSON of ``value`` to ``out``, with ``newline`` (a line
+    break and the current indent) before each line it starts."""
+    if isinstance(value, str):
+        out.append(_quote(value))
+    elif isinstance(value, (list, tuple)):
+        if not value:
+            out.append("[]")
+            return
+        inner = newline + "  "
+        separator = "[" + inner
+        for item in value:
+            out.append(separator)
+            _write(item, inner, out)
+            separator = "," + inner
+        out.append(newline + "]")
+    elif isinstance(value, dict):
+        if not value:
+            out.append("{}")
+            return
+        inner = newline + "  "
+        separator = "{" + inner
+        for key, item in value.items():
+            if not isinstance(key, str):
+                text = _literal(key)
+                if text is None:
+                    raise TypeError("keys must be str, int, float, bool or "
+                                    f"None, not {key.__class__.__name__}")
+                key = text
+            out.append(separator + _quote(key) + ": ")
+            _write(item, inner, out)
+            separator = "," + inner
+        out.append(newline + "}")
+    else:
+        text = _literal(value)
+        if text is None:
+            raise TypeError(f"Object of type {value.__class__.__name__} "
+                            "is not JSON serializable")
+        out.append(text)
+
+
+def _literal(value: Any) -> str | None:
+    """The JSON text of ``None``, a bool, an int or a float, and ``None`` for
+    any other value; ``json`` writes a dict key of these types as this text
+    in quotes."""
+    if value is None:
+        return "null"
+    if value is True:
+        return "true"
+    if value is False:
+        return "false"
+    if isinstance(value, int):
+        return int.__repr__(value)
+    if isinstance(value, float):
+        if value != value:
+            return "NaN"
+        if value == _INFINITY:
+            return "Infinity"
+        if value == -_INFINITY:
+            return "-Infinity"
+        return float.__repr__(value)
+    return None
 
 
 def loads(text: str) -> Any:

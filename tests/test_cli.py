@@ -720,6 +720,141 @@ def test_empty_tuple_path_is_bad_parameter(write, capsys, fmt):
         assert err.startswith("error[BadParameter]: cannot read : ")
 
 
+# -- files are read as bytes and decoded as text mode decoded them
+
+def _error_output(fmt: str, code: str, message: str) -> tuple[str, str]:
+    """The (stdout, stderr) of an error reported by ``main``."""
+    if fmt == "json":
+        return dumps({"error": {"code": code, "message": message}}), ""
+    return "", f"error[{code}]: {message}\n"
+
+
+# documents with line breaks, written with "\n" line ends; the malformed
+# ones report a line and column that depend on the line ends
+_POSET_DOCUMENTS = ["# the diamond\na < t\nb < t\nm < a\nm < b\n",
+                    dumps(DIAMOND), "a < t\nb < t\nm <\n",
+                    '{\n"elements": ["t",\n}\n',
+                    '{"elements": ["a\nb"],\n "relations": []}\n']
+_TUPLE_DOCUMENTS = [dumps([["t", "a"], ["b", "m"]]), '[["t"],\n["a",\n']
+
+
+@pytest.mark.parametrize("fmt", ["text", "json"])
+@pytest.mark.parametrize("bom", [b"", BOM], ids=["plain", "bom"])
+@pytest.mark.parametrize("line_end", ["\r\n", "\r"], ids=["crlf", "cr"])
+def test_line_ends_read_as_newlines(tmp_path, capsys, fmt, bom, line_end):
+    # text mode read "\r\n" and a lone "\r" as "\n", so a file with either
+    # line end gives the output of the same file with "\n" line ends
+    poset, t = tmp_path / "p.json", tmp_path / "t.json"
+    argv = ["tset", "--poset", str(poset), "--tuple", str(t), "--format", fmt]
+    cases = ([(poset, doc, t, _TUPLE_DOCUMENTS[0]) for doc in _POSET_DOCUMENTS]
+             + [(t, doc, poset, dumps(DIAMOND)) for doc in _TUPLE_DOCUMENTS])
+    codes = []
+    for path, doc, other, other_doc in cases:
+        other.write_text(other_doc, encoding="utf-8")
+        path.write_bytes(bom + doc.replace("\n", line_end).encode())
+        got = run(capsys, *argv)
+        path.write_bytes(doc.encode())
+        assert got == run(capsys, *argv), doc
+        codes.append(got[0])
+    assert codes == [0, 0, 2, 2, 2, 0, 2]
+
+
+@pytest.mark.parametrize("fmt", ["text", "json"])
+@pytest.mark.parametrize("which", ["--poset", "--tuple"])
+@pytest.mark.parametrize("data", [b"\xef\xbb", b"\xef"],
+                         ids=["two-bytes", "one-byte"])
+def test_truncated_byte_order_mark_is_parse_error(tmp_path, write, capsys,
+                                                  fmt, which, data):
+    files = {"--poset": write("p.json", DIAMOND),
+             "--tuple": write("t.json", [["t"]])}
+    (tmp_path / "bad.json").write_bytes(data)
+    files[which] = bad = str(tmp_path / "bad.json")
+    argv = ["tset", "--poset", files["--poset"], "--tuple", files["--tuple"]]
+    code, out, err = run(capsys, *argv, "--format", fmt)
+    message = f"{bad} is not UTF-8: unexpected end of data at byte 0"
+    assert (code, out, err) == (2, *_error_output(fmt, "ParseError", message))
+    if which == "--poset":
+        # not an empty poset: no empty graph, and no suite passes on it
+        assert run(capsys, "dot", "--poset", bad) == (
+            2, *_error_output("text", "ParseError", message))
+        code, out, err = run(capsys, "verify", "monoid", "--poset", bad,
+                             "--format", fmt)
+        assert (code, out, err) == (2, *_error_output(fmt, "ParseError",
+                                                      message))
+
+
+@pytest.mark.parametrize("fmt", ["text", "json"])
+def test_read_errors_keep_their_messages(tmp_path, write, capsys, fmt):
+    poset = write("p.json", DIAMOND)
+    latin1 = tmp_path / "latin1.json"
+    missing = str(tmp_path / "missing.json")
+    # the offset counts the bytes after a byte order mark
+    for data, reason in [(b'[["t"], ["\xe9"]]', "invalid continuation byte "
+                                                "at byte 10"),
+                         (b"\xff[]", "invalid start byte at byte 0")]:
+        for bom in (b"", BOM):
+            latin1.write_bytes(bom + data)
+            got = run(capsys, "tset", "--poset", poset, "--tuple",
+                      str(latin1), "--format", fmt)
+            assert got == (2, *_error_output(
+                fmt, "ParseError", f"{latin1} is not UTF-8: {reason}"))
+    for path, message in [
+            (missing, f"cannot read {missing}: [Errno 2] No such file or "
+                      f"directory: '{missing}'"),
+            (str(tmp_path), f"cannot read {tmp_path}: [Errno 21] Is a "
+                            f"directory: '{tmp_path}'"),
+            ("", "cannot read : [Errno 2] No such file or directory: ''")]:
+        got = run(capsys, "tset", "--poset", poset, "--tuple", path,
+                  "--format", fmt)
+        assert got == (2, *_error_output(fmt, "BadParameter", message))
+
+
+def test_main_builds_only_the_format_it_writes(write, capsys, monkeypatch):
+    # reduce's text alone calls tuple_text, and its payload alone
+    # tuple_to_lists: breaking one leaves the other format's bytes as they were
+    poset = write("p.json", DIAMOND)
+    t = write("t.json", [["t", "a"], ["b", "m"]])
+    argv = ["reduce", "--poset", poset, "--tuple", t, "--format"]
+    want = {fmt: run(capsys, *argv, fmt) for fmt in ("text", "json")}
+    assert [code for code, _, _ in want.values()] == [0, 0]
+    monkeypatch.setattr(cli, "tuple_text", _broken)
+    assert run(capsys, *argv, "json") == want["json"]
+    assert run(capsys, *argv, "text")[0] == 3
+    monkeypatch.undo()
+    monkeypatch.setattr(cli.serialize, "tuple_to_lists", _broken)
+    assert run(capsys, *argv, "text") == want["text"]
+    assert run(capsys, *argv, "json")[0] == 3
+
+
+def test_valid_calls_leave_nothing_for_the_collector(write, capsys):
+    # the emitter leaves no reference cycle, and neither does a command
+    poset = write("p.json", DIAMOND)
+    t, u = write("t.json", [["t", "a"], ["b", "m"]]), write("u.json", [["a"]])
+    on = ["--poset", poset]
+    calls = [["dot", *on]]
+    for fmt in ("text", "json"):
+        calls += [[command, *on, "--tuple", t, "--format", fmt]
+                  for command in ("reduce", "threads", "tset", "classify")]
+        calls += [["eq", *on, "--tuple", t, "--tuple", second,
+                   "--format", fmt] for second in (t, u)]
+    for argv in calls:
+        assert run(capsys, *argv)[0] in (0, 1)
+    gc.collect()
+    enabled = gc.isenabled()
+    gc.disable()
+    gc.set_debug(gc.DEBUG_SAVEALL)
+    try:
+        for argv in calls:
+            run(capsys, *argv)
+        gc.collect()
+        left = sorted(type(o).__name__ for o in gc.garbage)
+    finally:
+        gc.set_debug(0)
+        gc.garbage.clear()
+        if enabled:
+            gc.enable()
+    assert left == []
+
 _NAMES = st.sampled_from(["a", "b", "c", "zz"])
 _ABC = st.sampled_from(["a", "b", "c"])
 _JSON = st.recursive(

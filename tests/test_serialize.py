@@ -1,5 +1,9 @@
 from __future__ import annotations
 
+import json
+import math
+from pathlib import Path
+
 import pytest
 
 from hypothesis import given
@@ -345,3 +349,48 @@ def test_loads_reports_position():
         loads('{"elements": [}')
     assert err.value.line == 1
     assert err.value.column is not None
+
+
+# -- dumps writes the bytes of json.dumps at an indent of 2
+
+_STRINGS = st.text(st.one_of(
+    st.characters(exclude_categories=()),  # surrogates included
+    st.sampled_from(["\x00", "\x1f", "\x7f", '"', "\\", "\u00e9", "\u2028",
+                     "\ud800", "\udfff", "\U0001f600"])), max_size=6)
+_INTS = st.one_of(st.integers(), st.integers(max_value=-1),
+                  st.integers(min_value=2**64, max_value=2**200),
+                  st.booleans())
+_FLOATS = st.one_of(st.floats(), st.sampled_from([math.nan, math.inf,
+                                                  -math.inf, -0.0]))
+_KEYS = st.one_of(_STRINGS, _INTS, _FLOATS, st.none())
+_VALUES = st.recursive(
+    st.one_of(_STRINGS, _INTS, st.none(), _FLOATS),
+    lambda inner: st.one_of(st.lists(inner, max_size=3),
+                            st.lists(inner, max_size=3).map(tuple),
+                            st.dictionaries(_KEYS, inner, max_size=3)),
+    max_leaves=12)
+
+
+@given(_VALUES)
+def test_dumps_writes_the_bytes_of_json_dumps(value):
+    assert dumps(value) == json.dumps(value, indent=2) + "\n"
+
+
+@pytest.mark.parametrize("value", [
+    object(), {1, 2}, b"x", 1j, [{"a": [object()]}], {"a": None, "b": set()},
+    {(1,): 2}, [{frozenset(): 1}], {"a": {None: {b"k": 0}}}])
+def test_dumps_rejects_what_json_dumps_rejects(value):
+    with pytest.raises(TypeError) as want:
+        json.dumps(value, indent=2)
+    with pytest.raises(TypeError) as got:
+        dumps(value)
+    assert str(got.value) == str(want.value)
+
+
+def test_dumps_writes_the_golden_reports_byte_for_byte():
+    text = (Path(__file__).parent / "golden" / "reports_small.json"
+            ).read_text(encoding="utf-8")
+    reports = json.loads(text)
+    assert dumps(reports) == text
+    for report in reports:
+        assert dumps(report) == json.dumps(report, indent=2) + "\n"
