@@ -7,6 +7,14 @@ exception that is not a ``SpectrumError``, reported with the code
 ``InternalError`` and no traceback).  With ``--format json`` errors are
 emitted as ``{"error": {"code": ..., "message": ...}}``; usage errors,
 ``argparse``'s included, carry the code ``BadParameter``.
+
+A tuple command (``_TUPLE_COMMANDS``) followed only by exact ``--poset``,
+``--tuple`` and ``--format`` options, each with a value that does not start
+with ``-`` (and a ``--format`` of ``text`` or ``json``), is read by
+``_direct`` without ``argparse``, into the namespace that ``argparse``
+would build.  Every other line goes to ``argparse``, which stays the
+grammar's reference: help, abbreviations, ``--opt=value``, ``--`` and every
+usage error, and ``catalog`` and ``verify``.
 """
 
 from __future__ import annotations
@@ -150,6 +158,9 @@ def _cmd_catalog(args) -> _Result:
     if args.action == "list":
         if args.format == "dot":
             raise BadParameter("catalog list writes text or json, not dot")
+        if args.name is not None:
+            raise BadParameter("catalog list takes no entry name or "
+                               "parameters")
         names = catalog_mod.names()
         return 0, lambda: {"entries": names}, lambda: "\n".join(names)
     if not args.name:
@@ -201,6 +212,51 @@ def _cmd_verify(args) -> _Result:
             text)
 
 
+# The commands of a poset and tuples, which ``_inputs`` reads: name to the
+# command, the number of --tuple files it takes and its help.  Both
+# build_parser and _direct read their grammar from here.
+_TUPLE_COMMANDS = {
+    "reduce": (_cmd_reduce, 1, "print all reductions of a tuple"),
+    "threads": (_cmd_threads, 1, "enumerate the threads of a tuple"),
+    "tset": (_cmd_tset, 1, "minimal generators of the thread sets"),
+    "eq": (_cmd_eq, 2, "compare the thread sets of two tuples"),
+    "classify": (_cmd_classify, 1, "normal form of a tuple"),
+    "dot": (_cmd_dot, 0, "emit the cover relation as DOT"),
+}
+_FORMATS = ("text", "json")
+
+
+def _direct(argv) -> argparse.Namespace | None:
+    """The namespace that ``build_parser().parse_args(argv)`` builds for a
+    plain tuple-command line (see the module docstring), or ``None`` for a
+    line that only ``argparse`` reads."""
+    if not argv or not all(isinstance(token, str) for token in argv):
+        return None
+    spec = _TUPLE_COMMANDS.get(argv[0])
+    if spec is None or len(argv) % 2 == 0:
+        return None
+    run, tuples, _ = spec
+    poset, paths, fmt = None, [], "text"
+    for option, value in zip(argv[1::2], argv[2::2]):
+        if value.startswith("-"):
+            return None
+        if option == "--poset":
+            poset = value
+        elif not tuples:
+            return None
+        elif option == "--tuple":
+            paths.append(value)
+        elif option == "--format" and value in _FORMATS:
+            fmt = value
+        else:
+            return None
+    args = argparse.Namespace(command=argv[0], run=run, tuples=tuples,
+                              poset=poset)
+    if tuples:
+        args.tuple, args.format = paths or None, fmt
+    return args
+
+
 class _UsageError(BadParameter):
     """A command line that ``argparse`` rejected, with the rejecting parser."""
 
@@ -245,23 +301,14 @@ def build_parser() -> argparse.ArgumentParser:
         p.set_defaults(run=run)
         return p
 
-    def on_tuples(name, run, help, tuples=1):
-        """A command of the poset and ``tuples`` tuples, read by ``_inputs``."""
+    for name, (run, tuples, help) in _TUPLE_COMMANDS.items():
         p = command(name, run, help)
         p.set_defaults(tuples=tuples)
         p.add_argument("--poset", help="poset file (JSON or text)")
         if tuples:
             p.add_argument("--tuple", action="append",
                            help="tuple file (JSON), repeatable")
-            p.add_argument("--format", choices=("text", "json"),
-                           default="text")
-
-    on_tuples("reduce", _cmd_reduce, "print all reductions of a tuple")
-    on_tuples("threads", _cmd_threads, "enumerate the threads of a tuple")
-    on_tuples("tset", _cmd_tset, "minimal generators of the thread sets")
-    on_tuples("eq", _cmd_eq, "compare the thread sets of two tuples", 2)
-    on_tuples("classify", _cmd_classify, "normal form of a tuple")
-    on_tuples("dot", _cmd_dot, "emit the cover relation as DOT", 0)
+            p.add_argument("--format", choices=_FORMATS, default="text")
 
     cat = command("catalog", _cmd_catalog, "list or emit example spectra")
     cat.add_argument("action", choices=("list", "emit"))
@@ -286,27 +333,32 @@ def build_parser() -> argparse.ArgumentParser:
 
 @functools.cache
 def _parser() -> argparse.ArgumentParser:
-    """The parser of every ``main`` call, built on first use and then kept:
-    building one costs more than most commands.  It holds the ``_cmd_*``
-    functions as they were when it was built."""
+    """The parser of every ``main`` call that ``_direct`` leaves to
+    ``argparse``, built on first use and then kept: building one costs more
+    than most commands.  It holds the ``_cmd_*`` functions as they were
+    when it was built."""
     return build_parser()
 
 
 def main(argv: list[str] | None = None) -> int:
-    try:
-        args = _parser().parse_args(argv)
-    except SystemExit:  # --help; every other exit is a _UsageError
-        return 0
-    except _UsageError as exc:
-        if _format_of(argv) == "json":
-            _error("json", exc.code, str(exc))
-        else:  # argparse's own usage text
-            exc.parser.print_usage(sys.stderr)
-            sys.stderr.write(f"{exc.parser.prog}: error: {exc}\n")
-        return 2
+    if argv is None:
+        argv = sys.argv[1:]
+    args = _direct(argv)
+    if args is None:
+        try:
+            args = _parser().parse_args(argv)
+        except SystemExit:  # --help; every other exit is a _UsageError
+            return 0
+        except _UsageError as exc:
+            if _format_of(argv) == "json":
+                _error("json", exc.code, str(exc))
+            else:  # argparse's own usage text
+                exc.parser.print_usage(sys.stderr)
+                sys.stderr.write(f"{exc.parser.prog}: error: {exc}\n")
+            return 2
     fmt = getattr(args, "format", "text")
     try:
-        if hasattr(args, "tuples"):  # set by on_tuples: read its inputs
+        if hasattr(args, "tuples"):  # a tuple command: read its inputs
             code, payload, text = args.run(*_inputs(args))
         else:
             code, payload, text = args.run(args)

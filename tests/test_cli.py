@@ -11,7 +11,7 @@ import sys
 from pathlib import Path
 
 import pytest
-from hypothesis import HealthCheck, given, settings
+from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
 from threadsets import classify, cli
@@ -148,6 +148,14 @@ def test_catalog_list_rejects_dot(capsys):
     code, out, err = run(capsys, "catalog", "list", "--format", "dot")
     assert (code, out) == (2, "")
     assert err.startswith("error[BadParameter]: ")
+
+
+@pytest.mark.parametrize("fmt", ["text", "json"])
+@pytest.mark.parametrize("entry", [["chain"], ["chain", "3"], [""]])
+def test_catalog_list_takes_no_entry_name(capsys, fmt, entry):
+    got = run(capsys, "catalog", "list", *entry, "--format", fmt)
+    assert got == (2, *_error_output(
+        fmt, "BadParameter", "catalog list takes no entry name or parameters"))
 
 
 def test_catalog_emit_json(capsys):
@@ -568,6 +576,123 @@ def test_main_leaves_no_parser_for_the_collector(write, capsys):
         if enabled:
             gc.enable()
     assert left == set()
+
+
+# -- tuple commands read without argparse
+
+def _count_builds(monkeypatch) -> list:
+    """One entry per parser that ``main`` builds from now on."""
+    built = []
+    build = cli.build_parser
+
+    def counted():
+        built.append(1)
+        return build()
+
+    monkeypatch.setattr(cli, "build_parser", counted)
+    cli._parser.cache_clear()
+    return built
+
+
+def _canonical_calls(write) -> list[list[str]]:
+    """Every tuple command in both modes, with --format before, between and
+    after the other options and left out, and --poset and --format given
+    twice."""
+    poset, other = write("p.json", DIAMOND), write("q.json", ANTICHAIN3)
+    t, u = write("t.json", [["t", "a"], ["b", "m"]]), write("u.json", [["a"]])
+    calls = [["dot", "--poset", poset], ["dot", "--poset", other,
+                                         "--poset", poset]]
+    for command in ("reduce", "threads", "tset", "classify", "eq"):
+        tuples = ["--tuple", t, "--tuple", u] if command == "eq" else \
+            ["--tuple", t]
+        calls.append([command, "--poset", poset, *tuples])
+        for fmt in ("text", "json"):
+            calls += [
+                [command, "--format", fmt, "--poset", poset, *tuples],
+                [command, "--poset", poset, "--format", fmt, *tuples],
+                [command, *tuples, "--poset", poset, "--format", fmt],
+                [command, "--poset", other, *tuples, "--poset", poset,
+                 "--format", "json" if fmt == "text" else "text",
+                 "--format", fmt],
+            ]
+    return calls
+
+
+def test_canonical_calls_build_no_parser(write, capsys, monkeypatch):
+    calls = _canonical_calls(write)
+    built = _count_builds(monkeypatch)
+    try:
+        codes = [run(capsys, *argv)[0] for argv in calls]
+    finally:
+        cli._parser.cache_clear()
+    assert built == []
+    assert set(codes) == {0, 1}  # eq decides "unequal"
+    assert all(vars(cli._direct(argv)) ==
+               vars(cli.build_parser().parse_args(argv)) for argv in calls)
+
+
+def test_direct_reader_changes_no_output(write, capsys, monkeypatch):
+    calls = _calls(write) + _canonical_calls(write)
+    direct = [run(capsys, *argv) for argv in calls]
+    monkeypatch.setattr(cli, "_direct", lambda argv: None)
+    assert [run(capsys, *argv) for argv in calls] == direct
+
+
+def test_main_reads_sys_argv_once(write, capsys, monkeypatch):
+    argv = _canonical_calls(write)[-1]
+    want = run(capsys, *argv)
+    monkeypatch.setattr(sys, "argv", ["threadsets", *argv])
+    built = _count_builds(monkeypatch)
+    try:
+        code = main()
+    finally:
+        cli._parser.cache_clear()
+    assert (code, *capsys.readouterr()) == want
+    assert built == []
+
+
+@pytest.mark.parametrize("argv", [
+    [], ["tset", "--poset", Path("p.json")], [Path("tset")],
+    ["tset", "--poset"], ["dot", "--poset", "p.json", "--format", "json"],
+    ["tset", "--format", "xml"], ["tset", "--poset=p.json"],
+    ["tset", "--pos", "p.json"], ["tset", "--poset", "-p.json"],
+    ["tset", "--", "--poset"], ["tset", "--help"],
+    ["catalog", "list"], ["verify", "all"], ["--help", "tset"]])
+def test_direct_reader_leaves_other_lines_to_argparse(argv):
+    assert cli._direct(argv) is None
+
+
+_COMMAND_NAMES = ["reduce", "threads", "tset", "eq", "classify", "dot",
+                  "catalog", "verify"]
+_PLAIN_PAIRS = [("--poset", "p.json"), ("--poset", ""), ("--tuple", "t.json"),
+                ("--tuple", "a b"), ("--format", "text"), ("--format", "json")]
+_OPTIONS = ["--poset", "--tuple", "--format"] * 4 + [
+    "--pos", "--tup", "--form", "--f", "--poset=p.json", "--tuple=t.json",
+    "--format=json", "-h", "--help", "--", "--bogus", "p.json"]
+_VALUES = ["p.json", "", "text", "json", "xml", "dot", "TEXT", "x=y", "-",
+           "-1", "-p", "--", "-h", "--help", "--poset", "--format=json",
+           *_COMMAND_NAMES]
+
+
+# weighted towards the lines that the direct reader takes, which are the
+# ones compared
+@settings(max_examples=300, deadline=None)
+@given(command=st.sampled_from([*cli._TUPLE_COMMANDS] * 3 + [
+           *_COMMAND_NAMES, "--help", "-h", "--", "frobnicate"]),
+       pairs=st.lists(st.sampled_from([True, True, True, False]).flatmap(
+           lambda plain: st.sampled_from(_PLAIN_PAIRS) if plain else
+           st.tuples(st.sampled_from(_OPTIONS), st.sampled_from(_VALUES))),
+           max_size=4),
+       cut=st.sampled_from([False, False, False, True]))
+@example(command="tset", pairs=[("--poset", "-p")], cut=False)
+@example(command="eq", pairs=[("--tuple", "-h")], cut=False)
+def test_direct_reader_builds_argparses_namespace(command, pairs, cut):
+    argv = [command, *(token for pair in pairs for token in pair)]
+    if cut:  # a missing final value
+        argv.pop()
+    args = cli._direct(argv)
+    if args is not None:
+        assert vars(args) == vars(cli.build_parser().parse_args(argv))
 
 
 # -- one parse per distinct poset document

@@ -14,7 +14,7 @@ import json
 import os
 from pathlib import Path
 
-from threadsets import catalog
+from threadsets import catalog, cli
 from threadsets.cli import main
 
 GOLDEN = Path(__file__).resolve().parent / "golden" / "cli_outputs.json"
@@ -65,6 +65,21 @@ def calls() -> list[list[str]]:
                  "zariski-triple.json", "--tuple", second, *fmt]
                 for fmt in both]
     out.append(["dot", "--poset", "zariski.json"])
+    # the same options in other orders and repeated: the last value wins
+    out += [
+        ["tset", "--format", "json", "--tuple", "torus2-family.json",
+         "--poset", "torus2.json"],
+        ["classify", "--poset", "torus2.txt", "--format", "text",
+         "--poset", "zariski.json", "--tuple", "zariski-pair.json"],
+        ["reduce", "--poset", "zariski.json", "--poset", "torus2.json",
+         "--tuple", "torus2-reduced.json", "--format", "json",
+         "--format", "text"],
+        ["threads", "--format", "text", "--poset", "chromatic.json",
+         "--tuple", "chromatic-phi_full.json"],
+        ["dot", "--poset", "torus2.txt"],
+        ["eq", "--tuple", "zariski-triple.json", "--poset", "zariski.json",
+         "--tuple", "unequal.json", "--format", "json"],
+    ]
     out += [["catalog", "list", *fmt] for fmt in both]
     out += [["catalog", "emit", "torus2", "2", *fmt]
             for fmt in [*both, ["--format", "dot"]]]
@@ -93,6 +108,17 @@ def run_all(argvs: list[list[str]]) -> list[list]:
 
 
 def test_cli_outputs_match_the_golden_file(tmp_path, monkeypatch):
+    _check_golden(tmp_path, monkeypatch)
+
+
+def test_argparse_alone_gives_the_golden_outputs(tmp_path, monkeypatch):
+    # cli._direct reads most tuple-command lines without argparse; with it
+    # out of the way argparse parses every line, and the bytes are the same
+    monkeypatch.setattr(cli, "_direct", lambda argv: None)
+    _check_golden(tmp_path, monkeypatch)
+
+
+def _check_golden(tmp_path, monkeypatch) -> None:
     golden = json.loads(GOLDEN.read_text(encoding="utf-8"))
     assert golden["files"] == input_files()
     assert [c["argv"] for c in golden["calls"]] == calls()
