@@ -6,8 +6,9 @@ collection of thread sets of a tuple is upward closed under chain
 inclusion, so it is stored by its inclusion-minimal generators.  These
 families form a monoid under ``compose``, mirroring composition of the
 underlying localizations, and ``thread_sets`` computes a tuple's family as
-the ``compose`` fold of its per-part families, without enumerating the
-threads that ``tuples.threads`` walks.
+the ``compose`` fold of the per-part families of its canonical form, which
+names the same thread sets with at most as many parts, without enumerating
+the threads that ``tuples.threads`` walks.
 """
 
 from __future__ import annotations
@@ -16,7 +17,7 @@ from typing import Iterable
 
 from .errors import EmptyChain, NotAChain
 from .poset import Poset, bits, set_text
-from .tuples import SubsetTuple, _check
+from .tuples import SubsetTuple, _check, canonical
 # re-exported: bench/tracer.py times the walk as families.threads
 from .tuples import threads  # noqa: F401
 
@@ -104,13 +105,20 @@ def require_chain(P: Poset, mask: int) -> int:
 def thread_sets(P: Poset, parts: SubsetTuple) -> ChainFamily:
     """Family of thread sets of a tuple: minimal supports of its threads.
 
-    Computed as the fold of ``compose`` over the per-part families
-    ``chains_meeting``; no thread is enumerated, so the cost follows the
-    number of generators rather than the number of threads.
+    Every part is validated, in order, so a mask with bits outside the
+    poset, or a negative one, raises ``UnknownElement``.  The family is
+    then the fold of ``compose`` over the per-part families
+    ``chains_meeting`` of ``canonical(P, parts)``, which has the same
+    thread sets and at most as many parts: ``len(canonical(P, parts)) - 1``
+    products, none for a tuple without a thread, which reduces to ``(0,)``.
+    No thread is enumerated, so the cost follows the number of generators
+    rather than the number of threads.
     """
-    _check(parts)
-    acc = chains_meeting(P, parts[0])
-    for part in parts[1:]:
+    for part in _check(parts):
+        P.check_subset(part)
+    reduced = canonical(P, parts)
+    acc = chains_meeting(P, reduced[0])
+    for part in reduced[1:]:
         acc = compose(P, acc, chains_meeting(P, part))
     return acc
 
@@ -143,7 +151,7 @@ def compose(P: Poset, U: ChainFamily, V: ChainFamily) -> ChainFamily:
     compatibility relation passes to subchains, the unions of compatible
     *generator* pairs generate the same family; the definitional form is
     kept as a brute-force oracle in the tests.  ``thread_sets`` is the fold
-    of this product over a tuple's per-part families.
+    of this product over the per-part families of a canonical tuple.
     """
     if len(U) == 0 or len(V) == 0:
         return EMPTY_FAMILY

@@ -3,7 +3,9 @@
 Everything here works extensionally from the order relation alone:
 subsets are enumerated, chains are filtered by pairwise comparability,
 thread existence is decided by searching raw product sequences.  None of
-it reuses the generator-based or recursive code paths under test.
+it reuses the generator-based or recursive code paths under test, except
+``raw_fold``, which composes the library's per-part families without the
+reduction that ``thread_sets`` applies first.
 """
 
 from __future__ import annotations
@@ -12,6 +14,7 @@ from itertools import combinations, product
 
 from threadsets.classify import ZERO, NormalForm
 from threadsets.errors import ShapeMismatch
+from threadsets.families import ChainFamily, chains_meeting, compose
 from threadsets.poset import Poset, bits
 
 
@@ -112,6 +115,17 @@ def brute_thread_set_members(P: Poset, parts) -> set[int]:
         if brute_has_thread(P, tuple(chain & part for part in parts)):
             out.add(chain)
     return out
+
+
+def raw_fold(P: Poset, parts) -> ChainFamily:
+    """Thread sets as the fold of ``compose`` over the per-part families of
+    the parts as given, not of their canonical form: the reference for
+    tuples too long for the walk or the brute-force members."""
+    _nonempty(parts)
+    acc = chains_meeting(P, parts[0])
+    for part in parts[1:]:
+        acc = compose(P, acc, chains_meeting(P, part))
+    return acc
 
 
 def minimal_members(members: set[int]) -> set[int]:

@@ -1,7 +1,8 @@
 from __future__ import annotations
 
 import gc
-from functools import cache
+import operator
+from functools import cache, reduce
 
 import pytest
 from hypothesis import given, settings
@@ -10,17 +11,18 @@ from hypothesis import strategies as st
 from oracles import (brute_below_all, brute_chains, brute_chains_meeting,
                      brute_compose_members, brute_down_set,
                      brute_family_members, brute_thread_set_members,
-                     brute_threads, brute_up_set, minimal_members)
+                     brute_threads, brute_up_set, minimal_members, raw_fold)
 from test_poset import random_posets
 from test_tuples import (_outcome, poset_and_tuple,
                          poset_and_tuple_with_bad_masks)
 from threadsets.catalog import catalog
+from threadsets.classify import normal_form
 from threadsets.errors import EmptyChain, NotAChain, UnknownElement
 from threadsets.families import (EMPTY_FAMILY, ChainFamily, chains_meeting,
                                  compose, family, minimize, principal,
                                  singleton_tuple, thread_sets, threads)
 from threadsets.tuples import ZERO_TUPLE, canonical
-from threadsets.verify import all_posets
+from threadsets.verify import _all_tuples, all_posets
 
 
 # -- threads
@@ -122,6 +124,91 @@ def test_thread_sets_match_brute_force_random(pt):
     F = thread_sets(P, t)
     assert F.generators == frozenset(minimal_members(members))
     assert brute_family_members(P, F.generators) == members
+
+
+# seven sliding windows of four elements on chain(15), 15 > ... > 0, that
+# no reduction shortens: 10 864 threads
+CHAIN15_WINDOWS = tuple(0b1111 << (12 - 2 * i) for i in range(7))
+
+# catalog posets, at most 7 elements, for tuples longer than the walk reaches
+CATALOG_POSETS = [catalog(*entry).poset for entry in (
+    ("chain", 2), ("chain", 4), ("chromatic", 3), ("star", 3), ("diamond", 2),
+    ("diamond", 3), ("zariski_xy", 1, 1), ("zariski_xy", 2, 2),
+    ("circle", 3), ("torus2", 2))]
+
+
+@st.composite
+def dense_parts(draw, P, max_k):
+    """1 to ``max_k`` parts over ``P``, each the union of one to three
+    random masks, so that long tuples still have threads."""
+    k = draw(st.integers(min_value=1, max_value=max_k))
+    masks = st.integers(min_value=0, max_value=P.full)
+    return tuple(draw(st.lists(masks, min_size=1, max_size=3).map(
+        lambda ms: reduce(operator.or_, ms))) for _ in range(k))
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.data())
+def test_thread_sets_match_the_raw_fold_on_long_tuples(data):
+    # tuples of up to 16 parts, past the walk's reach: folding over the
+    # canonical form gives the fold over the parts as given
+    P = data.draw(st.sampled_from(CATALOG_POSETS))
+    t = data.draw(dense_parts(P, 16))
+    assert thread_sets(P, t) == raw_fold(P, t)
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.data())
+def test_thread_sets_match_the_walk_up_to_six_parts(data):
+    P = data.draw(random_posets(max_n=5))
+    t = data.draw(dense_parts(P, 6))
+    F = thread_sets(P, t)
+    assert F == _enumerated_thread_sets(P, t)
+    assert F == raw_fold(P, t)
+
+
+def test_thread_sets_and_normal_form_name_the_first_bad_mask(diamond):
+    """Every part is validated in order, whatever the reduction would keep
+    of it: the first mask with bits outside the poset, or negative, is the
+    one named."""
+    a, m = diamond.subset(["a"]), diamond.subset(["m"])
+    bad = 1 << diamond.n
+    cases = [  # (parts, the mask named)
+        ((bad, a, m), bad), ((a, bad, m), bad), ((a, m, bad), bad),
+        ((a, -1, m), -1), ((a, m, -2), -2),
+        ((diamond.full | bad,), diamond.full | bad),
+        ((m, a, bad), bad),  # (m, a) has no thread
+        ((a, bad << 1, -2), bad << 1), ((a, a, a, bad), bad),
+    ]
+    for parts, named in cases:
+        for function in (thread_sets, normal_form):
+            with pytest.raises(UnknownElement) as info:
+                function(diamond, parts)
+            assert str(info.value) == \
+                f"mask {named:#x} has bits outside the poset"
+
+
+def test_thread_sets_composes_once_per_further_canonical_part(diamond,
+                                                             monkeypatch):
+    calls = []
+
+    def counted(P, U, V):
+        calls.append(None)
+        return compose(P, U, V)
+
+    monkeypatch.setattr("threadsets.families.compose", counted)
+    A = diamond.subset(["a"])
+    chain15 = catalog("chain", 15).poset
+    cases = [(diamond, (A, A, A), 0),
+             (diamond, (diamond.subset(["m"]), A), 0),  # no thread
+             (chain15, (chain15.full,) * 7, 0), (chain15, CHAIN15_WINDOWS, 6)]
+    cases += [(diamond, t, None) for t in _all_tuples(diamond.n, range(1, 4))]
+    for P, t, expected in cases:
+        calls.clear()
+        thread_sets(P, t)
+        assert len(calls) == len(canonical(P, t)) - 1
+        if expected is not None:
+            assert len(calls) == expected
 
 
 # -- ChainFamily representation
@@ -487,11 +574,13 @@ def test_compose_decomposes_thread_sets_small():
 
 
 def test_thread_sets_match_enumerated_threads_long_chain():
-    # 170 544 threads on chain(15) with seven full parts: the regime where
-    # the fold and the enumeration differ most in cost
+    # 170 544 threads on chain(15) with seven full parts, which collapse
+    # to one part, and the windows, which keep all seven
     P = catalog("chain", 15).poset
-    t = (P.full,) * 7
-    assert thread_sets(P, t).generators == _enumerated_thread_sets(P, t)
+    assert canonical(P, (P.full,) * 7) == (P.full,)
+    assert canonical(P, CHAIN15_WINDOWS) == CHAIN15_WINDOWS
+    for t in ((P.full,) * 7, CHAIN15_WINDOWS):
+        assert thread_sets(P, t).generators == _enumerated_thread_sets(P, t)
 
 
 @settings(max_examples=100, deadline=None)
@@ -566,11 +655,14 @@ def test_concatenation_law_random(pt):
 @settings(max_examples=100, deadline=None)
 @given(poset_and_tuple(max_n=5, max_k=3))
 def test_canonical_preserves_thread_sets_random(pt):
+    # the reference is the walk of the unreduced tuple, since thread_sets
+    # itself folds over the canonical form
     P, t = pt
-    F = thread_sets(P, t)
+    walked = _enumerated_thread_sets(P, t)
     reduced = canonical(P, t)
-    assert thread_sets(P, reduced) == F
-    assert F.is_empty() == (reduced == ZERO_TUPLE)
+    assert _enumerated_thread_sets(P, reduced) == walked
+    assert thread_sets(P, reduced) == walked
+    assert (not walked) == (reduced == ZERO_TUPLE)
 
 
 @settings(max_examples=100, deadline=None)
@@ -579,6 +671,7 @@ def test_two_part_reduction_shadows_random(data):
     P = data.draw(random_posets(max_n=5))
     a = data.draw(st.integers(0, P.full))
     b = data.draw(st.integers(0, P.full))
-    F = thread_sets(P, (a, b))
-    assert thread_sets(P, (a & P.up_set(b), b)) == F
-    assert thread_sets(P, (a, b & P.down_set(a))) == F
+    walked = _enumerated_thread_sets(P, (a, b))
+    for shadow in ((a & P.up_set(b), b), (a, b & P.down_set(a))):
+        assert _enumerated_thread_sets(P, shadow) == walked
+        assert thread_sets(P, shadow) == walked

@@ -103,7 +103,8 @@ def test_monoid_suite_checks_that_the_prunes_keep_thread_sets(diamond,
 def test_monoid_suite_checks_thread_sets_against_the_walk(diamond,
                                                           monkeypatch):
     # a walk that drops its last thread changes the minimal supports of
-    # some tuples, and each of them must fail
+    # some tuples, and each of them must fail: the walk is also the
+    # reference that canonical and both prunes keep
     walk = verify.threads
 
     def short(P, t):
@@ -115,7 +116,11 @@ def test_monoid_suite_checks_thread_sets_against_the_walk(diamond,
                    != thread_sets(diamond, t)
                    for t in _all_tuples(diamond.n, range(1, 3)))
     assert expected
-    assert report.failures_by_property == {"thread_sets_decompose": expected}
+    assert report.failures_by_property == {
+        "thread_sets_decompose": expected,
+        "canonical_preserves_thread_sets": expected,
+        "prune_upward_keeps_thread_sets": expected,
+        "prune_downward_keeps_thread_sets": expected}
 
 
 def test_conjecture_suite_buckets_on_antichain(antichain3):
