@@ -33,7 +33,7 @@ from typing import Callable, NamedTuple
 from .errors import Inconsistent, ShapeMismatch
 from .families import ChainFamily, thread_sets
 from .poset import Poset, bits, set_text, tuple_text
-from .tuples import SubsetTuple, ZERO_TUPLE, canonical
+from .tuples import SubsetTuple, ZERO_TUPLE, _check, canonical
 
 DIM0 = "Dim0"
 DIM1_IRREDUCIBLE = "Dim1Irreducible"
@@ -285,12 +285,23 @@ def classify_family(P: Poset, F: ChainFamily) -> NormalForm | None:
 
 
 def normal_form(P: Poset, parts: SubsetTuple) -> NormalForm:
-    """Normal form of a tuple, classified from its thread sets; outside the
-    proved shapes ``Unresolved`` with the tuple's canonical reduction."""
-    nf = classify_family(P, thread_sets(P, parts))
-    if nf is None:
-        return NormalForm("Unresolved", canonical(P, parts))
-    return nf
+    """Normal form of a tuple.
+
+    On the proved shapes it is classified from the tuple's thread sets.
+    Outside them no family is built: every part is validated in order, as
+    ``thread_sets`` does, and the tuple is ``Zero`` when its canonical
+    reduction is ``ZERO_TUPLE``, which holds exactly when it has no thread
+    and so empty thread sets, and ``Unresolved`` with that reduction
+    otherwise.
+    """
+    if shape_of(P) in CLASSIFIED_SHAPES:
+        return classify_family(P, thread_sets(P, parts))
+    for part in _check(parts):
+        P.check_subset(part)
+    reduced = canonical(P, parts)
+    if reduced == ZERO_TUPLE:
+        return ZERO
+    return NormalForm("Unresolved", reduced)
 
 
 def form_defect(P: Poset, tag: str, payload: tuple[int, ...]) -> str | None:

@@ -5,10 +5,12 @@ part; a thread set is any chain containing the support of a thread.  The
 collection of thread sets of a tuple is upward closed under chain
 inclusion, so it is stored by its inclusion-minimal generators.  These
 families form a monoid under ``compose``, mirroring composition of the
-underlying localizations, and ``thread_sets`` computes a tuple's family as
-the ``compose`` fold of the per-part families of its canonical form, which
-names the same thread sets with at most as many parts, without enumerating
-the threads that ``tuples.threads`` walks.
+underlying localizations.  ``thread_sets`` computes a tuple's family by
+folding over the parts of its canonical form, which names the same thread
+sets with at most as many parts, without enumerating the threads that
+``tuples.threads`` walks; each step equals ``compose`` with the part's
+``chains_meeting`` family, and is taken by ``_extend``, which needs neither
+a sort nor ``minimize``.
 """
 
 from __future__ import annotations
@@ -107,20 +109,78 @@ def thread_sets(P: Poset, parts: SubsetTuple) -> ChainFamily:
 
     Every part is validated, in order, so a mask with bits outside the
     poset, or a negative one, raises ``UnknownElement``.  The family is
-    then the fold of ``compose`` over the per-part families
-    ``chains_meeting`` of ``canonical(P, parts)``, which has the same
-    thread sets and at most as many parts: ``len(canonical(P, parts)) - 1``
-    products, none for a tuple without a thread, which reduces to ``(0,)``.
-    No thread is enumerated, so the cost follows the number of generators
-    rather than the number of threads.
+    then the fold over the parts of ``canonical(P, parts)``, which has the
+    same thread sets and at most as many parts: it starts from the first
+    part's ``chains_meeting`` family and takes ``len(canonical(P, parts))
+    - 1`` steps of ``_extend``, each equal to ``compose`` with the next
+    part's ``chains_meeting`` family; none for a tuple without a thread,
+    which reduces to ``(0,)``.  No thread is enumerated, so the cost
+    follows the number of generators rather than the number of threads.
     """
     for part in _check(parts):
         P.check_subset(part)
     reduced = canonical(P, parts)
     acc = chains_meeting(P, reduced[0])
     for part in reduced[1:]:
-        acc = compose(P, acc, chains_meeting(P, part))
+        acc = _extend(P, acc, part)
     return acc
+
+
+def _extend(P: Poset, U: ChainFamily, A: int) -> ChainFamily:
+    """``compose(P, U, chains_meeting(P, A))``, without a sort or
+    ``minimize``: the fold step of ``thread_sets``.
+
+    The product's candidates are the unions ``C | d`` of a generator ``C``
+    of ``U`` and an element ``d`` of ``A`` below every member of ``C``,
+    that is ``d <= c`` for the least element ``c = C & P.below_all(C)``.
+
+    Lemma.  Call ``C`` closed when ``c`` lies in ``A``, and open otherwise.
+
+    - A closed ``C`` is itself a generator of the product: ``d = c`` gives
+      ``C``, and every other candidate of ``C`` contains it.
+    - An open ``C`` gives the products ``C | d`` with ``d`` in ``A`` and
+      ``d < c``; each has least element ``d``.
+    - Every closed ``C`` is minimal: a candidate strictly inside it would
+      contain a generator of ``U`` strictly inside ``C``.
+    - A product ``C | d`` of an open ``C`` is non-minimal exactly when some
+      closed ``C1`` of ``U`` has least element ``d`` and ``C1 <= C | d``.
+      A candidate strictly inside ``C | d`` holds ``d``: one inside ``C``
+      would contain a generator inside ``C``, so it would be ``C``, which
+      an open ``C`` does not give.  So its least element is ``d``, and it
+      is either such a ``C1`` or an open product with least element ``d``,
+      which is ``C | d`` itself.
+    - No two products are equal: an open product minus its least element
+      is its generator, and a closed ``C`` equal to ``C' | d`` would contain
+      the generator ``C'``.
+
+    So one pass over ``U`` and one lookup per candidate ``d``, into the
+    closed generators indexed by their least element, leave exactly the
+    generators of the product.  ``U`` must be a family of pairwise
+    incomparable generators, as every ``ChainFamily`` is.
+    """
+    below_all = P.below_all
+    out = []
+    closed: dict[int, list[int]] = {}
+    open_ = []
+    for C in U:
+        under = below_all(C)
+        least = C & under
+        if least & A:
+            out.append(C)
+            closed.setdefault(least, []).append(C)
+        else:
+            open_.append((C, under & A))
+    for C, lower in open_:
+        while lower:
+            d = lower & -lower
+            lower ^= d
+            X = C | d
+            for C1 in closed.get(d, ()):
+                if C1 & X == C1:  # a closed generator lies inside C | d
+                    break
+            else:
+                out.append(X)
+    return ChainFamily(out) if out else EMPTY_FAMILY
 
 
 def chains_meeting(P: Poset, subset: int) -> ChainFamily:

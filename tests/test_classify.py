@@ -6,6 +6,7 @@ from itertools import combinations
 import pytest
 
 from oracles import normal_form_dim0
+from test_families import CHAIN15_WINDOWS
 from threadsets import classify
 from threadsets.catalog import catalog
 from threadsets.classify import (CLASSIFIED_SHAPES, DIM0, DIM1_IRREDUCIBLE,
@@ -20,7 +21,7 @@ from threadsets.families import (EMPTY_FAMILY, ChainFamily, family,
 from threadsets.poset import build_poset
 from threadsets.serialize import form_from_dict, form_to_dict
 from threadsets.tuples import ZERO_TUPLE, canonical
-from threadsets.verify import all_posets
+from threadsets.verify import _all_tuples, all_posets
 
 
 # -- shape detection
@@ -249,6 +250,37 @@ def test_normal_form_unresolved_outside_shapes(two_chains):
     nf = normal_form(two_chains, pair)
     assert nf == NormalForm("Unresolved", canonical(two_chains, pair))
     assert nf.as_tuple(two_chains) == pair
+
+
+def _classified_or_unresolved(P, t):
+    """The normal form of ``t`` read off its thread sets: the classified
+    form, else ``Unresolved`` with the canonical reduction."""
+    nf = classify_family(P, thread_sets(P, t))
+    return NormalForm("Unresolved", canonical(P, t)) if nf is None else nf
+
+
+def test_normal_form_outside_shapes_matches_the_family_exhaustive():
+    # outside the proved shapes normal_form builds no family; it still
+    # gives what classifying the family gives, on every tuple with k <= 3
+    # of the Finite labeled posets with n <= 4
+    for n in range(5):
+        tuples = list(_all_tuples(n, range(1, 4)))
+        for P in all_posets(n):
+            if shape_of(P) == FINITE:
+                for t in tuples:
+                    assert normal_form(P, t) == \
+                        _classified_or_unresolved(P, t)
+
+
+def test_normal_form_outside_shapes_on_chain15():
+    P = catalog("chain", 15).poset
+    assert shape_of(P) == FINITE
+    cases = [(CHAIN15_WINDOWS, NormalForm("Unresolved", CHAIN15_WINDOWS)),
+             (CHAIN15_WINDOWS[::-1], ZERO),  # ascending windows: no thread
+             ((P.full,) * 7, NormalForm("Unresolved", (P.full,)))]
+    for t, expected in cases:
+        assert normal_form(P, t) == _classified_or_unresolved(P, t) \
+            == expected
 
 
 def test_unresolved_same_thread_sets_different_payloads(two_chains):

@@ -18,9 +18,10 @@ from test_tuples import (_outcome, poset_and_tuple,
 from threadsets.catalog import catalog
 from threadsets.classify import normal_form
 from threadsets.errors import EmptyChain, NotAChain, UnknownElement
-from threadsets.families import (EMPTY_FAMILY, ChainFamily, chains_meeting,
-                                 compose, family, minimize, principal,
-                                 singleton_tuple, thread_sets, threads)
+from threadsets.families import (EMPTY_FAMILY, ChainFamily, _extend,
+                                 chains_meeting, compose, family, minimize,
+                                 principal, singleton_tuple, thread_sets,
+                                 threads)
 from threadsets.tuples import ZERO_TUPLE, canonical
 from threadsets.verify import _all_tuples, all_posets
 
@@ -167,36 +168,44 @@ def test_thread_sets_match_the_walk_up_to_six_parts(data):
     assert F == raw_fold(P, t)
 
 
-def test_thread_sets_and_normal_form_name_the_first_bad_mask(diamond):
+def test_thread_sets_and_normal_form_name_the_first_bad_mask(diamond,
+                                                            two_chains):
     """Every part is validated in order, whatever the reduction would keep
     of it: the first mask with bits outside the poset, or negative, is the
-    one named."""
-    a, m = diamond.subset(["a"]), diamond.subset(["m"])
-    bad = 1 << diamond.n
-    cases = [  # (parts, the mask named)
-        ((bad, a, m), bad), ((a, bad, m), bad), ((a, m, bad), bad),
-        ((a, -1, m), -1), ((a, m, -2), -2),
-        ((diamond.full | bad,), diamond.full | bad),
-        ((m, a, bad), bad),  # (m, a) has no thread
-        ((a, bad << 1, -2), bad << 1), ((a, a, a, bad), bad),
-    ]
-    for parts, named in cases:
-        for function in (thread_sets, normal_form):
-            with pytest.raises(UnknownElement) as info:
-                function(diamond, parts)
-            assert str(info.value) == \
-                f"mask {named:#x} has bits outside the poset"
+    one named.  ``diamond`` has a classified shape and ``two_chains`` has
+    not, so ``normal_form`` is checked on both of its paths."""
+    for P, (high, low) in ((diamond, ("a", "m")), (two_chains, ("p1", "p2"))):
+        a, m = P.subset([high]), P.subset([low])
+        bad = 1 << P.n
+        cases = [  # (parts, the mask named)
+            ((bad, a, m), bad), ((a, bad, m), bad), ((a, m, bad), bad),
+            ((a, -1, m), -1), ((a, m, -2), -2),
+            ((P.full | bad,), P.full | bad),
+            ((m, a, bad), bad),  # (m, a) has no thread
+            ((a, bad << 1, -2), bad << 1), ((a, a, a, bad), bad),
+        ]
+        for parts, named in cases:
+            for function in (thread_sets, normal_form):
+                with pytest.raises(UnknownElement) as info:
+                    function(P, parts)
+                assert str(info.value) == \
+                    f"mask {named:#x} has bits outside the poset"
 
 
-def test_thread_sets_composes_once_per_further_canonical_part(diamond,
+def test_thread_sets_extends_once_per_further_canonical_part(diamond,
                                                              monkeypatch):
-    calls = []
+    steps, products = [], []
 
-    def counted(P, U, V):
-        calls.append(None)
+    def counted_extend(P, U, A):
+        steps.append(None)
+        return _extend(P, U, A)
+
+    def counted_compose(P, U, V):
+        products.append(None)
         return compose(P, U, V)
 
-    monkeypatch.setattr("threadsets.families.compose", counted)
+    monkeypatch.setattr("threadsets.families._extend", counted_extend)
+    monkeypatch.setattr("threadsets.families.compose", counted_compose)
     A = diamond.subset(["a"])
     chain15 = catalog("chain", 15).poset
     cases = [(diamond, (A, A, A), 0),
@@ -204,11 +213,35 @@ def test_thread_sets_composes_once_per_further_canonical_part(diamond,
              (chain15, (chain15.full,) * 7, 0), (chain15, CHAIN15_WINDOWS, 6)]
     cases += [(diamond, t, None) for t in _all_tuples(diamond.n, range(1, 4))]
     for P, t, expected in cases:
-        calls.clear()
+        steps.clear()
         thread_sets(P, t)
-        assert len(calls) == len(canonical(P, t)) - 1
+        assert len(steps) == len(canonical(P, t)) - 1
         if expected is not None:
-            assert len(calls) == expected
+            assert len(steps) == expected
+    assert products == []
+
+
+def test_extend_is_compose_with_chains_meeting_exhaustive():
+    """Every thread-set family of a tuple with k <= 2 on the labeled posets
+    with n <= 4, extended by every part."""
+    for n in range(5):
+        tuples = list(_all_tuples(n, range(1, 3)))
+        for P in all_posets(n):
+            for U in {raw_fold(P, t) for t in tuples}:
+                for A in range(1 << P.n):
+                    assert _extend(P, U, A) == \
+                        compose(P, U, chains_meeting(P, A))
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.data())
+def test_extend_is_compose_with_chains_meeting_random(data):
+    P = data.draw(st.sampled_from(CATALOG_POSETS))
+    U = raw_fold(P, data.draw(dense_parts(P, 8)))
+    A = data.draw(st.integers(min_value=0, max_value=P.full))
+    F = _extend(P, U, A)
+    assert type(F) is ChainFamily
+    assert F == compose(P, U, chains_meeting(P, A))
 
 
 # -- ChainFamily representation

@@ -38,8 +38,8 @@ ALLOWED = {
 
 # private names that a sibling module imports, each with its reason
 PRIVATE_IMPORTS = {
-    "tuples._check": "families.thread_sets rejects the empty tuple the same "
-                     "way the kernels do",
+    "tuples._check": "families.thread_sets and classify.normal_form reject "
+                     "the empty tuple the same way the kernels do",
 }
 
 

@@ -201,10 +201,17 @@ MUTANTS = (
            "    return tuple(part & zone for part in parts)\n",
            "    return (parts[0] & zone,) + parts[1:]\n",
            "restrict intersects only the first part with the zone"),
-    Mutant("thread-sets-fold-left", "threadsets/families.py",
-           "        acc = compose(P, acc, chains_meeting(P, part))\n",
-           "        acc = compose(P, chains_meeting(P, part), acc)\n",
-           "the thread_sets fold composes each further part on the left"),
+    Mutant("extend-keeps-dominated", "threadsets/families.py",
+           "            for C1 in closed.get(d, ()):\n",
+           "            for C1 in ():\n",
+           "the thread_sets fold step drops its least-element domination "
+           "test and keeps every product C | d of an open generator"),
+    Mutant("extend-opens-closed", "threadsets/families.py",
+           "            closed.setdefault(least, []).append(C)\n",
+           "            closed.setdefault(least, []).append(C)\n"
+           "            open_.append((C, under & A & ~least))\n",
+           "the thread_sets fold step also emits the products C | d, d < c, "
+           "of a generator whose least element c lies in the part"),
     Mutant("down-set-drops-lowest", "threadsets/poset.py",
            "            out = self._down_sets[mask] = _union(self.down,\n"
            "                                                 "
