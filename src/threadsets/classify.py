@@ -32,7 +32,7 @@ from typing import Callable, NamedTuple
 
 from .errors import Inconsistent, ShapeMismatch
 from .families import ChainFamily, thread_sets
-from .poset import Poset, bits, set_text, tuple_text
+from .poset import Poset, set_text, tuple_text
 from .tuples import SubsetTuple, ZERO_TUPLE, _check, canonical
 
 DIM0 = "Dim0"
@@ -252,11 +252,24 @@ def classify_dim2(P: Poset, F: ChainFamily) -> NormalForm:
 
 
 def _stratum(F: ChainFamily, candidates: int, companions: int) -> int:
+    """The candidates ``p`` for which ``{p} | companions`` is a member of F,
+    from one pass over the generators.
+
+    Lemma: writing S for ``companions``, ``{p} | S`` is a member exactly
+    when some generator ``g`` has ``g & ~S`` empty or equal to ``{p}``,
+    since ``g`` lies inside ``{p} | S`` exactly when ``g & ~S`` lies inside
+    ``{p}``.  So a generator with no element outside S admits every
+    candidate, and otherwise the stratum is the union of the one-element
+    remainders ``g & ~S``, cut down to the candidates.
+    """
     out = 0
-    for p in bits(candidates):
-        if F.member((1 << p) | companions):
-            out |= 1 << p
-    return out
+    for g in F:
+        rest = g & ~companions
+        if not rest:
+            return candidates
+        if rest & (rest - 1) == 0:
+            out |= rest
+    return out & candidates
 
 
 def _verified(P: Poset, F: ChainFamily, form: NormalForm) -> NormalForm:

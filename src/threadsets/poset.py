@@ -58,7 +58,9 @@ class Poset:
     Elements are indexed 0..n-1 in declaration order.  ``down[i]`` and
     ``up[i]`` are the reflexive principal down-set and up-set of element
     ``i`` as bitmasks; ``covers`` is the transitive reduction as (lower,
-    upper) index pairs.  The order never changes.
+    upper) index pairs.  The order never changes, so the dimension and the
+    maximal and minimal elements are computed once, at construction, from
+    the ``up`` and ``down`` rows.
 
     ``down_set``, ``up_set`` and ``below_all`` answer from per-mask tables
     that fill on first use, and ``families.chains_meeting`` keeps its
@@ -77,8 +79,8 @@ class Poset:
     """
 
     __slots__ = ("elements", "down", "up", "covers", "n", "full", "_index",
-                 "_comp", "_dimension", "_down_sets", "_up_sets", "_floors",
-                 "_meeting")
+                 "_comp", "_dimension", "_maximal", "_minimal", "_down_sets",
+                 "_up_sets", "_floors", "_meeting")
 
     def __init__(self, elements: Iterable[str], down: Iterable[int]):
         self.elements = elements = _stored("the elements", elements)
@@ -129,6 +131,8 @@ class Poset:
             strict = down[j] & ~(1 << j)
             lengths[j] = max((lengths[i] + 1 for i in bits(strict)), default=0)
         self._dimension = max(lengths, default=-1)
+        self._maximal = sum(1 << i for i in range(n) if up[i] == 1 << i)
+        self._minimal = sum(1 << i for i in range(n) if down[i] == 1 << i)
         self._down_sets: dict[int, int] = {}
         self._up_sets: dict[int, int] = {}
         self._floors: dict[int, int] = {}
@@ -211,10 +215,12 @@ class Poset:
         return self.up_set(mask) == mask
 
     def maximal_elements(self) -> int:
-        return sum(1 << i for i in range(self.n) if self.up[i] == 1 << i)
+        """Elements with no other element above them."""
+        return self._maximal
 
     def minimal_elements(self) -> int:
-        return sum(1 << i for i in range(self.n) if self.down[i] == 1 << i)
+        """Elements with no other element below them."""
+        return self._minimal
 
     # -- chains
 

@@ -128,6 +128,13 @@ def raw_fold(P: Poset, parts) -> ChainFamily:
     return acc
 
 
+def brute_stratum(F: ChainFamily, candidates: int, companions: int) -> int:
+    """The candidates ``p`` for which ``{p} | companions`` holds some
+    generator of ``F``: one membership scan per candidate."""
+    return sum(1 << p for p in bits(candidates)
+               if any(g & ~((1 << p) | companions) == 0 for g in F))
+
+
 def minimal_members(members: set[int]) -> set[int]:
     return {c for c in members
             if not any(o != c and o & c == o for o in members)}

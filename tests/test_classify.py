@@ -4,9 +4,11 @@ from collections import Counter
 from itertools import combinations
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from oracles import normal_form_dim0
-from test_families import CHAIN15_WINDOWS
+from oracles import brute_stratum, normal_form_dim0, raw_fold
+from test_families import CHAIN15_WINDOWS, dense_parts
 from threadsets import classify
 from threadsets.catalog import catalog
 from threadsets.classify import (CLASSIFIED_SHAPES, DIM0, DIM1_IRREDUCIBLE,
@@ -442,6 +444,69 @@ def test_form_instances_round_trip(monkeypatch, diamond, star2, antichain3):
 def test_form_instances_shape_mismatch(two_chains):
     with pytest.raises(ShapeMismatch):
         form_instances(two_chains)
+
+
+# -- strata: one pass over the generators
+
+def _extreme_subsets(P):
+    """Every subset of the top and bottom that the shape of ``P`` uses,
+    with the middle elements between them."""
+    _, t, m = classify._anatomy(P)
+    return sorted({0, t, m, t | m}), P.full & ~t & ~m
+
+
+def test_stratum_matches_the_membership_scan_exhaustive():
+    # every thread-set family of a tuple with k <= 2 on the classified
+    # labeled posets with n <= 4, candidates the middle elements
+    for n in range(5):
+        tuples = list(_all_tuples(n, range(1, 3)))
+        for P in all_posets(n):
+            if shape_of(P) not in CLASSIFIED_SHAPES:
+                continue
+            companions, mids = _extreme_subsets(P)
+            for F in {thread_sets(P, t) for t in tuples}:
+                for S in companions:
+                    assert classify._stratum(F, mids, S) == \
+                        brute_stratum(F, mids, S)
+
+
+STRATA_POSETS = [catalog(*entry).poset for entry in (
+    ("diamond", 5), ("star", 6), ("circle", 6))]
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.data())
+def test_stratum_matches_the_membership_scan_random(data):
+    # families of up to 6 parts as the raw fold builds them; the candidates
+    # are any subset, the companions any subset of the top and bottom
+    P = data.draw(st.sampled_from(STRATA_POSETS))
+    F = raw_fold(P, data.draw(dense_parts(P, 6)))
+    candidates = data.draw(st.integers(min_value=0, max_value=P.full))
+    S = data.draw(st.sampled_from(_extreme_subsets(P)[0]))
+    assert classify._stratum(F, candidates, S) == \
+        brute_stratum(F, candidates, S)
+
+
+@pytest.mark.parametrize("entry", [("diamond", 5), ("star", 6)])
+def test_normal_form_tests_membership_only_at_the_extremes(monkeypatch,
+                                                           entry):
+    # the strata come from passes over the generators; the only membership
+    # tests left are those of {t}, {m} and {t, m}
+    P = catalog(*entry).poset
+    _, t, m = classify._anatomy(P)
+    member = ChainFamily.member
+    tested = []
+
+    def counted(F, chain):
+        tested.append(chain)
+        return member(F, chain)
+
+    monkeypatch.setattr(ChainFamily, "member", counted)
+    for nf in form_instances(P):
+        tested.clear()
+        assert normal_form(P, nf.as_tuple(P)) == nf
+        assert len(tested) <= 3
+        assert set(tested) <= {t, m, t | m}
 
 
 # -- lemma identities on the diamond (spot checks; exhaustive in acceptance)

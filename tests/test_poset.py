@@ -1,13 +1,14 @@
 from __future__ import annotations
 
 import gc
+from itertools import product
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from oracles import brute_chains, brute_dimension, brute_reachability
-from threadsets.catalog import catalog
+from threadsets.catalog import catalog, names
 from threadsets.errors import (BadParameter, CycleDetected, DuplicateElement,
                                UnknownElement)
 from threadsets.poset import Poset, bits, build_poset
@@ -221,6 +222,30 @@ def test_dimension_is_max_length():
             assert P.dimension() == brute_dimension(P)
         else:
             assert P.dimension() == -1
+
+
+def _catalog_posets():
+    """The poset of every catalog entry with one parameter up to 5 or two
+    up to 3; a name refuses the parameter counts it does not take."""
+    out = []
+    for name in names():
+        for arity, top in ((1, 6), (2, 4)):
+            for params in product(range(top), repeat=arity):
+                try:
+                    out.append(catalog(name, *params).poset)
+                except BadParameter:
+                    pass
+    return out
+
+
+def test_extremes_equal_their_row_definitions():
+    # stored at construction; the definitions read the rows directly
+    posets = [P for n in range(6) for P in all_posets(n)] + _catalog_posets()
+    for P in posets:
+        assert P.maximal_elements() == sum(
+            1 << i for i in range(P.n) if P.up[i] == 1 << i)
+        assert P.minimal_elements() == sum(
+            1 << i for i in range(P.n) if P.down[i] == 1 << i)
 
 
 def test_is_chain(diamond):

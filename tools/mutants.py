@@ -193,6 +193,14 @@ MUTANTS = (
     Mutant("d2-form10-test", "threadsets/classify.py",
            "    elif d & e == f0:", "    elif d & e != f0:",
            "classify_dim2 negates D2_Form10's test d & e == f0"),
+    Mutant("stratum-misses-companion-member", "threadsets/classify.py",
+           "        if not rest:\n            return candidates\n", "",
+           "a classifier stratum misses every candidate when a generator "
+           "lies inside the companions"),
+    Mutant("stratum-admits-pairs", "threadsets/classify.py",
+           "        if rest & (rest - 1) == 0:\n",
+           "        if (rest & (rest - 1)).bit_count() <= 1:\n",
+           "a classifier stratum also takes in a remainder of two elements"),
     Mutant("prune-downward-first", "threadsets/tuples.py",
            "        last = part & P.up_set(last)\n",
            "        last = part if len(out) == 2 else part & P.up_set(last)\n",
