@@ -207,7 +207,8 @@ def classify_dim2(P: Poset, F: ChainFamily) -> NormalForm:
     E = {p : F.member({t, p})}, F0 = {p : F.member({p})} and
     G = {p : F.member({t, m, p})} over the length-1 primes.  Membership is
     monotone, so F0 is a subset of D & E and D | E of G, and the tree tests
-    no inclusion that these imply.
+    no inclusion that these imply.  F0 is computed for every family, and
+    D, E and G only in the branches that read them.
     The reconstructed form is re-expanded through its defining tuple and
     checked against F; a mismatch means no form realizes the family.
     """
@@ -216,38 +217,41 @@ def classify_dim2(P: Poset, F: ChainFamily) -> NormalForm:
         return ZERO
     mids = P.full & ~t & ~m
     f0 = _stratum(F, mids, 0)
-    d = _stratum(F, mids, m)
-    e = _stratum(F, mids, t)
-    g = _stratum(F, mids, t | m)
     has_t, has_m, has_tm = F.member(t), F.member(m), F.member(t | m)
 
     if has_t and has_m:
         form = NormalForm("D2_Form4", (f0,))
     elif has_t:
+        d = _stratum(F, mids, m)
         if f0 == d:
             form = NormalForm("D2_Form2", (f0,))
         else:
             form = NormalForm("D2_Form8", (d, f0))
     elif has_m:
+        e = _stratum(F, mids, t)
         if f0 == e:
             form = NormalForm("D2_Form3", (f0,))
         else:
             form = NormalForm("D2_Form9", (f0, e))
     elif has_tm:
+        d, e = _stratum(F, mids, m), _stratum(F, mids, t)
         if d & e == f0:
             form = NormalForm("D2_Form7", (d, e))
         else:
             form = NormalForm("D2_Form11", (d, f0, e))
-    elif f0 == d == e == g:
-        form = NormalForm("D2_Form1", (f0,))
-    elif f0 == d and e == g:
-        form = NormalForm("D2_Form5", (f0, e))
-    elif f0 == e and d == g:
-        form = NormalForm("D2_Form6", (d, f0))
-    elif d & e == f0:  # then d < g and e < g, else Form5 or Form6
-        form = NormalForm("D2_Form10", (d, g, e))
     else:
-        raise Inconsistent("strata of the family fit no form")
+        d, e = _stratum(F, mids, m), _stratum(F, mids, t)
+        g = _stratum(F, mids, t | m)
+        if f0 == d == e == g:
+            form = NormalForm("D2_Form1", (f0,))
+        elif f0 == d and e == g:
+            form = NormalForm("D2_Form5", (f0, e))
+        elif f0 == e and d == g:
+            form = NormalForm("D2_Form6", (d, f0))
+        elif d & e == f0:  # then d < g and e < g, else Form5 or Form6
+            form = NormalForm("D2_Form10", (d, g, e))
+        else:
+            raise Inconsistent("strata of the family fit no form")
     return _verified(P, F, form)
 
 

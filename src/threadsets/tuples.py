@@ -4,8 +4,10 @@ A tuple ``(A_1, ..., A_k)`` of subsets names the iterated localization
 ``L_{A_1} ... L_{A_k}``.  Tuples are plain Python tuples of bitmasks over a
 fixed poset, with k >= 1.  The reduction operators prune parts down to the
 elements that sit on descending chains through the other parts and drop
-redundant adjacent parts; their composite ``canonical`` retracts every
-tuple onto a collapsed concatenated representative with the same threads.
+redundant adjacent parts.  ``canonical`` retracts every tuple onto a
+collapsed concatenated representative with the same threads in one
+forward and one backward pass over the parts; the operator-laws suite
+holds it to the composite ``collapse(prune_to_threads(t))``.
 ``threads`` walks those threads, the descending sequences that pick one
 element from each part.
 """
@@ -150,9 +152,42 @@ def canonical(P: Poset, parts: SubsetTuple) -> SubsetTuple:
     """Collapsed concatenated canonical form of a tuple.
 
     Idempotent; a tuple admitting no thread normalizes to the unique zero
-    representative ``(0,)``.
+    representative ``(0,)``.  Equal to ``collapse(prune_to_threads(P,
+    parts))``, exceptions included, from two passes and no intermediate
+    tuple.  The forward pass prunes upward as ``prune_upward`` does and
+    returns ``ZERO_TUPLE`` at the first part left empty, since every later
+    part then empties too and no thread remains.  The backward pass prunes
+    downward as ``prune_downward`` does and collapses right to left in the
+    same loop, onto a stack of kept parts, rightmost first; ``collapse`` is
+    confluent, so this gives the tuple of its left-to-right pass.
     """
-    return collapse(prune_to_threads(P, parts))
+    _check(parts)
+    up = parts[0]
+    if len(parts) == 1:
+        return (up,)
+    pruned = [up]
+    for part in parts[1:]:
+        up = part & P.down_set(up)
+        if not up:
+            return ZERO_TUPLE
+        pruned.append(up)
+    kept = [up]
+    down = up
+    for part in pruned[-2::-1]:
+        down = part & P.up_set(down)
+        while kept:
+            top = kept[-1]
+            both = down | top
+            if both == down:  # contains or equals top: drop it
+                break
+            if both != top:  # incomparable with top: keep it
+                kept.append(down)
+                break
+            kept.pop()  # strictly inside top: drop top, compare again
+        else:
+            kept.append(down)
+    kept.reverse()
+    return tuple(kept)
 
 
 def is_upward_concatenated(P: Poset, parts: SubsetTuple) -> bool:

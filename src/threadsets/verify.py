@@ -305,7 +305,9 @@ def verify_operator_laws(P: Poset, bounds: Bounds = Bounds(),
     """Idempotence, commutation and confluence of the reduction operators.
 
     The library's ``prune_to_threads`` is checked against the other prune
-    order and against ``prune_to_threads_direct``, the thread walk."""
+    order and against ``prune_to_threads_direct``, the thread walk, and
+    ``canonical``, a two-pass kernel of its own, against the composite
+    ``collapse(prune_to_threads(t))``."""
     s = VerificationReport("operator-laws", P, bounds, name)
     for t in s.corpus():
         upward = prune_upward(P, t)
@@ -334,6 +336,8 @@ def verify_operator_laws(P: Poset, bounds: Bounds = Bounds(),
             s.check("collapse_preserves_downward", True,
                     is_downward_concatenated(P, collapsed))
         reduced = collapse(both)
+        s.check("canonical_is_collapsed_thread_prune", reduced,
+                canonical(P, t))
         s.check("canonical_idempotent", reduced, canonical(P, reduced))
         s.check("canonical_shape", True,
                 reduced == ZERO_TUPLE

@@ -509,6 +509,26 @@ def test_normal_form_tests_membership_only_at_the_extremes(monkeypatch,
         assert set(tested) <= {t, m, t | m}
 
 
+def test_classify_dim2_reads_only_the_strata_it_tests(monkeypatch):
+    # F0 for every family; D, E and G only in the branches that read them
+    P = catalog("diamond", 5).poset
+    stratum = classify._stratum
+    calls = []
+
+    def counted(F, candidates, companions):
+        calls.append(companions)
+        return stratum(F, candidates, companions)
+
+    monkeypatch.setattr(classify, "_stratum", counted)
+    strata = {"D2_Form4": 1, "D2_Form2": 2, "D2_Form8": 2, "D2_Form3": 2,
+              "D2_Form9": 2, "D2_Form7": 3, "D2_Form11": 3}
+    for nf in form_instances(P):
+        calls.clear()
+        assert normal_form(P, nf.as_tuple(P)) == nf
+        assert len(calls) == strata.get(nf.tag, 4)
+        assert calls[0] == 0
+
+
 # -- lemma identities on the diamond (spot checks; exhaustive in acceptance)
 
 def test_dim2_lemma_identity_spot(diamond):

@@ -13,7 +13,7 @@ from oracles import (brute_below_all, brute_chains, brute_chains_meeting,
                      brute_family_members, brute_thread_set_members,
                      brute_threads, brute_up_set, minimal_members, raw_fold)
 from test_poset import random_posets
-from test_tuples import (_outcome, poset_and_tuple,
+from test_tuples import (CATALOG_POSETS, _outcome, poset_and_tuple,
                          poset_and_tuple_with_bad_masks)
 from threadsets.catalog import catalog
 from threadsets.classify import normal_form
@@ -130,13 +130,6 @@ def test_thread_sets_match_brute_force_random(pt):
 # seven sliding windows of four elements on chain(15), 15 > ... > 0, that
 # no reduction shortens: 10 864 threads
 CHAIN15_WINDOWS = tuple(0b1111 << (12 - 2 * i) for i in range(7))
-
-# catalog posets, at most 7 elements, for tuples longer than the walk reaches
-CATALOG_POSETS = [catalog(*entry).poset for entry in (
-    ("chain", 2), ("chain", 4), ("chromatic", 3), ("star", 3), ("diamond", 2),
-    ("diamond", 3), ("zariski_xy", 1, 1), ("zariski_xy", 2, 2),
-    ("circle", 3), ("torus2", 2))]
-
 
 @st.composite
 def dense_parts(draw, P, max_k):

@@ -1,5 +1,8 @@
 from __future__ import annotations
 
+import functools
+import operator
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -8,13 +11,22 @@ from oracles import (brute_is_downward_concatenated,
                      brute_is_upward_concatenated, brute_prune_downward,
                      brute_prune_upward, brute_thread_prune)
 from test_poset import random_posets
+from threadsets.catalog import catalog
 from threadsets.errors import NotUpwardClosed, UnknownElement
+from threadsets.poset import Poset
 from threadsets.tuples import (ZERO_TUPLE, canonical, collapse, is_collapsed,
                                is_concatenated, is_downward_concatenated,
                                is_upward_concatenated, prune_downward,
                                prune_to_threads, prune_to_threads_direct,
                                prune_upward, restrict)
 from threadsets.verify import _collapse_results_all_orders, all_posets
+
+
+# catalog posets, at most 7 elements, for tuples longer than the walk reaches
+CATALOG_POSETS = [catalog(*entry).poset for entry in (
+    ("chain", 2), ("chain", 4), ("chromatic", 3), ("star", 3), ("diamond", 2),
+    ("diamond", 3), ("zariski_xy", 1, 1), ("zariski_xy", 2, 2),
+    ("circle", 3), ("torus2", 2))]
 
 
 @st.composite
@@ -253,6 +265,56 @@ def test_canonical_zero(chain1):
 def test_canonical_fixes_collapsed_concatenated(chain2):
     t = (chain2.subset(["2"]), chain2.subset(["1"]), chain2.subset(["0"]))
     assert canonical(chain2, t) == t
+
+
+def test_canonical_stops_at_the_first_empty_part(chain2, monkeypatch):
+    # a tuple without a thread leaves the forward pass at its first empty
+    # part: no down-set past it and no up-set at all, also when only the
+    # last part empties
+    calls = []
+    for name in ("down_set", "up_set"):
+        method = getattr(Poset, name)
+        monkeypatch.setattr(Poset, name,
+                            lambda P, mask, name=name, method=method:
+                            calls.append(name) or method(P, mask))
+    zero, one, two = (chain2.subset([x]) for x in "012")
+    for t, down_sets in (((zero, one, two, two), 1), ((two, one, two), 2),
+                         ((two, two, one, zero, one), 4)):
+        calls.clear()
+        assert canonical(chain2, t) == ZERO_TUPLE
+        assert calls == ["down_set"] * down_sets
+
+
+@st.composite
+def catalog_tuple_with_edge_masks(draw, max_k=16):
+    """0 to ``max_k`` parts over a catalog poset: mostly unions of one to
+    three random masks, so that long tuples still have threads, and also
+    ``0``, ``P.full``, negative masks and masks with bits outside it."""
+    P = draw(st.sampled_from(CATALOG_POSETS))
+    dense = st.lists(st.integers(min_value=0, max_value=P.full),
+                     min_size=1, max_size=3).map(
+        lambda ms: functools.reduce(operator.or_, ms))
+    mask = st.one_of(dense, dense, dense, st.just(0), st.just(P.full),
+                     st.integers(min_value=-(1 << 12), max_value=-1),
+                     st.integers(min_value=P.full + 1, max_value=1 << 12))
+    return P, tuple(draw(st.lists(mask, max_size=max_k)))
+
+
+def _result(fn, P, parts):
+    try:
+        return fn(P, parts)
+    except Exception as exc:  # compared by type and message
+        return type(exc), str(exc)
+
+
+@settings(max_examples=300, deadline=None)
+@given(catalog_tuple_with_edge_masks())
+def test_canonical_is_the_collapsed_thread_prune(pt):
+    # the two-pass kernel against the composite it replaces: the same
+    # tuple, or the same exception type and message
+    P, t = pt
+    assert _result(canonical, P, t) == \
+        _result(lambda P, t: collapse(prune_to_threads(P, t)), P, t)
 
 
 @settings(max_examples=150, deadline=None)

@@ -11,7 +11,7 @@ from pathlib import Path
 import pytest
 
 from oracles import brute_all_posets
-from threadsets import verify
+from threadsets import tuples, verify
 from threadsets.catalog import catalog
 from threadsets.classify import NormalForm, classify_family
 from threadsets.errors import (BadParameter, BudgetExceeded, Inconsistent,
@@ -20,7 +20,7 @@ from threadsets.families import (ChainFamily, chains_meeting, compose,
                                  minimize, thread_sets)
 from threadsets.poset import Poset, build_poset
 from threadsets.serialize import dumps, tuple_to_lists
-from threadsets.tuples import prune_downward, prune_to_threads
+from threadsets.tuples import collapse, prune_downward, prune_to_threads
 from threadsets.verify import (SAMPLES, Bounds, VerificationReport,
                                _all_tuples, _associativity, _decode_tuple,
                                all_posets, deepened, default_corpus,
@@ -86,6 +86,38 @@ def test_operator_suite_checks_the_library_thread_prune(diamond, monkeypatch):
     failed = report.failures_by_property
     assert failed["prune_order_commutes"] == changed
     assert failed["thread_prune_matches_direct"] == changed
+
+
+def test_operator_suite_holds_canonical_to_the_composite(diamond,
+                                                        monkeypatch):
+    # a canonical that prunes to the threads but does not collapse differs
+    # from collapse(prune_to_threads(t)) on every tuple whose thread prune
+    # has adjacent comparable parts, the empty ones included
+    monkeypatch.setattr(verify, "canonical", prune_to_threads)
+    report = verify_operator_laws(diamond, Bounds(max_k=2))
+    uncollapsed = sum(
+        collapse(prune_to_threads(diamond, t)) != prune_to_threads(diamond, t)
+        for t in _all_tuples(diamond.n, range(1, 3)))
+    assert uncollapsed == 196
+    assert report.failures_by_property == {
+        "canonical_is_collapsed_thread_prune": uncollapsed}
+
+
+def test_canonical_calls_no_reduction_operator(diamond, two_chains,
+                                               monkeypatch):
+    # canonical is a kernel of its own: it equals the composite of the
+    # reduction operators without calling any of them
+    cases = [(P, t) for P in (diamond, two_chains)
+             for t in _all_tuples(P.n, range(1, 4))]
+    expected = [collapse(prune_to_threads(P, t)) for P, t in cases]
+
+    def refuse(*args):
+        raise AssertionError("canonical called a reduction operator")
+
+    for name in ("prune_upward", "prune_downward", "prune_to_threads",
+                 "collapse"):
+        monkeypatch.setattr(tuples, name, refuse)
+    assert [tuples.canonical(P, t) for P, t in cases] == expected
 
 
 def test_monoid_suite_checks_that_the_prunes_keep_thread_sets(diamond,

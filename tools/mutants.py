@@ -185,13 +185,13 @@ MUTANTS = (
            "classify_dim2 swaps D2_Form7 and D2_Form11 when {t, m} is a "
            "member"),
     Mutant("d2-form5-test", "threadsets/classify.py",
-           "    elif f0 == d and e == g:\n", "    elif f0 == d:\n",
+           "        elif f0 == d and e == g:\n", "        elif f0 == d:\n",
            "classify_dim2 drops D2_Form5's test e == g"),
     Mutant("d2-form6-test", "threadsets/classify.py",
-           "    elif f0 == e and d == g:\n", "    elif f0 == e:\n",
+           "        elif f0 == e and d == g:\n", "        elif f0 == e:\n",
            "classify_dim2 drops D2_Form6's test d == g"),
     Mutant("d2-form10-test", "threadsets/classify.py",
-           "    elif d & e == f0:", "    elif d & e != f0:",
+           "        elif d & e == f0:", "        elif d & e != f0:",
            "classify_dim2 negates D2_Form10's test d & e == f0"),
     Mutant("stratum-misses-companion-member", "threadsets/classify.py",
            "        if not rest:\n            return candidates\n", "",
@@ -235,9 +235,21 @@ MUTANTS = (
            "parts[len(sequence)] & down[a] & ~low))\n",
            "the thread walk forbids repeated elements along a thread"),
     Mutant("canonical-collapses-first", "threadsets/tuples.py",
-           "    return collapse(prune_to_threads(P, parts))\n",
-           "    return prune_to_threads(P, collapse(parts))\n",
+           "    _check(parts)\n    up = parts[0]\n",
+           "    return prune_to_threads(P, collapse(parts))\n"
+           "    up = parts[0]\n",
            "canonical collapses the tuple before pruning it to its threads"),
+    Mutant("canonical-never-pops", "threadsets/tuples.py",
+           "            kept.pop()  # strictly inside top: drop top, compare "
+           "again\n",
+           "            break\n",
+           "canonical's backward collapse drops a part strictly inside its "
+           "right neighbour instead of popping the neighbour"),
+    Mutant("canonical-zero-late", "threadsets/tuples.py",
+           "        if not up:\n",
+           "        if not up and len(pruned) < len(parts) - 1:\n",
+           "canonical's early exit skips the last part, so a tuple whose "
+           "last part alone empties reaches the backward pass"),
     Mutant("prune-to-threads-skips-upward", "threadsets/tuples.py",
            "    return prune_downward(P, prune_upward(P, parts))\n",
            "    return prune_downward(P, parts)\n",
