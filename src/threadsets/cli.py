@@ -39,9 +39,16 @@ from .tuples import (SubsetTuple, canonical, collapse, prune_downward,
 
 def _read(path: str) -> str:
     """The text of a UTF-8 file as text mode reads it: a leading byte order
-    mark dropped, and ``\\r\\n`` and a lone ``\\r`` read as ``\\n``."""
+    mark dropped, and ``\\r\\n`` and a lone ``\\r`` read as ``\\n``.
+
+    The file is read once, whole, so it is opened unbuffered: the raw
+    ``FileIO`` sizes its read by ``fstat`` (and loops to end of file where
+    there is no size, as on a pipe), with no ``BufferedReader`` built and no
+    ``isatty`` probe.  A file that cannot be read raises ``BadParameter``
+    with the message of ``open()``'s own ``OSError``, the same as a buffered
+    open raises."""
     try:
-        with open(path, "rb") as f:
+        with open(path, "rb", buffering=0) as f:
             data = f.read()
     except OSError as exc:
         raise BadParameter(f"cannot read {path}: {exc}") from None

@@ -4,10 +4,11 @@ The poset models the specialization order of a finite prime spectrum.  The
 order symbol ``<=`` is prime inclusion; a subset of the poset is a bitmask
 over the element indices (bit ``i`` set means element ``i`` belongs to the
 subset).  The order is immutable after construction.  The subset
-operators remember their answers: each poset fills, lazily, one table per
-operator keyed by the subset mask, so a table holds at most 2^n entries and
-only the masks that were asked for.  The tables live and die with their
-poset; they change no answer, so a poset can still be shared.
+operators (``down_set``, ``up_set``, ``below_all``) and ``labels`` remember
+their answers: each poset fills, lazily, one table per operator keyed by
+the subset mask, so a table holds at most 2^n entries and only the masks
+that were asked for.  The tables live and die with their poset; they
+change no answer, so a poset can still be shared.
 """
 
 from __future__ import annotations
@@ -62,11 +63,11 @@ class Poset:
     maximal and minimal elements are computed once, at construction, from
     the ``up`` and ``down`` rows.
 
-    ``down_set``, ``up_set`` and ``below_all`` answer from per-mask tables
-    that fill on first use, and ``families.chains_meeting`` keeps its
-    families in ``_meeting`` the same way.  A mask is validated on the miss
-    that stores it, so a stored mask is always valid and a hit needs no
-    check.  Concurrent callers can at worst compute an entry twice and
+    ``down_set``, ``up_set``, ``below_all`` and ``labels`` answer from
+    per-mask tables that fill on first use, and ``families.chains_meeting``
+    keeps its families in ``_meeting`` the same way.  A mask is validated on
+    the miss that stores it, so a stored mask is always valid and a hit
+    needs no check.  Concurrent callers can at worst compute an entry twice and
     store equal values.
 
     The constructor stores both arguments as tuples and checks them: an
@@ -80,7 +81,7 @@ class Poset:
 
     __slots__ = ("elements", "down", "up", "covers", "n", "full", "_index",
                  "_comp", "_dimension", "_maximal", "_minimal", "_down_sets",
-                 "_up_sets", "_floors", "_meeting")
+                 "_up_sets", "_floors", "_labels", "_meeting")
 
     def __init__(self, elements: Iterable[str], down: Iterable[int]):
         self.elements = elements = _stored("the elements", elements)
@@ -136,6 +137,7 @@ class Poset:
         self._down_sets: dict[int, int] = {}
         self._up_sets: dict[int, int] = {}
         self._floors: dict[int, int] = {}
+        self._labels: dict[int, tuple[str, ...]] = {}
         self._meeting: dict[int, object] = {}
 
     def __eq__(self, other):
@@ -167,8 +169,12 @@ class Poset:
 
     def labels(self, mask: int) -> tuple[str, ...]:
         """Identifiers of the subset ``mask``, in element-index order."""
-        self.check_subset(mask)
-        return tuple(self.elements[i] for i in bits(mask))
+        out = self._labels.get(mask)
+        if out is None:
+            elements = self.elements
+            out = self._labels[mask] = tuple(
+                [elements[i] for i in bits(self.check_subset(mask))])
+        return out
 
     def check_subset(self, mask: int) -> int:
         if mask & ~self.full:

@@ -8,6 +8,8 @@ import json
 import os
 import subprocess
 import sys
+import threading
+import time
 from pathlib import Path
 
 import pytest
@@ -932,6 +934,55 @@ def test_read_errors_keep_their_messages(tmp_path, write, capsys, fmt):
         got = run(capsys, "tset", "--poset", poset, "--tuple", path,
                   "--format", fmt)
         assert got == (2, *_error_output(fmt, "BadParameter", message))
+
+
+@pytest.mark.skipif(not hasattr(os, "mkfifo"), reason="no named pipes")
+def test_read_loops_to_the_end_of_a_pipe(tmp_path, write, capsys):
+    # a pipe has no size to read by: the read must loop until the writer
+    # closes, across the pause between its two chunks
+    poset = write("p.json", DIAMOND)
+    document = dumps([["t", "a"], ["b", "m"], ["a", "b"]]).encode()
+    argv = ["tset", "--poset", poset, "--tuple"]
+    want = run(capsys, *argv, write("t.json", document.decode()),
+               "--format", "json")
+    assert want[0] == 0
+    fifo = str(tmp_path / "t.fifo")
+    os.mkfifo(fifo)
+    half = len(document) // 2
+
+    def writer():
+        with open(fifo, "wb", buffering=0) as f:
+            f.write(document[:half])
+            time.sleep(0.05)
+            f.write(document[half:])
+
+    thread = threading.Thread(target=writer)
+    thread.start()
+    try:
+        got = run(capsys, *argv, fifo, "--format", "json")
+    finally:
+        thread.join(timeout=10)
+        if thread.is_alive():  # main never opened the pipe: release the writer
+            os.close(os.open(fifo, os.O_RDONLY | os.O_NONBLOCK))
+            thread.join()
+    assert got == want
+
+
+@pytest.mark.skipif(not os.path.isdir("/proc/self/fd"),
+                    reason="no /proc/self/fd to count descriptors in")
+def test_reads_leave_no_descriptor_open(tmp_path, write, capsys):
+    poset = write("p.json", DIAMOND)
+    latin1 = tmp_path / "latin1.json"
+    latin1.write_bytes(b'[["t"], ["\xe9"]]')
+    inputs = [(write("t.json", [["t", "a"], ["b", "m"]]), 0),
+              (str(tmp_path / "missing.json"), 2), (str(tmp_path), 2),
+              (str(latin1), 2)]
+    before = len(os.listdir("/proc/self/fd"))
+    for j in range(200):
+        path, code = inputs[j % len(inputs)]
+        assert run(capsys, "tset", "--poset", poset, "--tuple", path,
+                   "--format", ("text", "json")[j // 4 % 2])[0] == code
+    assert len(os.listdir("/proc/self/fd")) == before
 
 
 def test_main_builds_only_the_format_it_writes(write, capsys, monkeypatch):

@@ -110,14 +110,29 @@ def test_subset_unknown_element(diamond):
         diamond.check_subset(1 << diamond.n)
 
 
-@pytest.mark.parametrize("method", ["down_set", "up_set", "is_chain"])
+@pytest.mark.parametrize("method", ["down_set", "up_set", "is_chain",
+                                    "labels"])
 def test_subset_operators_reject_outside_bits(diamond, method):
     operator = getattr(diamond, method)
+    tables = (diamond._down_sets, diamond._up_sets, diamond._labels)
     for mask in (1 << diamond.n, diamond.full | 1 << diamond.n,
                  1 << (diamond.n + 60), -1):
-        with pytest.raises(UnknownElement):
-            operator(mask)
+        for _ in range(2):  # a rejected mask is never stored
+            with pytest.raises(UnknownElement):
+                operator(mask)
+        assert not any(mask in table for table in tables)
     operator(diamond.full)
+
+
+@pytest.mark.parametrize("entry", [("diamond", 3), ("torus2", 2),
+                                   ("zariski_xy", 2, 2)])
+def test_labels_table_matches_the_elements(entry):
+    P = catalog(*entry).poset
+    for mask in subsets(P):
+        want = tuple(e for i, e in enumerate(P.elements) if mask >> i & 1)
+        assert P.labels(mask) == want
+        assert P.labels(mask) == want  # the stored entry
+    assert len(P._labels) == 1 << P.n
 
 
 # -- family and cofamily operators
