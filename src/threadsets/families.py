@@ -192,7 +192,12 @@ def chains_meeting(P: Poset, subset: int) -> ChainFamily:
     """
     F = P._meeting.get(subset)
     if F is None:
-        singletons = frozenset(1 << i for i in bits(P.check_subset(subset)))
+        rest = P.check_subset(subset)
+        singletons = []
+        while rest:
+            low = rest & -rest
+            singletons.append(low)
+            rest ^= low
         F = P._meeting[subset] = ChainFamily(singletons)
     return F
 

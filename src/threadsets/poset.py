@@ -7,8 +7,19 @@ subset).  The order is immutable after construction.  The subset
 operators (``down_set``, ``up_set``, ``below_all``) and ``labels`` remember
 their answers: each poset fills, lazily, one table per operator keyed by
 the subset mask, so a table holds at most 2^n entries and only the masks
-that were asked for.  The tables live and die with their poset; they
-change no answer, so a poset can still be shared.
+that were asked for.  The three subset operators compute a missing entry
+from byte tables, the block tables of Arlazarov, Dinic, Kronrod and
+Faradzev: per block of 8 elements, the 256 unions (for ``below_all``, the
+intersections) of the block's principal rows, so that a mask is answered
+by one lookup per byte.  An operator builds its byte tables on its own
+first miss, never at construction.  The tables live and die with their
+poset; they change no answer, so a poset can still be shared.
+
+A mask is an ``int``.  It is validated on the miss that stores its entry,
+and a hit is not validated again, so a value that equals a stored mask,
+such as ``1.0`` once ``1`` is stored, reads that entry, while on a miss it
+raises ``TypeError``.  Validation belongs at the boundary: the parsers in
+``serialize`` and the CLI only ever pass ``int`` masks.
 """
 
 from __future__ import annotations
@@ -31,13 +42,49 @@ def bits(mask: int) -> Iterator[int]:
         mask ^= low
 
 
-def _union(principal: tuple[int, ...], mask: int) -> int:
-    """Union of ``principal[i]`` over the members ``i`` of ``mask``."""
+def _union_bytes(rows: tuple[int, ...]) -> tuple[list[int], ...]:
+    """Per block of 8 rows, the unions of the rows over each byte: entry
+    ``b`` of table ``k`` is the union of ``rows[8 * k + i]`` over the set
+    bits ``i`` of ``b``.  Each row doubles the table (Arlazarov, Dinic,
+    Kronrod and Faradzev's block tables)."""
+    tables = []
+    for k in range(0, len(rows), 8):
+        table = [0]
+        for row in rows[k:k + 8]:
+            table += [x | row for x in table]
+        tables.append(table)
+    return tuple(tables)
+
+
+def _meet_bytes(rows: tuple[int, ...], full: int) -> tuple[list[int], ...]:
+    """As ``_union_bytes``, with intersections: entry ``b`` of table ``k``
+    is ``full`` met with ``rows[8 * k + i]`` over the set bits ``i`` of
+    ``b``."""
+    tables = []
+    for k in range(0, len(rows), 8):
+        table = [full]
+        for row in rows[k:k + 8]:
+            table += [x & row for x in table]
+        tables.append(table)
+    return tuple(tables)
+
+
+def _join(tables: tuple[list[int], ...], mask: int) -> int:
+    """Union of one entry per table, each indexed by the next byte of
+    ``mask``, a valid subset of the tables' rows."""
     out = 0
-    while mask:
-        low = mask & -mask
-        out |= principal[low.bit_length() - 1]
-        mask ^= low
+    for table in tables:
+        out |= table[mask & 0xFF]
+        mask >>= 8
+    return out
+
+
+def _meet(tables: tuple[list[int], ...], mask: int, full: int) -> int:
+    """Intersection of ``full`` and one entry per table, as in ``_join``."""
+    out = full
+    for table in tables:
+        out &= table[mask & 0xFF]
+        mask >>= 8
     return out
 
 
@@ -65,10 +112,16 @@ class Poset:
 
     ``down_set``, ``up_set``, ``below_all`` and ``labels`` answer from
     per-mask tables that fill on first use, and ``families.chains_meeting``
-    keeps its families in ``_meeting`` the same way.  A mask is validated on
-    the miss that stores it, so a stored mask is always valid and a hit
-    needs no check.  Concurrent callers can at worst compute an entry twice and
-    store equal values.
+    keeps its families in ``_meeting`` the same way.  A mask is an ``int``,
+    validated on the miss that stores it, so a stored mask is always valid
+    and a hit needs no check.  The misses of ``down_set``, ``up_set`` and
+    ``below_all`` read byte tables (``_down_bytes``, ``_up_bytes``,
+    ``_floor_bytes``): for each block of 8 elements one list of at most
+    256 unions of ``down`` or ``up`` rows, or intersections of ``down``
+    rows starting from ``full``, at most 256 * ceil(n / 8) entries in
+    all.  Each operator builds its own on its first miss, so a poset that
+    is only constructed holds none.  Concurrent callers can at worst
+    compute an entry or a byte table twice and store equal values.
 
     The constructor stores both arguments as tuples and checks them: an
     argument that is a ``str``, ``bytes`` or not iterable, a label that is
@@ -81,7 +134,8 @@ class Poset:
 
     __slots__ = ("elements", "down", "up", "covers", "n", "full", "_index",
                  "_comp", "_dimension", "_maximal", "_minimal", "_down_sets",
-                 "_up_sets", "_floors", "_labels", "_meeting")
+                 "_up_sets", "_floors", "_labels", "_meeting", "_down_bytes",
+                 "_up_bytes", "_floor_bytes")
 
     def __init__(self, elements: Iterable[str], down: Iterable[int]):
         self.elements = elements = _stored("the elements", elements)
@@ -139,6 +193,7 @@ class Poset:
         self._floors: dict[int, int] = {}
         self._labels: dict[int, tuple[str, ...]] = {}
         self._meeting: dict[int, object] = {}
+        self._down_bytes = self._up_bytes = self._floor_bytes = None
 
     def __eq__(self, other):
         return (isinstance(other, Poset) and self.elements == other.elements
@@ -191,30 +246,33 @@ class Poset:
         """Elements below some member of ``mask`` (the generated family)."""
         out = self._down_sets.get(mask)
         if out is None:
-            out = self._down_sets[mask] = _union(self.down,
-                                                 self.check_subset(mask))
+            self.check_subset(mask)
+            tables = self._down_bytes
+            if tables is None:
+                tables = self._down_bytes = _union_bytes(self.down)
+            out = self._down_sets[mask] = _join(tables, mask)
         return out
 
     def up_set(self, mask: int) -> int:
         """Elements above some member of ``mask`` (the generated cofamily)."""
         out = self._up_sets.get(mask)
         if out is None:
-            out = self._up_sets[mask] = _union(self.up,
-                                               self.check_subset(mask))
+            self.check_subset(mask)
+            tables = self._up_bytes
+            if tables is None:
+                tables = self._up_bytes = _union_bytes(self.up)
+            out = self._up_sets[mask] = _join(tables, mask)
         return out
 
     def below_all(self, mask: int) -> int:
         """Elements below every member of ``mask``; ``full`` for 0."""
         out = self._floors.get(mask)
         if out is None:
-            rest = self.check_subset(mask)
-            out = self.full
-            down = self.down
-            while rest:
-                low = rest & -rest
-                out &= down[low.bit_length() - 1]
-                rest ^= low
-            self._floors[mask] = out
+            self.check_subset(mask)
+            tables = self._floor_bytes
+            if tables is None:
+                tables = self._floor_bytes = _meet_bytes(self.down, self.full)
+            out = self._floors[mask] = _meet(tables, mask, self.full)
         return out
 
     def is_upward_closed(self, mask: int) -> bool:

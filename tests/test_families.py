@@ -486,6 +486,37 @@ def test_tables_match_definitions_on_chain15(masks, offsets):
     _check_tables(P, masks, bad, _chain15_chains())
 
 
+def _short_chains(P) -> list[int]:
+    """The chains of one or two elements.  Every minimal chain meeting a
+    subset is a singleton, so ``brute_chains_meeting`` over these agrees
+    with it over every chain, without enumerating those of a large poset."""
+    return [1 << i | 1 << j for i in range(P.n) for j in range(i, P.n)
+            if P.le(i, j) or P.le(j, i)]
+
+
+# random posets on each side of the byte tables' block edges at 8/9 and
+# 16/17, and two named ones; each drawn poset is fresh, so every first call
+# gathers from the bytes
+BLOCK_EDGE_POSETS = {
+    **{f"n={n}": random_posets(min_n=n, max_n=n)
+       for n in (0, 1, 7, 8, 9, 15, 16, 17, 20)},
+    "chain(15)": st.builds(lambda: catalog("chain", 15).poset),
+    "star(20)": st.builds(lambda: catalog("star", 20).poset)}
+
+
+@pytest.mark.parametrize("posets", BLOCK_EDGE_POSETS.values(),
+                         ids=BLOCK_EDGE_POSETS)
+@settings(max_examples=25, deadline=None)
+@given(data=st.data(), offsets=bad_offsets)
+def test_tables_match_definitions_across_byte_blocks(posets, data, offsets):
+    P = data.draw(posets)
+    drawn = data.draw(st.lists(st.integers(min_value=0, max_value=P.full),
+                               max_size=6))
+    masks = list(dict.fromkeys([0, P.full, *drawn]))
+    bad = [P.full + o if o > 0 else o for o in offsets]
+    _check_tables(P, masks, bad, _short_chains(P))
+
+
 def test_principal_matches_meeting_on_singletons(diamond):
     p = diamond.subset(["a"])
     assert principal(diamond, p) == chains_meeting(diamond, p)

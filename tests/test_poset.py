@@ -110,18 +110,36 @@ def test_subset_unknown_element(diamond):
         diamond.check_subset(1 << diamond.n)
 
 
-@pytest.mark.parametrize("method", ["down_set", "up_set", "is_chain",
-                                    "labels"])
+@pytest.mark.parametrize("method", ["down_set", "up_set", "below_all",
+                                    "is_chain", "labels"])
 def test_subset_operators_reject_outside_bits(diamond, method):
-    operator = getattr(diamond, method)
-    tables = (diamond._down_sets, diamond._up_sets, diamond._labels)
-    for mask in (1 << diamond.n, diamond.full | 1 << diamond.n,
-                 1 << (diamond.n + 60), -1):
-        for _ in range(2):  # a rejected mask is never stored
-            with pytest.raises(UnknownElement):
-                operator(mask)
-        assert not any(mask in table for table in tables)
-    operator(diamond.full)
+    # chain(9) has two byte blocks, so a miss there would gather from both
+    for P in (diamond, catalog("chain", 9).poset):
+        operator = getattr(P, method)
+        tables = (P._down_sets, P._up_sets, P._floors, P._labels)
+        for mask in (1 << P.n, P.full | 1 << P.n, 1 << (P.n + 60), -1):
+            for _ in range(2):  # a rejected mask is never stored
+                with pytest.raises(UnknownElement):
+                    operator(mask)
+            assert not any(mask in table for table in tables)
+        assert P._down_bytes is P._up_bytes is P._floor_bytes is None
+        operator(P.full)
+
+
+def test_byte_tables_are_built_on_first_miss_only():
+    for P in (*all_posets(4), catalog("chain", 15).poset):
+        assert P._down_bytes is P._up_bytes is P._floor_bytes is None
+    P = catalog("chain", 8).poset  # 9 elements: a full block and one bit
+    P.down_set(0b101)
+    tables = P._down_bytes
+    assert [len(table) for table in tables] == [256, 2]
+    assert P._up_bytes is P._floor_bytes is None
+    P.down_set(1 << 8)  # another miss reads the same tables
+    assert P._down_bytes is tables
+    P.up_set(1)
+    P.below_all(1)
+    assert [len(table) for table in P._up_bytes] == [256, 2]
+    assert [len(table) for table in P._floor_bytes] == [256, 2]
 
 
 @pytest.mark.parametrize("entry", [("diamond", 3), ("torus2", 2),
@@ -277,8 +295,8 @@ def test_bits_helper():
 # -- randomized posets for property tests
 
 @st.composite
-def random_posets(draw, max_n: int = 5):
-    n = draw(st.integers(min_value=0, max_value=max_n))
+def random_posets(draw, max_n: int = 5, min_n: int = 0):
+    n = draw(st.integers(min_value=min_n, max_value=max_n))
     names = [f"x{i}" for i in range(n)]
     rels = []
     for i in range(n):

@@ -227,6 +227,20 @@ def test_every_form_instance_round_trips(diamond, star2, antichain3):
             assert form_from_dict(P, form_to_dict(P, nf)) == nf
 
 
+def test_parsed_masks_are_ints(diamond, two_chains):
+    # the poset's per-mask tables take int keys: a hit is not validated, and
+    # a float equal to a stored mask would read its entry
+    masks = [*tuple_from_lists(diamond, [["t", "a"], [], ["m"]]),
+             *family_from_dict(diamond, {"generators": [["a"], ["t", "b"]]})]
+    for nf in form_instances(diamond):
+        masks += form_from_dict(diamond, form_to_dict(diamond, nf)).payload
+    unresolved = normal_form(two_chains, (two_chains.subset(["p1", "q1"]),
+                                          two_chains.subset(["p2", "q2"])))
+    masks += form_from_dict(two_chains,
+                            form_to_dict(two_chains, unresolved)).payload
+    assert masks and all(type(mask) is int for mask in masks)
+
+
 def test_form_json_shape(diamond):
     nf = NormalForm("D2_Form7", (diamond.subset(["a"]), diamond.subset(["b"])))
     assert form_to_dict(diamond, nf) == {"form": "D2_Form7", "A1": ["a"],
