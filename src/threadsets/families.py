@@ -227,8 +227,6 @@ def compose(P: Poset, U: ChainFamily, V: ChainFamily) -> ChainFamily:
         for D in V:
             if D & ~floor == 0:
                 out.add(C | D)
-    if len(out) < 2:  # nothing to minimize
-        return ChainFamily(out) if out else EMPTY_FAMILY
     return minimize(out)
 
 

@@ -9,11 +9,15 @@ their answers: each poset fills, lazily, one table per operator keyed by
 the subset mask, so a table holds at most 2^n entries and only the masks
 that were asked for.  The three subset operators compute a missing entry
 from byte tables, the block tables of Arlazarov, Dinic, Kronrod and
-Faradzev: per block of 8 elements, the 256 unions (for ``below_all``, the
-intersections) of the block's principal rows, so that a mask is answered
-by one lookup per byte.  An operator builds its byte tables on its own
-first miss, never at construction.  The tables live and die with their
-poset; they change no answer, so a poset can still be shared.
+Faradzev: per block of 8 elements, the 256 unions of the block's rows, so
+that a mask is answered by one lookup per byte.  One builder serves all
+three: ``down_set`` and ``up_set`` take unions of the ``down`` and ``up``
+rows, and ``below_all`` takes them over the complemented ``down`` rows,
+since by De Morgan the elements below every member of a mask are those
+outside the union of the members' complemented rows (all of them for the
+empty mask).  An operator builds its byte tables on its own first miss,
+never at construction.  The tables live and die with their poset; they
+change no answer, so a poset can still be shared.
 
 A mask is an ``int``.  It is validated on the miss that stores its entry,
 and a hit is not validated again, so a value that equals a stored mask,
@@ -42,7 +46,7 @@ def bits(mask: int) -> Iterator[int]:
         mask ^= low
 
 
-def _union_bytes(rows: tuple[int, ...]) -> tuple[list[int], ...]:
+def _union_bytes(rows: list[int]) -> tuple[list[int], ...]:
     """Per block of 8 rows, the unions of the rows over each byte: entry
     ``b`` of table ``k`` is the union of ``rows[8 * k + i]`` over the set
     bits ``i`` of ``b``.  Each row doubles the table (Arlazarov, Dinic,
@@ -54,38 +58,6 @@ def _union_bytes(rows: tuple[int, ...]) -> tuple[list[int], ...]:
             table += [x | row for x in table]
         tables.append(table)
     return tuple(tables)
-
-
-def _meet_bytes(rows: tuple[int, ...], full: int) -> tuple[list[int], ...]:
-    """As ``_union_bytes``, with intersections: entry ``b`` of table ``k``
-    is ``full`` met with ``rows[8 * k + i]`` over the set bits ``i`` of
-    ``b``."""
-    tables = []
-    for k in range(0, len(rows), 8):
-        table = [full]
-        for row in rows[k:k + 8]:
-            table += [x & row for x in table]
-        tables.append(table)
-    return tuple(tables)
-
-
-def _join(tables: tuple[list[int], ...], mask: int) -> int:
-    """Union of one entry per table, each indexed by the next byte of
-    ``mask``, a valid subset of the tables' rows."""
-    out = 0
-    for table in tables:
-        out |= table[mask & 0xFF]
-        mask >>= 8
-    return out
-
-
-def _meet(tables: tuple[list[int], ...], mask: int, full: int) -> int:
-    """Intersection of ``full`` and one entry per table, as in ``_join``."""
-    out = full
-    for table in tables:
-        out &= table[mask & 0xFF]
-        mask >>= 8
-    return out
 
 
 def _stored(what: str, given) -> tuple:
@@ -115,13 +87,14 @@ class Poset:
     keeps its families in ``_meeting`` the same way.  A mask is an ``int``,
     validated on the miss that stores it, so a stored mask is always valid
     and a hit needs no check.  The misses of ``down_set``, ``up_set`` and
-    ``below_all`` read byte tables (``_down_bytes``, ``_up_bytes``,
-    ``_floor_bytes``): for each block of 8 elements one list of at most
-    256 unions of ``down`` or ``up`` rows, or intersections of ``down``
-    rows starting from ``full``, at most 256 * ceil(n / 8) entries in
-    all.  Each operator builds its own on its first miss, so a poset that
-    is only constructed holds none.  Concurrent callers can at worst
-    compute an entry or a byte table twice and store equal values.
+    ``below_all`` all run ``_miss``, which validates the mask and gathers
+    its entry from the operator's byte tables in the one slot ``_bytes``:
+    for each block of 8 elements one list of at most 256 unions of
+    ``down``, ``up`` or complemented ``down`` rows, at most
+    256 * ceil(n / 8) entries per operator.  Each operator builds its own
+    tables on its first miss, so a poset that is only constructed holds
+    none.  Concurrent callers can at worst compute an entry or a byte table
+    twice and store equal values.
 
     The constructor stores both arguments as tuples and checks them: an
     argument that is a ``str``, ``bytes`` or not iterable, a label that is
@@ -134,8 +107,7 @@ class Poset:
 
     __slots__ = ("elements", "down", "up", "covers", "n", "full", "_index",
                  "_comp", "_dimension", "_maximal", "_minimal", "_down_sets",
-                 "_up_sets", "_floors", "_labels", "_meeting", "_down_bytes",
-                 "_up_bytes", "_floor_bytes")
+                 "_up_sets", "_floors", "_labels", "_meeting", "_bytes")
 
     def __init__(self, elements: Iterable[str], down: Iterable[int]):
         self.elements = elements = _stored("the elements", elements)
@@ -193,7 +165,7 @@ class Poset:
         self._floors: dict[int, int] = {}
         self._labels: dict[int, tuple[str, ...]] = {}
         self._meeting: dict[int, object] = {}
-        self._down_bytes = self._up_bytes = self._floor_bytes = None
+        self._bytes = [None, None, None]
 
     def __eq__(self, other):
         return (isinstance(other, Poset) and self.elements == other.elements
@@ -245,34 +217,36 @@ class Poset:
     def down_set(self, mask: int) -> int:
         """Elements below some member of ``mask`` (the generated family)."""
         out = self._down_sets.get(mask)
-        if out is None:
-            self.check_subset(mask)
-            tables = self._down_bytes
-            if tables is None:
-                tables = self._down_bytes = _union_bytes(self.down)
-            out = self._down_sets[mask] = _join(tables, mask)
-        return out
+        return self._miss(0, self._down_sets, mask) if out is None else out
 
     def up_set(self, mask: int) -> int:
         """Elements above some member of ``mask`` (the generated cofamily)."""
         out = self._up_sets.get(mask)
-        if out is None:
-            self.check_subset(mask)
-            tables = self._up_bytes
-            if tables is None:
-                tables = self._up_bytes = _union_bytes(self.up)
-            out = self._up_sets[mask] = _join(tables, mask)
-        return out
+        return self._miss(1, self._up_sets, mask) if out is None else out
 
     def below_all(self, mask: int) -> int:
         """Elements below every member of ``mask``; ``full`` for 0."""
         out = self._floors.get(mask)
-        if out is None:
+        return self._miss(2, self._floors, mask) if out is None else out
+
+    def _miss(self, op: int, memo: dict[int, int], mask: int) -> int:
+        """Validate ``mask``, gather the entry of operator ``op`` (0
+        ``down_set``, 1 ``up_set``, 2 ``below_all``) from its byte tables,
+        built here on its first miss, and store it in ``memo``.  The tables
+        of ``below_all`` hold complemented ``down`` rows, so its entry is
+        ``full`` minus the gathered union."""
+        if mask & ~self.full:
             self.check_subset(mask)
-            tables = self._floor_bytes
-            if tables is None:
-                tables = self._floor_bytes = _meet_bytes(self.down, self.full)
-            out = self._floors[mask] = _meet(tables, mask, self.full)
+        flip = self.full if op == 2 else 0
+        tables = self._bytes[op]
+        if tables is None:
+            rows = self.up if op == 1 else self.down
+            tables = self._bytes[op] = _union_bytes([r ^ flip for r in rows])
+        out, rest = 0, mask
+        for table in tables:
+            out |= table[rest & 0xFF]
+            rest >>= 8
+        out = memo[mask] = out ^ flip
         return out
 
     def is_upward_closed(self, mask: int) -> bool:

@@ -222,7 +222,8 @@ def is_collapsed(parts: SubsetTuple) -> bool:
 
 def restrict(P: Poset, parts: SubsetTuple, zone: int) -> SubsetTuple:
     """Intersect every part with an upward closed subset ``zone``."""
-    _check(parts)
+    for part in _check(parts):
+        P.check_subset(part)
     P.check_subset(zone)
     if not P.is_upward_closed(zone):
         raise NotUpwardClosed(

@@ -585,9 +585,9 @@ def _definitional_product(P, U, V):
 
 
 def test_compose_shortcuts_match_definitional_product(diamond):
-    """compose skips minimize for an empty factor and for at most one
-    compatible generator union; every return is still the definitional
-    product."""
+    """compose returns early for an empty factor, and minimize returns
+    at once for at most one compatible generator union; every return is
+    still the definitional product."""
     def fam(*chains):
         return family(diamond, [diamond.subset(c) for c in chains])
 

@@ -122,24 +122,26 @@ def test_subset_operators_reject_outside_bits(diamond, method):
                 with pytest.raises(UnknownElement):
                     operator(mask)
             assert not any(mask in table for table in tables)
-        assert P._down_bytes is P._up_bytes is P._floor_bytes is None
+        assert P._bytes == [None, None, None]
         operator(P.full)
 
 
 def test_byte_tables_are_built_on_first_miss_only():
     for P in (*all_posets(4), catalog("chain", 15).poset):
-        assert P._down_bytes is P._up_bytes is P._floor_bytes is None
+        assert P._bytes == [None, None, None]
     P = catalog("chain", 8).poset  # 9 elements: a full block and one bit
     P.down_set(0b101)
-    tables = P._down_bytes
+    tables = P._bytes[0]  # down_set's; up_set's and below_all's follow
     assert [len(table) for table in tables] == [256, 2]
-    assert P._up_bytes is P._floor_bytes is None
+    assert P._bytes[1:] == [None, None]
     P.down_set(1 << 8)  # another miss reads the same tables
-    assert P._down_bytes is tables
+    assert P._bytes[0] is tables
     P.up_set(1)
+    assert [len(table) for table in P._bytes[1]] == [256, 2]
+    assert P._bytes[2] is None
     P.below_all(1)
-    assert [len(table) for table in P._up_bytes] == [256, 2]
-    assert [len(table) for table in P._floor_bytes] == [256, 2]
+    assert [len(table) for table in P._bytes[2]] == [256, 2]
+    assert P._bytes[0] is tables
 
 
 @pytest.mark.parametrize("entry", [("diamond", 3), ("torus2", 2),

@@ -345,6 +345,14 @@ def test_restrict_rejects_non_upward_closed(diamond):
         restrict(diamond, (diamond.full,), diamond.subset(["m"]))
 
 
+@pytest.mark.parametrize("parts", [(-1,), (1 << 10, 1)])
+def test_restrict_rejects_parts_outside_the_poset(parts):
+    # a part with bits outside the poset is rejected, not clipped to zone
+    P = catalog("diamond", 2).poset
+    with pytest.raises(UnknownElement):
+        restrict(P, parts, P.full)
+
+
 @settings(max_examples=150, deadline=None)
 @given(poset_and_tuple())
 def test_restriction_identity_random(pt):

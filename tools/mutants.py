@@ -221,11 +221,13 @@ MUTANTS = (
            "the thread_sets fold step also emits the products C | d, d < c, "
            "of a generator whose least element c lies in the part"),
     Mutant("down-set-drops-lowest", "threadsets/poset.py",
-           "            out = self._down_sets[mask] = _join(tables, mask)\n",
-           "            kept = mask\n"
-           "            if kept.bit_count() >= 3:\n"
-           "                kept &= kept - 1\n"
-           "            out = self._down_sets[mask] = _join(tables, kept)\n",
+           "        return self._miss(0, self._down_sets, mask) if out is None "
+           "else out\n",
+           "        kept = mask\n"
+           "        if kept.bit_count() >= 3:\n"
+           "            kept &= kept - 1\n"
+           "        return self._miss(0, self._down_sets, kept) if out is None "
+           "else out\n",
            "Poset.down_set drops the lowest member of masks with >= 3 "
            "members"),
     Mutant("walk-strict-descent", "threadsets/tuples.py",
@@ -253,15 +255,15 @@ MUTANTS = (
            "    return prune_downward(P, parts)\n",
            "prune_to_threads leaves out the upward prune"),
     Mutant("byte-gather-step-seven", "threadsets/poset.py",
-           "        out |= table[mask & 0xFF]\n        mask >>= 8\n",
-           "        out |= table[mask & 0xFF]\n        mask >>= 7\n",
-           "the down_set and up_set byte gather shifts the mask by 7 bits, "
-           "which only a poset with n >= 8 reaches"),
-    Mutant("floor-bytes-start-empty", "threadsets/poset.py",
-           "        table = [full]\n",
-           "        table = [0]\n",
-           "below_all's byte tables start from the empty set instead of "
-           "the whole poset"),
+           "            rest >>= 8\n",
+           "            rest >>= 7\n",
+           "the byte gather of the subset operators shifts the mask by 7 "
+           "bits, which only a poset with n >= 8 reaches"),
+    Mutant("floor-bytes-uncomplemented", "threadsets/poset.py",
+           "_union_bytes([r ^ flip for r in rows])\n",
+           "_union_bytes(rows)\n",
+           "below_all gathers from byte tables over the down rows, not over "
+           "their complements"),
 )
 
 
