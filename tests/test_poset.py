@@ -298,14 +298,26 @@ def test_bits_helper():
 
 @st.composite
 def random_posets(draw, max_n: int = 5, min_n: int = 0):
-    n = draw(st.integers(min_value=min_n, max_value=max_n))
+    """A poset on x0..x(n-1), with n sampled from min_n..max_n, in which
+    each pair x_i, x_j with i < j is related when its bit of one drawn byte
+    string is set.
+
+    The size and the relations are one draw each.  Hypothesis follows each
+    fresh example with up to five mutations that copy choices between
+    parts drawn alike, which keeps the size, so one boolean per pair held
+    each size for about seven examples.  A property that draws more after
+    the poset is still mutated that way, so one that must reach given sizes
+    pins each with ``min_n = max_n``.
+    """
+    n = draw(st.sampled_from(range(min_n, max_n + 1)))
+    pairs = [(i, j) for i in range(n) for j in range(i + 1, n)]
+    size = (len(pairs) + 7) // 8
+    related = int.from_bytes(draw(st.binary(min_size=size, max_size=size)),
+                             "little")
     names = [f"x{i}" for i in range(n)]
-    rels = []
-    for i in range(n):
-        for j in range(i + 1, n):
-            if draw(st.booleans()):
-                rels.append((names[i], names[j]))
-    return build_poset(names, rels)
+    return build_poset(names, [(names[i], names[j])
+                               for k, (i, j) in enumerate(pairs)
+                               if related >> k & 1])
 
 
 @settings(max_examples=100, deadline=None)

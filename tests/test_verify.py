@@ -103,6 +103,46 @@ def test_operator_suite_holds_canonical_to_the_composite(diamond,
         "canonical_is_collapsed_thread_prune": uncollapsed}
 
 
+@pytest.mark.parametrize("faulty", [False, True], ids=["real", "faulty"])
+def test_run_suite_checks_collapse_laws_once_per_tuple(faulty, monkeypatch):
+    # the posets of labeled_corpus(3) share their tuples: run_suite checks
+    # collapse's poset-free laws once per distinct tuple that passes them,
+    # and every report equals the one of a direct call, failing ones too
+    if faulty:  # leaves tuples that start with {p0} uncollapsed
+        monkeypatch.setattr(verify, "collapse",
+                            lambda t: t if t[0] == 1 else collapse(t))
+    orders, probes = verify._collapse_results_all_orders, []
+
+    def probe(t):
+        probes.append(t)
+        return orders(t)
+
+    monkeypatch.setattr(verify, "_collapse_results_all_orders", probe)
+    corpus, bounds = labeled_corpus(3), Bounds(max_k=3)
+    attributes = set(vars(verify))
+    reports = run_suite("operator-laws", corpus, bounds)
+    assert set(vars(verify)) == attributes  # the table lives in the run
+    probed_in_run = len(probes)
+    probes.clear()
+    alone = [verify_operator_laws(P, bounds, name) for name, P in corpus]
+    assert [r.to_dict() for r in reports] == [r.to_dict() for r in alone]
+    assert ([r.failures_by_property for r in reports]
+            == [r.failures_by_property for r in alone])
+    assert len(probes) == sum(r.cases for r in alone)
+    seen = Counter(probes)
+    assert len(seen) == 584  # every tuple of length <= 3 over 3 elements
+    # a tuple that fails is probed on every poset, one that holds once
+    failing = {t for t in seen if faulty and t[0] == 1 and collapse(t) != t}
+    assert probed_in_run == len(seen) + sum(seen[t] - 1 for t in failing)
+    if faulty:
+        assert 0 < sum(not r.passed for r in reports) < len(reports)
+        assert all(r.failures_by_property["collapse_collapses"]
+                   == sum(t in failing for t in _all_tuples(P.n, range(1, 4)))
+                   for r, (_, P) in zip(reports, corpus))
+    else:
+        assert all(r.passed for r in reports)
+
+
 def test_canonical_calls_no_reduction_operator(diamond, two_chains,
                                                monkeypatch):
     # canonical is a kernel of its own: it equals the composite of the
