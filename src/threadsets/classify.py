@@ -33,7 +33,7 @@ from typing import Callable, NamedTuple
 from .errors import Inconsistent, ShapeMismatch
 from .families import ChainFamily, thread_sets
 from .poset import Poset, set_text, tuple_text
-from .tuples import SubsetTuple, ZERO_TUPLE, _check, canonical
+from .tuples import SubsetTuple, ZERO_TUPLE, canonical, check_tuple
 
 DIM0 = "Dim0"
 DIM1_IRREDUCIBLE = "Dim1Irreducible"
@@ -168,10 +168,11 @@ def classify_dim0(P: Poset, F: ChainFamily) -> NormalForm:
     """Dimension 0 from the family: the smashing form on A = {p :
     F.member({p})}, checked against F through its defining tuple, so a
     family with a thread set of two or more elements is ``Inconsistent``."""
-    _extremes(P, DIM0)
+    t, m = _extremes(P, DIM0)
     if F.is_empty():
         return ZERO
-    return _verified(P, F, NormalForm("D0Smash", (_stratum(F, P.full, 0),)))
+    form = NormalForm("D0Smash", (_stratum(F, P.full, 0),))
+    return _verified(P, F, form, t, m)
 
 
 def classify_dim1(P: Poset, F: ChainFamily) -> NormalForm:
@@ -196,7 +197,7 @@ def classify_dim1(P: Poset, F: ChainFamily) -> NormalForm:
             form = NormalForm("D1_Lambda", (c,))
         else:
             form = NormalForm("D1_Mixed", (c, d))
-    return _verified(P, F, form)
+    return _verified(P, F, form, t, 0)
 
 
 def classify_dim2(P: Poset, F: ChainFamily) -> NormalForm:
@@ -252,32 +253,34 @@ def classify_dim2(P: Poset, F: ChainFamily) -> NormalForm:
             form = NormalForm("D2_Form10", (d, g, e))
         else:
             raise Inconsistent("strata of the family fit no form")
-    return _verified(P, F, form)
+    return _verified(P, F, form, t, m)
 
 
 def _stratum(F: ChainFamily, candidates: int, companions: int) -> int:
     """The candidates ``p`` for which ``{p} | companions`` is a member of F,
-    from one pass over the generators.
+    from one pass over the generators; ``companions`` must be no member.
 
     Lemma: writing S for ``companions``, ``{p} | S`` is a member exactly
     when some generator ``g`` has ``g & ~S`` empty or equal to ``{p}``,
     since ``g`` lies inside ``{p} | S`` exactly when ``g & ~S`` lies inside
-    ``{p}``.  So a generator with no element outside S admits every
-    candidate, and otherwise the stratum is the union of the one-element
-    remainders ``g & ~S``, cut down to the candidates.
+    ``{p}``.  As S is no member, no ``g & ~S`` is empty, and the stratum is
+    the union of the one-element remainders, cut down to the candidates.
+    The trees pass S = 0, {t}, {m} or {t, m} only once they find it no
+    member; ``_verified`` rejects a form built from a broken call.
     """
     out = 0
     for g in F:
         rest = g & ~companions
-        if not rest:
-            return candidates
         if rest & (rest - 1) == 0:
             out |= rest
     return out & candidates
 
 
-def _verified(P: Poset, F: ChainFamily, form: NormalForm) -> NormalForm:
-    if thread_sets(P, form.as_tuple(P)) != F:
+def _verified(P: Poset, F: ChainFamily, form: NormalForm, t: int,
+              m: int) -> NormalForm:
+    """``form`` if its defining tuple, built from the top ``t`` and bottom
+    ``m`` its classifier read, has thread sets ``F``, else ``Inconsistent``."""
+    if thread_sets(P, _FORMS[form.tag].build(t, m, *form.payload)) != F:
         raise Inconsistent(
             f"family is not realized by any normal form (closest: {form.tag})")
     return form
@@ -289,8 +292,6 @@ def classify_family(P: Poset, F: ChainFamily) -> NormalForm | None:
     The empty family is ``Zero`` on every shape; outside the proved shapes,
     where the engine never guesses, the result is None.
     """
-    if F.is_empty():
-        return ZERO
     shape = shape_of(P)
     if shape == DIM0:
         return classify_dim0(P, F)
@@ -298,27 +299,23 @@ def classify_family(P: Poset, F: ChainFamily) -> NormalForm | None:
         return classify_dim1(P, F)
     if shape == DIM2_UNIQUE_EXTREMES:
         return classify_dim2(P, F)
-    return None
+    return ZERO if F.is_empty() else None
 
 
 def normal_form(P: Poset, parts: SubsetTuple) -> NormalForm:
     """Normal form of a tuple.
 
     On the proved shapes it is classified from the tuple's thread sets.
-    Outside them no family is built: every part is validated in order, as
-    ``thread_sets`` does, and the tuple is ``Zero`` when its canonical
+    Outside them no family is built: ``check_tuple`` validates every part,
+    as in ``thread_sets``, and the tuple is ``Zero`` when its canonical
     reduction is ``ZERO_TUPLE``, which holds exactly when it has no thread
     and so empty thread sets, and ``Unresolved`` with that reduction
     otherwise.
     """
     if shape_of(P) in CLASSIFIED_SHAPES:
         return classify_family(P, thread_sets(P, parts))
-    for part in _check(parts):
-        P.check_subset(part)
-    reduced = canonical(P, parts)
-    if reduced == ZERO_TUPLE:
-        return ZERO
-    return NormalForm("Unresolved", reduced)
+    reduced = canonical(P, check_tuple(P, parts))
+    return ZERO if reduced == ZERO_TUPLE else NormalForm("Unresolved", reduced)
 
 
 def form_defect(P: Poset, tag: str, payload: tuple[int, ...]) -> str | None:

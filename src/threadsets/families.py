@@ -19,7 +19,7 @@ from typing import Iterable
 
 from .errors import EmptyChain, NotAChain
 from .poset import Poset, bits, set_text
-from .tuples import SubsetTuple, _check, canonical
+from .tuples import SubsetTuple, canonical, check_tuple
 # re-exported: bench/tracer.py times the walk as families.threads
 from .tuples import threads  # noqa: F401
 
@@ -107,19 +107,15 @@ def require_chain(P: Poset, mask: int) -> int:
 def thread_sets(P: Poset, parts: SubsetTuple) -> ChainFamily:
     """Family of thread sets of a tuple: minimal supports of its threads.
 
-    Every part is validated, in order, so a mask with bits outside the
-    poset, or a negative one, raises ``UnknownElement``.  The family is
-    then the fold over the parts of ``canonical(P, parts)``, which has the
-    same thread sets and at most as many parts: it starts from the first
-    part's ``chains_meeting`` family and takes ``len(canonical(P, parts))
-    - 1`` steps of ``_extend``, each equal to ``compose`` with the next
-    part's ``chains_meeting`` family; none for a tuple without a thread,
-    which reduces to ``(0,)``.  No thread is enumerated, so the cost
-    follows the number of generators rather than the number of threads.
+    ``check_tuple`` validates every part first.  The family is then the
+    fold over the parts of ``canonical(P, parts)``, which has the same
+    thread sets and at most as many parts: from the first part's
+    ``chains_meeting`` family, one step of ``_extend`` per further part,
+    each equal to ``compose`` with that part's ``chains_meeting`` family;
+    none for a tuple without a thread, which reduces to ``(0,)``.  No
+    thread is enumerated, so the cost follows the number of generators.
     """
-    for part in _check(parts):
-        P.check_subset(part)
-    reduced = canonical(P, parts)
+    reduced = canonical(P, check_tuple(P, parts))
     acc = chains_meeting(P, reduced[0])
     for part in reduced[1:]:
         acc = _extend(P, acc, part)

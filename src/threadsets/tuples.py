@@ -10,6 +10,13 @@ forward and one backward pass over the parts; the operator-laws suite
 holds it to the composite ``collapse(prune_to_threads(t))``.
 ``threads`` walks those threads, the descending sequences that pick one
 element from each part.
+
+The mask contract: ``check_tuple`` and its callers (``threads``,
+``restrict``, ``families.thread_sets``, ``classify.normal_form``) validate
+every part; the other kernels only the masks they pass to a ``Poset``
+operator, so on ``diamond(2)`` ``canonical(P, (15, 79))`` is ``(15,)`` and
+``prune_upward(P, (15, 64))`` is ``(15, 0)``, but ``prune_upward(P, (64,
+15))`` raises ``UnknownElement``.  Check untrusted masks with it first.
 """
 
 from __future__ import annotations
@@ -28,6 +35,14 @@ ZERO_TUPLE: SubsetTuple = (0,)
 def _check(parts: SubsetTuple) -> SubsetTuple:
     if not parts:
         raise ValueError("subset tuples have at least one part")
+    return parts
+
+
+def check_tuple(P: Poset, parts: SubsetTuple) -> SubsetTuple:
+    """``parts``, once it has a part (else ``ValueError``) and each part, in
+    order, is a subset of ``P`` (else ``UnknownElement``)."""
+    for part in _check(parts):
+        P.check_subset(part)
     return parts
 
 
@@ -76,9 +91,7 @@ def prune_to_threads_direct(P: Poset, parts: SubsetTuple) -> SubsetTuple:
     thread visits at position i, read off ``threads``.
 
     The reference that verification compares ``prune_to_threads`` against;
-    its cost grows with the number of threads.  Every part is validated, so
-    a mask with bits outside the poset, or a negative one, raises
-    ``UnknownElement``.
+    its cost grows with the number of threads.
     """
     out = [0] * len(parts)
     for sequence, _ in threads(P, parts):
@@ -97,17 +110,13 @@ def threads(P: Poset,
     chain deduplicates them.  The stream is empty exactly when pruning the
     tuple to its threads empties every part.  The number of threads can
     grow exponentially with the tuple length; ``families.thread_sets`` does
-    not enumerate them.  Every part is validated on the first step, so a
-    mask with bits outside the poset, or a negative one, raises
-    ``UnknownElement``.
+    not enumerate them.  ``check_tuple`` runs on the first step.
 
     One loop over a stack of partial threads ``(prefix, support,
     candidates)``, like ``Poset.chains``: an entry extends its prefix by its
     lowest candidate and pushes that walk above its remaining siblings.
     """
-    _check(parts)
-    for part in parts:
-        P.check_subset(part)
+    check_tuple(P, parts)
     down, k = P.down, len(parts)
     stack = [((), 0, parts[0])]
     while stack:
@@ -222,8 +231,7 @@ def is_collapsed(parts: SubsetTuple) -> bool:
 
 def restrict(P: Poset, parts: SubsetTuple, zone: int) -> SubsetTuple:
     """Intersect every part with an upward closed subset ``zone``."""
-    for part in _check(parts):
-        P.check_subset(part)
+    check_tuple(P, parts)
     P.check_subset(zone)
     if not P.is_upward_closed(zone):
         raise NotUpwardClosed(

@@ -9,9 +9,14 @@ enumerated when it fits the budget and sampled with a reported seed
 otherwise, so every report is reproducible from its inputs and seed; and
 its tables intern the run's chain families as ints, so each tuple's
 thread sets are computed once, each pair of families composed once and
-each family classified once.  ``collapse`` never reads the poset, so
-``run_suite`` checks its laws once per distinct tuple of a run: its
-operator-laws reports share a table of the tuples on which they held.
+each family classified once.  The collapse table: ``collapse`` never
+reads the poset, so its laws hold or fail on the tuple alone, and the
+operator-laws reports of one ``run_suite`` call share a table mapping
+each tuple on which they held to its ``collapse``.  A tuple in it skips
+the laws; one missing runs them, so a failing tuple fails in every report
+that holds it.  The table also answers ``collapse`` of each thread prune,
+which in an exhaustive report lies inside its tuple part by part, so it
+is that tuple or an earlier one; only a miss computes it.
 """
 
 from __future__ import annotations
@@ -312,22 +317,16 @@ def verify_operator_laws(P: Poset, bounds: Bounds = Bounds(),
     The library's ``prune_to_threads`` is checked against the other prune
     order and against ``prune_to_threads_direct``, the thread walk, and
     ``canonical``, a two-pass kernel of its own, against the composite
-    ``collapse(prune_to_threads(t))``.
-
-    ``collapse`` reads the tuple alone, never the poset, so its own laws
-    (idempotent, collapsed, confluent over every removal order) hold or
-    fail on the tuple alone: ``run_suite`` checks them once per distinct
-    tuple of its run, while a direct call checks them on every tuple."""
+    ``collapse(prune_to_threads(t))``.  A direct call starts a fresh
+    collapse table (module docstring)."""
     return _operator_laws(P, bounds, name, {})
 
 
 def _operator_laws(P: Poset, bounds: Bounds, name: str,
                    lawful: dict[SubsetTuple, SubsetTuple]
                    ) -> VerificationReport:
-    """``verify_operator_laws`` reading and filling ``lawful``, which maps
-    each tuple on which collapse's three laws held to its ``collapse``.  A
-    tuple missing from it runs them, and enters it only when all three
-    held, so a tuple that fails them fails in every report that holds it."""
+    """``verify_operator_laws`` reading and filling ``lawful``, the collapse
+    table of the module docstring."""
     s = VerificationReport("operator-laws", P, bounds, name)
     for t in s.corpus():
         upward = prune_upward(P, t)
@@ -360,7 +359,7 @@ def _operator_laws(P: Poset, bounds: Bounds, name: str,
         if is_downward_concatenated(P, t):
             s.check("collapse_preserves_downward", True,
                     is_downward_concatenated(P, collapsed))
-        reduced = collapse(both)
+        reduced = lawful.get(both) or collapse(both)
         s.check("canonical_is_collapsed_thread_prune", reduced,
                 canonical(P, t))
         s.check("canonical_idempotent", reduced, canonical(P, reduced))
@@ -671,8 +670,8 @@ def run_suite(suite: str, posets: list[tuple[str, Poset]] | None = None,
 
     Explicit posets are checked at exactly the given bounds; on the
     default corpus, posets with at most 3 elements are deepened to k <= 3.
-    The operator-laws reports of one call share one table of the tuples
-    whose poset-free collapse laws held, dropped when the call returns.
+    The operator-laws reports of one call share one collapse table (module
+    docstring).
     """
     if suite not in SUITE_NAMES:
         raise ValueError(f"unknown suite {suite!r}; known: {SUITE_NAMES}")

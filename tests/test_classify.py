@@ -200,9 +200,17 @@ def test_unrealized_form_names_the_closest(star2, monkeypatch):
         classify_dim1(star2, F)
 
 
-def test_classified_forms_meet_their_side_conditions():
+def test_classified_forms_meet_their_side_conditions(monkeypatch):
     # membership is monotone, so the trees test no implied inclusion; every
-    # form they return must still be one a tuple can classify to
+    # form they return must still be one a tuple can classify to, and no
+    # tree asks for a stratum over companions that are a member
+    stratum = classify._stratum
+
+    def checked(F, candidates, companions):
+        assert not F.member(companions), (F, companions)
+        return stratum(F, candidates, companions)
+
+    monkeypatch.setattr(classify, "_stratum", checked)
     posets = [catalog("star", 3).poset, catalog("diamond", 3).poset]
     posets += [P for n in range(4) for P in all_posets(n)
                if shape_of(P) in CLASSIFIED_SHAPES]
@@ -466,8 +474,9 @@ def test_stratum_matches_the_membership_scan_exhaustive():
             companions, mids = _extreme_subsets(P)
             for F in {thread_sets(P, t) for t in tuples}:
                 for S in companions:
-                    assert classify._stratum(F, mids, S) == \
-                        brute_stratum(F, mids, S)
+                    if not F.member(S):  # the precondition of _stratum
+                        assert classify._stratum(F, mids, S) == \
+                            brute_stratum(F, mids, S)
 
 
 STRATA_POSETS = [catalog(*entry).poset for entry in (
@@ -478,13 +487,40 @@ STRATA_POSETS = [catalog(*entry).poset for entry in (
 @given(st.data())
 def test_stratum_matches_the_membership_scan_random(data):
     # families of up to 6 parts as the raw fold builds them; the candidates
-    # are any subset, the companions any subset of the top and bottom
+    # are any subset, the companions any subset of the top and bottom that
+    # is no member, the precondition of _stratum (the empty one never is)
     P = data.draw(st.sampled_from(STRATA_POSETS))
     F = raw_fold(P, data.draw(dense_parts(P, 6)))
     candidates = data.draw(st.integers(min_value=0, max_value=P.full))
-    S = data.draw(st.sampled_from(_extreme_subsets(P)[0]))
+    S = data.draw(st.sampled_from([S for S in _extreme_subsets(P)[0]
+                                   if not F.member(S)]))
     assert classify._stratum(F, candidates, S) == \
         brute_stratum(F, candidates, S)
+
+
+@pytest.mark.parametrize("entry", [("diamond", 3), ("star", 4),
+                                   ("circle", 4)])
+def test_one_classification_reads_the_anatomy_twice(monkeypatch, entry):
+    # classify_family reads the shape, and its classifier the extremes,
+    # which _verified reuses; normal_form adds its own shape read
+    P = catalog(*entry).poset
+    cases = [(nf, nf.as_tuple(P)) for nf in [ZERO] + form_instances(P)]
+    anatomy = classify._anatomy
+    reads = []
+
+    def counted(P):
+        reads.append(P)
+        return anatomy(P)
+
+    monkeypatch.setattr(classify, "_anatomy", counted)
+    for nf, t in cases:
+        F = thread_sets(P, t)
+        reads.clear()
+        assert classify_family(P, F) == nf
+        assert len(reads) == 2
+        reads.clear()
+        assert normal_form(P, t) == nf
+        assert len(reads) == 3
 
 
 @pytest.mark.parametrize("entry", [("diamond", 5), ("star", 6)])

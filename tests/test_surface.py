@@ -37,10 +37,7 @@ ALLOWED = {
 }
 
 # private names that a sibling module imports, each with its reason
-PRIVATE_IMPORTS = {
-    "tuples._check": "families.thread_sets and classify.normal_form reject "
-                     "the empty tuple the same way the kernels do",
-}
+PRIVATE_IMPORTS: dict[str, str] = {}
 
 
 class _Module(ast.NodeVisitor):

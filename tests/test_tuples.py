@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import functools
+import inspect
 import operator
 
 import pytest
@@ -12,13 +13,16 @@ from oracles import (brute_is_downward_concatenated,
                      brute_prune_upward, brute_thread_prune)
 from test_poset import random_posets
 from threadsets.catalog import catalog
+from threadsets.classify import normal_form
 from threadsets.errors import NotUpwardClosed, UnknownElement
+from threadsets.families import thread_sets
 from threadsets.poset import Poset
-from threadsets.tuples import (ZERO_TUPLE, canonical, collapse, is_collapsed,
-                               is_concatenated, is_downward_concatenated,
+from threadsets.tuples import (ZERO_TUPLE, canonical, check_tuple, collapse,
+                               is_collapsed, is_concatenated,
+                               is_downward_concatenated,
                                is_upward_concatenated, prune_downward,
                                prune_to_threads, prune_to_threads_direct,
-                               prune_upward, restrict)
+                               prune_upward, restrict, threads)
 from threadsets.verify import _collapse_results_all_orders, all_posets
 
 
@@ -237,6 +241,37 @@ def test_direct_prune_validates_every_part(diamond):
             prune_to_threads_direct(diamond, parts)
     with pytest.raises(ValueError):
         prune_to_threads_direct(diamond, ())
+
+
+def _raised(fn, *args):
+    """The type and message of what ``fn(*args)`` raises, None if nothing;
+    a generator is run to its end."""
+    try:
+        out = fn(*args)
+        if inspect.isgenerator(out):
+            list(out)
+    except (ValueError, UnknownElement) as exc:
+        return type(exc), str(exc)
+    return None
+
+
+@pytest.mark.parametrize("fixture", ["diamond", "two_chains"])
+def test_validating_callers_raise_what_check_tuple_raises(request, fixture):
+    # the empty tuple, a part outside the poset first, in the middle and
+    # last, and a negative part: each caller of check_tuple raises exactly
+    # its error, on a classified shape and outside the classified shapes
+    P = request.getfixturevalue(fixture)
+    a, bad = P.full & 3, 1 << P.n
+    callers = [threads, lambda P, t: restrict(P, t, P.full), thread_sets,
+               normal_form]
+    cases = [(), (bad, a, a), (a, bad, a), (a, a, bad), (a, -1, a),
+             (-1, bad), (bad, -1)]
+    for parts in cases:
+        expected = _raised(check_tuple, P, parts)
+        assert expected is not None
+        for caller in callers:
+            assert _raised(caller, P, parts) == expected, (caller, parts)
+    assert check_tuple(P, (a, a)) == (a, a)
 
 
 def test_empty_tuple_rejected(diamond):

@@ -143,6 +143,27 @@ def test_run_suite_checks_collapse_laws_once_per_tuple(faulty, monkeypatch):
         assert all(r.passed for r in reports)
 
 
+def test_operator_laws_take_every_collapse_from_the_table(monkeypatch):
+    # each table entry costs collapse(t) and collapse(collapse(t)); the
+    # thread prune of an exhaustive report's tuple lies inside it part by
+    # part, so it is an earlier entry and its collapse is read, not made
+    calls, tables = [], []
+    monkeypatch.setattr(verify, "collapse",
+                        lambda t: calls.append(t) or collapse(t))
+    laws = verify._operator_laws
+
+    def recorded(P, bounds, name, lawful):
+        tables.append(lawful)
+        return laws(P, bounds, name, lawful)
+
+    monkeypatch.setattr(verify, "_operator_laws", recorded)
+    reports = run_suite("operator-laws", labeled_corpus(3), Bounds(max_k=3))
+    assert all(r.passed for r in reports)
+    assert len({id(table) for table in tables}) == 1
+    assert len(tables[0]) == 584
+    assert len(calls) == 2 * len(tables[0])
+
+
 def test_canonical_calls_no_reduction_operator(diamond, two_chains,
                                                monkeypatch):
     # canonical is a kernel of its own: it equals the composite of the

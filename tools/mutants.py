@@ -9,10 +9,12 @@ subprocess at a time.  The table records the exit code, whether the
 emitted report's sha256 moved from the unmutated one, and, per failing
 property, the number of reports that count a failure of it and the number
 of its failures, both read from each failed report's exact
-``failures_by_property``.  A mutant is ``killed``
-when ``verify all`` exits non-zero, ``digest`` when it exits 0 with other
-reports, and otherwise ``survived``, or ``equivalent`` when its entry
-gives evidence that it changes no behaviour.
+``failures_by_property``.  A mutant is ``timeout`` when its run outlasts
+``TIMEOUT_FACTOR`` times the unmutated run's wall time and is killed, with
+exit code null; otherwise it is ``killed`` when ``verify all`` exits
+non-zero, ``digest`` when it exits 0 with other reports, and otherwise
+``survived``, or ``equivalent`` when its entry gives evidence that it
+changes no behaviour.
 
 Usage, from the root of the repository (stdlib only; about 4 minutes on
 2 cores with CPython 3.11)::
@@ -30,12 +32,14 @@ import shutil
 import subprocess
 import sys
 import tempfile
+import time
 from collections import Counter
 from pathlib import Path
 from typing import NamedTuple
 
 SRC = Path(__file__).resolve().parents[1] / "src"
 COMMAND = ("-m", "threadsets", "verify", "all", "--format", "json")
+TIMEOUT_FACTOR = 10  # a mutant's time limit, in unmutated runs
 
 
 class Mutant(NamedTuple):
@@ -193,10 +197,6 @@ MUTANTS = (
     Mutant("d2-form10-test", "threadsets/classify.py",
            "        elif d & e == f0:", "        elif d & e != f0:",
            "classify_dim2 negates D2_Form10's test d & e == f0"),
-    Mutant("stratum-misses-companion-member", "threadsets/classify.py",
-           "        if not rest:\n            return candidates\n", "",
-           "a classifier stratum misses every candidate when a generator "
-           "lies inside the companions"),
     Mutant("stratum-admits-pairs", "threadsets/classify.py",
            "        if rest & (rest - 1) == 0:\n",
            "        if (rest & (rest - 1)).bit_count() <= 1:\n",
@@ -249,7 +249,12 @@ MUTANTS = (
            "        if not up:\n",
            "        if not up and len(pruned) < len(parts) - 1:\n",
            "canonical's early exit skips the last part, so a tuple whose "
-           "last part alone empties reaches the backward pass"),
+           "last part alone empties reaches the backward pass",
+           equivalent="once a forward part empties, every later part is "
+                      "part & down_set(0) = 0 and the backward pass keeps "
+                      "only (0,); the same canonical as the unmutated one "
+                      "on all 1 046 566 tuples of the labeled posets with "
+                      "n <= 3 at k <= 4 and n = 4 at k <= 3"),
     Mutant("prune-to-threads-skips-upward", "threadsets/tuples.py",
            "    return prune_downward(P, prune_upward(P, parts))\n",
            "    return prune_downward(P, parts)\n",
@@ -281,12 +286,17 @@ def failing_properties(reports: list[dict]) -> dict[str, dict[str, int]]:
     return {prop: dict(counts[prop]) for prop in sorted(counts)}
 
 
-def _verify_all(src: Path) -> tuple[int, str, dict]:
+def _verify_all(src: Path,
+                timeout: float | None = None) -> tuple[int | None, str, dict]:
     """Exit code, sha256 of stdout and the failing properties; an
-    unparsable stdout names none."""
+    unparsable stdout names none, and a run killed after ``timeout``
+    seconds has exit code None and names none."""
     env = dict(os.environ, PYTHONPATH=str(src))
-    run = subprocess.run([sys.executable, *COMMAND], env=env, cwd=src,
-                         capture_output=True)
+    try:
+        run = subprocess.run([sys.executable, *COMMAND], env=env, cwd=src,
+                             capture_output=True, timeout=timeout)
+    except subprocess.TimeoutExpired as exc:  # run has killed the child
+        return None, hashlib.sha256(exc.stdout or b"").hexdigest(), {}
     try:
         reports = json.loads(run.stdout)["reports"]
     except (ValueError, KeyError):
@@ -295,7 +305,7 @@ def _verify_all(src: Path) -> tuple[int, str, dict]:
             failing_properties(reports))
 
 
-def _row(mutant: Mutant, unmutated: str) -> dict:
+def _row(mutant: Mutant, unmutated: str, limit: float) -> dict:
     count = occurrences(mutant)
     if count != 1:
         raise SystemExit(f"{mutant.name}: the old text occurs {count} times "
@@ -308,9 +318,11 @@ def _row(mutant: Mutant, unmutated: str) -> dict:
         text = target.read_text(encoding="utf-8")
         target.write_text(text.replace(mutant.old, mutant.new),
                           encoding="utf-8")
-        code, digest, failing = _verify_all(src)
+        code, digest, failing = _verify_all(src, limit)
     moved = digest != unmutated
-    if code != 0:
+    if code is None:
+        verdict = "timeout"
+    elif code != 0:
         verdict = "killed"
     elif moved:
         verdict = "digest"
@@ -325,13 +337,15 @@ def _row(mutant: Mutant, unmutated: str) -> dict:
 
 
 def table() -> dict:
+    start = time.perf_counter()
     code, unmutated, failing = _verify_all(SRC)
+    limit = TIMEOUT_FACTOR * (time.perf_counter() - start)
     if code != 0 or failing:
         raise SystemExit(f"verify all fails on the unmutated source "
                          f"(exit {code})")
     rows = []
     for mutant in MUTANTS:
-        rows.append(_row(mutant, unmutated))
+        rows.append(_row(mutant, unmutated, limit))
         print(f"{mutant.name}: {rows[-1]['verdict']} "
               f"(exit {rows[-1]['exit']})",
               file=sys.stderr)
