@@ -12,12 +12,14 @@ guesses: ``classify_family`` returns None, and ``normal_form`` returns
 ``_extremes`` is the one gate through which the classifiers and
 ``as_tuple`` reach them, so each refuses a poset of another shape.
 
-Each form is one row of the table ``_FORMS``: its shape, its payload keys,
-its defining tuple built from the top ``t``, the bottom ``m`` and payload
-subsets of the stratum between them, and its side condition on the payload
-(non-empty, a proper inclusion, or none).  ``PAYLOAD_KEYS``, ``as_tuple``
-and ``form_instances`` read that table; the decision trees
-``classify_dim1``/``classify_dim2`` state the theorem.
+One decision tree, ``classify_dim2``'s, classifies every shape, a missing
+top ``t`` or bottom ``m`` being 0.  No generator lies inside 0, so a missing
+extreme is no member and adds nothing to a stratum: with no bottom the tree
+reaches only Form1, Form2 and Form5, with no top either only Form1, and
+``_ALIASES`` tags these by the smaller shape.  Each form is one row of
+``_FORMS``, an alias that of its dimension-2 form: its shape, payload keys,
+defining tuple from ``t``, ``m`` and payload subsets of the stratum between
+them, and side condition (non-empty, a proper inclusion, or none).
 
 Equal thread sets is a *sufficient* condition for two tuples to name
 isomorphic localizations; distinct thread sets are not claimed to separate
@@ -63,10 +65,6 @@ _D1, _D2 = DIM1_IRREDUCIBLE, DIM2_UNIQUE_EXTREMES
 
 # a payload mask is non-empty exactly when it is truthy, hence ``bool``
 _FORMS = {
-    "D0Smash": _Form(DIM0, ("A",), lambda t, m, a: (a,), bool),
-    "D1_Lambda": _Form(_D1, ("C",), lambda t, m, c: (c,), bool),
-    "D1_TopSmash": _Form(_D1, ("C",), lambda t, m, c: (t | c,)),
-    "D1_Mixed": _Form(_D1, ("C", "D"), lambda t, m, c, d: (t | c, d), _proper),
     "D2_Form1": _Form(_D2, ("A1",), lambda t, m, a: (a,), bool),
     "D2_Form2": _Form(_D2, ("A1",), lambda t, m, a: (t | a,)),
     "D2_Form3": _Form(_D2, ("A1",), lambda t, m, a: (a | m,)),
@@ -88,6 +86,17 @@ _FORMS = {
                        lambda t, m, a, b, c: (t | a, t | b | m, c | m),
                        lambda a, b, c: _proper(b, a & c)),
 }
+
+# tag: (shape, payload keys, the dimension-2 form it is); _RENAME inverts it
+_ALIASES = {
+    "D0Smash": (DIM0, ("A",), "D2_Form1"),
+    "D1_Lambda": (_D1, ("C",), "D2_Form1"),
+    "D1_TopSmash": (_D1, ("C",), "D2_Form2"),
+    "D1_Mixed": (_D1, ("C", "D"), "D2_Form5"),
+}
+_FORMS.update((tag, _FORMS[of]._replace(shape=shape, keys=keys))
+              for tag, (shape, keys, of) in _ALIASES.items())
+_RENAME = {(shape, of): tag for tag, (shape, _, of) in _ALIASES.items()}
 
 #: Payload field names per form tag, in payload order.
 PAYLOAD_KEYS = {"Zero": (), **{tag: form.keys for tag, form in _FORMS.items()}}
@@ -166,13 +175,9 @@ def shape_of(P: Poset) -> str:
 
 def classify_dim0(P: Poset, F: ChainFamily) -> NormalForm:
     """Dimension 0 from the family: the smashing form on A = {p :
-    F.member({p})}, checked against F through its defining tuple, so a
-    family with a thread set of two or more elements is ``Inconsistent``."""
-    t, m = _extremes(P, DIM0)
-    if F.is_empty():
-        return ZERO
-    form = NormalForm("D0Smash", (_stratum(F, P.full, 0),))
-    return _verified(P, F, form, t, m)
+    F.member({p})}, the tree's Form1, checked against F through its defining
+    tuple, so a thread set of two or more elements is ``Inconsistent``."""
+    return _classify(P, F, DIM0)
 
 
 def classify_dim1(P: Poset, F: ChainFamily) -> NormalForm:
@@ -181,23 +186,10 @@ def classify_dim1(P: Poset, F: ChainFamily) -> NormalForm:
     Writing t for the top and reading off C = {q != t : F.member({q})} and
     D = {q != t : F.member({q, t})}: membership of {t} forces the smashing
     form on {t} | C; otherwise C == D is the colocal form on C and C < D
-    the mixed composite ({t} | C, D).  Membership is monotone (a member's
-    supersets are members), so C is always a subset of D.
+    the mixed composite ({t} | C, D).  These are the tree's Form2, Form1
+    and Form5 with no bottom, where C is F0 and D is E and G.
     """
-    t, _ = _extremes(P, DIM1_IRREDUCIBLE)
-    if F.is_empty():
-        return ZERO
-    rest = P.full & ~t
-    c = _stratum(F, rest, 0)
-    if F.member(t):
-        form = NormalForm("D1_TopSmash", (c,))
-    else:
-        d = _stratum(F, rest, t)
-        if c == d:
-            form = NormalForm("D1_Lambda", (c,))
-        else:
-            form = NormalForm("D1_Mixed", (c, d))
-    return _verified(P, F, form, t, 0)
+    return _classify(P, F, DIM1_IRREDUCIBLE)
 
 
 def classify_dim2(P: Poset, F: ChainFamily) -> NormalForm:
@@ -213,46 +205,53 @@ def classify_dim2(P: Poset, F: ChainFamily) -> NormalForm:
     The reconstructed form is re-expanded through its defining tuple and
     checked against F; a mismatch means no form realizes the family.
     """
-    t, m = _extremes(P, DIM2_UNIQUE_EXTREMES)
+    return _classify(P, F, DIM2_UNIQUE_EXTREMES)
+
+
+def _classify(P: Poset, F: ChainFamily, shape: str) -> NormalForm:
+    """``classify_dim2``'s tree on ``shape``, its missing extremes at 0."""
+    t, m = _extremes(P, shape)
     if F.is_empty():
         return ZERO
     mids = P.full & ~t & ~m
     f0 = _stratum(F, mids, 0)
-    has_t, has_m, has_tm = F.member(t), F.member(m), F.member(t | m)
-
+    has_t = t and F.member(t)
+    has_m, has_tm = m and F.member(m), m and F.member(t | m)
     if has_t and has_m:
-        form = NormalForm("D2_Form4", (f0,))
+        tag, payload = "D2_Form4", (f0,)
     elif has_t:
-        d = _stratum(F, mids, m)
+        d = _stratum(F, mids, m) if m else f0
         if f0 == d:
-            form = NormalForm("D2_Form2", (f0,))
+            tag, payload = "D2_Form2", (f0,)
         else:
-            form = NormalForm("D2_Form8", (d, f0))
+            tag, payload = "D2_Form8", (d, f0)
     elif has_m:
         e = _stratum(F, mids, t)
         if f0 == e:
-            form = NormalForm("D2_Form3", (f0,))
+            tag, payload = "D2_Form3", (f0,)
         else:
-            form = NormalForm("D2_Form9", (f0, e))
+            tag, payload = "D2_Form9", (f0, e)
     elif has_tm:
         d, e = _stratum(F, mids, m), _stratum(F, mids, t)
         if d & e == f0:
-            form = NormalForm("D2_Form7", (d, e))
+            tag, payload = "D2_Form7", (d, e)
         else:
-            form = NormalForm("D2_Form11", (d, f0, e))
+            tag, payload = "D2_Form11", (d, f0, e)
     else:
-        d, e = _stratum(F, mids, m), _stratum(F, mids, t)
-        g = _stratum(F, mids, t | m)
+        e = _stratum(F, mids, t) if t else f0
+        d = _stratum(F, mids, m) if m else f0
+        g = _stratum(F, mids, t | m) if m else e
         if f0 == d == e == g:
-            form = NormalForm("D2_Form1", (f0,))
+            tag, payload = "D2_Form1", (f0,)
         elif f0 == d and e == g:
-            form = NormalForm("D2_Form5", (f0, e))
+            tag, payload = "D2_Form5", (f0, e)
         elif f0 == e and d == g:
-            form = NormalForm("D2_Form6", (d, f0))
+            tag, payload = "D2_Form6", (d, f0)
         elif d & e == f0:  # then d < g and e < g, else Form5 or Form6
-            form = NormalForm("D2_Form10", (d, g, e))
+            tag, payload = "D2_Form10", (d, g, e)
         else:
             raise Inconsistent("strata of the family fit no form")
+    form = NormalForm(_RENAME.get((shape, tag), tag), payload)
     return _verified(P, F, form, t, m)
 
 
@@ -265,7 +264,7 @@ def _stratum(F: ChainFamily, candidates: int, companions: int) -> int:
     since ``g`` lies inside ``{p} | S`` exactly when ``g & ~S`` lies inside
     ``{p}``.  As S is no member, no ``g & ~S`` is empty, and the stratum is
     the union of the one-element remainders, cut down to the candidates.
-    The trees pass S = 0, {t}, {m} or {t, m} only once they find it no
+    The tree passes S = 0, {t}, {m} or {t, m} only once it finds S no
     member; ``_verified`` rejects a form built from a broken call.
     """
     out = 0

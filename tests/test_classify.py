@@ -1,7 +1,7 @@
 from __future__ import annotations
 
 from collections import Counter
-from itertools import combinations
+from itertools import combinations, product
 
 import pytest
 from hypothesis import given, settings
@@ -431,6 +431,33 @@ def test_classify_family_dispatches_through_module_globals(
         whole = (P.full,)
         classify_family(P, thread_sets(P, whole))
     assert calls == ["classify_dim0", "classify_dim1", "classify_dim2"]
+
+
+ALIAS_POSETS = ([catalog("star", k).poset for k in range(1, 6)]
+                 + [catalog("circle", k).poset for k in range(1, 5)]
+                 + [build_poset([str(i) for i in range(n)], [])
+                    for n in range(1, 5)])
+
+
+@pytest.mark.parametrize("P", ALIAS_POSETS,
+                         ids=lambda P: ",".join(P.elements))
+def test_small_shape_forms_are_dim2_forms_with_missing_extremes_at_0(P):
+    # each dimension-0 or -1 form builds its dimension-2 row's tuple with
+    # the extremes its shape lacks at 0, on exactly the payloads of the
+    # stratum that the row's side condition accepts
+    shape, t, m = classify._anatomy(P)
+    assert m == 0
+    stratum = [mask for mask in range(1 << P.n) if not mask & t]
+    instances = form_instances(P)
+    for nf in instances:
+        _, _, of = classify._ALIASES[nf.tag]
+        assert nf.as_tuple(P) == classify._FORMS[of].build(t, 0, *nf.payload)
+    for tag, (alias_shape, keys, of) in classify._ALIASES.items():
+        if alias_shape == shape:
+            valid = classify._FORMS[of].valid
+            assert {nf.payload for nf in instances if nf.tag == tag} == {
+                p for p in product(stratum, repeat=len(keys))
+                if valid is None or valid(*p)}
 
 
 def test_form_instances_round_trip(monkeypatch, diamond, star2, antichain3):

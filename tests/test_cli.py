@@ -377,6 +377,21 @@ def test_verify_rejects_non_positive_bounds(write, capsys, bounds):
     assert out == ""
 
 
+def test_verify_rejects_max_k_past_the_cap(write, capsys, monkeypatch):
+    # refused at the boundary: no suite starts
+    monkeypatch.setattr(cli.verify, "run_suite", None)
+    poset = write("p.json", DIAMOND)
+    for fmt in ("text", "json"):
+        code, out, err = run(capsys, "verify", "operator-laws", "--poset",
+                             poset, "--max-k", str(cli.verify.MAX_K + 1),
+                             "--format", fmt)
+        assert code == 2
+        if fmt == "json":
+            assert json.loads(out)["error"]["code"] == "BadParameter"
+        else:
+            assert err.startswith("error[BadParameter]: max_k must be at")
+
+
 def test_missing_tuple_is_usage_error(write, capsys):
     poset = write("p.json", ANTICHAIN3)
     code, _, err = run(capsys, "tset", "--poset", poset)
@@ -1076,7 +1091,8 @@ _TUPLES = _mostly(
        fmt=st.sampled_from(["text", "json"]),
        suite=st.sampled_from(["all", "operator-laws", "monoid",
                               "conjecture", "classifier"]),
-       max_k=st.integers(min_value=-3, max_value=2),
+       max_k=st.one_of(st.integers(min_value=-3, max_value=2),
+                       st.integers(min_value=cli.verify.MAX_K + 1)),
        budget=st.integers(min_value=-1, max_value=64))
 def test_main_fuzz_exits_cleanly(tmp_path, command, data, tuples, fmt, suite,
                                  max_k, budget):

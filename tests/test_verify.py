@@ -21,7 +21,7 @@ from threadsets.families import (ChainFamily, chains_meeting, compose,
 from threadsets.poset import Poset, build_poset
 from threadsets.serialize import dumps, tuple_to_lists
 from threadsets.tuples import collapse, prune_downward, prune_to_threads
-from threadsets.verify import (SAMPLES, Bounds, VerificationReport,
+from threadsets.verify import (MAX_K, SAMPLES, Bounds, VerificationReport,
                                _all_tuples, _associativity, _decode_tuple,
                                all_posets, deepened, default_corpus,
                                labeled_corpus, run_suite,
@@ -350,6 +350,14 @@ def test_bounds_reject_non_positive(field):
     for value in (0, -3):
         with pytest.raises(BadParameter):
             Bounds(**{field: value})
+
+
+def test_bounds_reject_max_k_past_the_cap():
+    # the confluence probe walks every removal order of a tuple
+    assert Bounds(max_k=MAX_K).max_k == MAX_K
+    for value in (MAX_K + 1, 20000):
+        with pytest.raises(BadParameter, match="max_k must be at most"):
+            Bounds(max_k=value)
 
 
 @pytest.mark.parametrize("field, value", [

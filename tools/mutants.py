@@ -69,25 +69,11 @@ MUTANTS = (
            "lambda a, b, c: _proper(a, b) and _proper(c, b)),",
            "lambda a, b, c: a != 0 and _proper(a, b) and _proper(c, b)),",
            "D2_Form10's side condition also asks a != 0"),
-    Mutant("d1-mixed-side", "threadsets/classify.py",
-           "lambda t, m, c, d: (t | c, d), _proper),",
-           "lambda t, m, c, d: (t | c, d),\n"
-           "                     lambda c, d: _proper(c, d) "
-           "and c.bit_count() < 2),",
-           "D1_Mixed's side condition also asks C to have < 2 elements"),
-    Mutant("d0-smash-side", "threadsets/classify.py",
-           '"D0Smash": _Form(DIM0, ("A",), lambda t, m, a: (a,), bool),',
-           '"D0Smash": _Form(DIM0, ("A",), lambda t, m, a: (a,)),',
-           "D0Smash drops its non-empty side condition"),
-    Mutant("d1-lambda-side", "threadsets/classify.py",
-           '"D1_Lambda": _Form(_D1, ("C",), lambda t, m, c: (c,), bool),',
-           '"D1_Lambda": _Form(_D1, ("C",), lambda t, m, c: (c,)),',
-           "D1_Lambda drops its non-empty side condition"),
-    Mutant("d1-topsmash-side", "threadsets/classify.py",
-           '"D1_TopSmash": _Form(_D1, ("C",), lambda t, m, c: (t | c,)),',
-           '"D1_TopSmash": _Form(_D1, ("C",), lambda t, m, c: (t | c,), '
-           'bool),',
-           "D1_TopSmash asks a non-empty payload"),
+    Mutant("d1-mixed-alias", "threadsets/classify.py",
+           '"D1_Mixed": (_D1, ("C", "D"), "D2_Form5"),',
+           '"D1_Mixed": (_D1, ("C", "D"), "D2_Form7"),',
+           "D1_Mixed aliases D2_Form7, whose tuple is the same with no "
+           "bottom but which has no side condition"),
     Mutant("d2-form1-side", "threadsets/classify.py",
            '"D2_Form1": _Form(_D2, ("A1",), lambda t, m, a: (a,), bool),',
            '"D2_Form1": _Form(_D2, ("A1",), lambda t, m, a: (a,)),',
@@ -175,9 +161,6 @@ MUTANTS = (
                       "its place, since the kept part below it is "
                       "incomparable with it; the same output as collapse on "
                       "every tuple of 3-bit masks with k <= 5"),
-    Mutant("d1-lambda-test", "threadsets/classify.py",
-           "        if c == d:\n", "        if c != d:\n",
-           "classify_dim1 swaps D1_Lambda and D1_Mixed"),
     Mutant("d2-form2-test", "threadsets/classify.py",
            "        if f0 == d:\n", "        if f0 != d:\n",
            "classify_dim2 swaps D2_Form2 and D2_Form8 when {t} is a member"),
