@@ -16,6 +16,12 @@ from .poset import Poset, build_poset
 from .tuples import SubsetTuple
 
 _MIDDLE_NAMES = "abcdefghijklnopqrsuvwxyz"  # skips m and t, reserved for extremes
+# The largest parameter ``catalog`` takes.  ``build_poset``'s closure pass
+# costs n^2 Python steps whatever the relations are: ``catalog emit`` took
+# 0.8 s for ``chain 1024``, 1.5 s for ``torus2 1024`` and 0.4 s for
+# ``zariski_xy 1024 1024``, but 3.4 s for ``chain 2048``, and ``chain 20000``
+# was still running after 10 s (CPython 3.11, a shared 2-core machine).
+MAX_PARAM = 1024
 
 
 @dataclass(frozen=True)
@@ -182,7 +188,8 @@ def names() -> list[str]:
 
 
 def catalog(name: str, *params: int) -> CatalogEntry:
-    """Look up a catalog builder by name and apply integer parameters."""
+    """Look up a catalog builder by name and apply integer parameters of at
+    most ``MAX_PARAM``."""
     try:
         builder, arity = _BUILDERS[name]
     except KeyError:
@@ -190,4 +197,7 @@ def catalog(name: str, *params: int) -> CatalogEntry:
             f"unknown catalog entry {name!r}; known: {', '.join(names())}") from None
     if len(params) != arity:
         raise BadParameter(f"{name} takes {arity} integer parameter(s)")
+    if any(param > MAX_PARAM for param in params):
+        raise BadParameter(f"{name} parameters must be at most {MAX_PARAM}, "
+                           f"got {max(params)}")
     return builder(*params)

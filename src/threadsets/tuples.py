@@ -140,7 +140,10 @@ def collapse(parts: SubsetTuple) -> SubsetTuple:
     strictly inside the last kept part pops that part and is compared
     again, and a part containing or equal to the last kept part is
     dropped.  The result is independent of the removal order, so this
-    pass gives the same tuple as any other sequence of removals.
+    pass gives the same tuple as any other sequence of removals: the rule
+    terminates and is locally confluent, which
+    ``tests/test_tuples.py::test_collapse_rule_is_locally_confluent``
+    checks, so it is confluent by Newman's lemma.
     """
     kept: list[int] = []
     for part in _check(parts):

@@ -10,13 +10,10 @@ otherwise, so every report is reproducible from its inputs and seed; and
 its tables intern the run's chain families as ints, so each tuple's
 thread sets are computed once, each pair of families composed once and
 each family classified once.  The collapse table: ``collapse`` never
-reads the poset, so its laws hold or fail on the tuple alone, and the
-operator-laws reports of one ``run_suite`` call share a table mapping
-each tuple on which they held to its ``collapse``.  A tuple in it skips
-the laws; one missing runs them, so a failing tuple fails in every report
-that holds it.  The table also answers ``collapse`` of each thread prune,
-which in an exhaustive report lies inside its tuple part by part, so it
-is that tuple or an earlier one; only a miss computes it.
+reads the poset, so the operator-laws reports of one ``run_suite`` call
+share a table mapping each tuple on which its laws held to its
+``collapse``; a tuple in it skips them, so a failing tuple fails in every
+report that holds it.
 """
 
 from __future__ import annotations
@@ -43,11 +40,14 @@ from .tuples import (ZERO_TUPLE, SubsetTuple, canonical, collapse,
 
 FAILURE_CAP = 50  # recorded per report; the failure count is always exact
 SAMPLES = 2048  # cases drawn from a space that exceeds the budget
-# The longest tuples a run may ask for.  The collapse confluence probe
-# walks every removal order, so its cost grows exponentially with the tuple
-# length: on a 3-element poset, operator-laws took 1.2 s at max_k = 12,
-# 3 s at 14, 8 s at 16 and 22 s at 18, and verify all took 1.6-3.4 s at
-# 12 on 1- and 3-element posets (CPython 3.11, a shared 2-core machine).
+# The longest tuples a run may ask for.  No check is exponential in the
+# tuple length k: the cost left is the monoid suite's
+# thread_sets_of_concatenation, which takes the thread sets of both slices
+# at each of the k - 1 cuts of a tuple, k^2 part checks in all.  With this
+# cap lifted, verify all on diamond(3) or zariski_xy(2, 2), 2048 sampled
+# tuples, took 0.5 s at max_k = 12, 1.9-2.3 s at 48 and 3.9-4.9 s at 96,
+# and operator-laws on a 3-element chain 0.2 s at 12 and 0.8 s at 96
+# (CPython 3.11, a shared 2-core machine).
 MAX_K = 12
 
 
@@ -55,7 +55,8 @@ MAX_K = 12
 class Bounds:
     """Corpus bounds.
 
-    Tuples have lengths 1..``max_k``, and ``max_k`` is at most ``MAX_K``.
+    Tuples have lengths 1..``max_k``, and ``max_k`` is at most ``MAX_K``,
+    since a tuple of k parts costs the monoid suite k^2 part checks.
     A case space (the tuples, or the monoid suite's associativity triples)
     is enumerated when it has at most ``budget`` cases; otherwise
     ``SAMPLES`` cases are drawn from it with ``seed``, or
@@ -295,28 +296,20 @@ def _decode_tuple(index: int, n: int, lengths: range) -> SubsetTuple:
     return tuple(parts)
 
 
-def _collapse_results_all_orders(
-        parts: SubsetTuple) -> frozenset[SubsetTuple]:
-    """Collapsed tuples reachable by every removal order (confluence probe)."""
-    seen = {parts}  # a state is pushed at most once
-    results: set[SubsetTuple] = set()
-    stack = [parts]
-    while stack:
-        t = stack.pop()
-        moves = []
-        for i in range(len(t) - 1):
-            a, b = t[i], t[i + 1]
-            if a | b == b:
-                moves.append(t[:i + 1] + t[i + 2:])
-            if b | a == a:
-                moves.append(t[:i] + t[i + 1:])
-        if not moves:
-            results.add(t)
-        for move in moves:
-            if move not in seen:
-                seen.add(move)
-                stack.append(move)
-    return frozenset(results)
+def _collapse_by_removals(t: SubsetTuple) -> SubsetTuple:
+    """``collapse`` by its rule, one removal at a time: drop the larger part
+    of the leftmost comparable adjacent pair until no such pair is left.
+    The rule is confluent (``tuples.collapse``), so this one order gives
+    the tuple of every order."""
+    parts = list(t)
+    while True:
+        for i in range(len(parts) - 1):
+            a, b = parts[i], parts[i + 1]
+            if a | b in (a, b):
+                del parts[i + (a | b == b)]  # the right one when equal
+                break
+        else:
+            return tuple(parts)
 
 
 def verify_operator_laws(P: Poset, bounds: Bounds = Bounds(),
@@ -324,7 +317,8 @@ def verify_operator_laws(P: Poset, bounds: Bounds = Bounds(),
     """Idempotence, commutation and confluence of the reduction operators.
 
     The library's ``prune_to_threads`` is checked against the other prune
-    order and against ``prune_to_threads_direct``, the thread walk, and
+    order and against ``prune_to_threads_direct``, the thread walk,
+    ``collapse`` against ``_collapse_by_removals``, its rule, and
     ``canonical``, a two-pass kernel of its own, against the composite
     ``collapse(prune_to_threads(t))``.  A direct call starts a fresh
     collapse table (module docstring)."""
@@ -359,8 +353,8 @@ def _operator_laws(P: Poset, bounds: Bounds, name: str,
             if (s.check("collapse_idempotent", collapsed, collapse(collapsed))
                     & s.check("collapse_collapses", True,
                               is_collapsed(collapsed))
-                    & s.check("collapse_confluent", frozenset((collapsed,)),
-                              _collapse_results_all_orders(t))):
+                    & s.check("collapse_confluent", collapsed,
+                              _collapse_by_removals(t))):
                 lawful[t] = collapsed
         if is_upward_concatenated(P, t):
             s.check("collapse_preserves_upward", True,
@@ -368,7 +362,7 @@ def _operator_laws(P: Poset, bounds: Bounds, name: str,
         if is_downward_concatenated(P, t):
             s.check("collapse_preserves_downward", True,
                     is_downward_concatenated(P, collapsed))
-        reduced = lawful.get(both) or collapse(both)
+        reduced = collapse(both)
         s.check("canonical_is_collapsed_thread_prune", reduced,
                 canonical(P, t))
         s.check("canonical_idempotent", reduced, canonical(P, reduced))
@@ -391,7 +385,8 @@ def verify_thread_monoid(P: Poset, bounds: Bounds = Bounds(),
     sets are computed once, whether it is a corpus tuple or a slice, a
     reduction or a restriction of one, and each pair of families is
     composed once.  ``P.chains()`` is checked only when its 2^n bound fits
-    the budget."""
+    the budget, and so is ``compose`` on every pair of principal families
+    of its chains."""
     s = VerificationReport("monoid", P, bounds, name)
     of, times, same, family = s.of, s.product, s.same, s.family
     chain_set = None
@@ -400,6 +395,21 @@ def verify_thread_monoid(P: Poset, bounds: Bounds = Bounds(),
         chain_set = set(chains)
         s.check("chains_are_the_chain_subsets", len(chain_set), len(chains),
                 {"enumeration": "Poset.chains"})
+        # the cut lemma on generators: the principal families of C and D
+        # compose to the one of C | D when D lies below all of C, else to
+        # the empty family
+        principals = [s.intern(ChainFamily((C,))) for C in chains]
+        for C, x in zip(chains, principals):
+            floor = P.full
+            for i in bits(C):
+                floor &= P.down[i]
+            for D, y in zip(chains, principals):
+                cut = (ChainFamily((C | D,)) if D & ~floor == 0
+                       else EMPTY_FAMILY)
+                got = family[times(x, y)]
+                if got != cut:
+                    s.fail("compose_matches_cuts", cut, got,
+                           {"chains": tuple_to_lists(P, (C, D))})
     for t in s.corpus():
         x = of(t)
         F = family[x]

@@ -255,3 +255,30 @@ def brute_all_posets(n: int) -> list[Poset]:
                          for j in range(n))
             out.append(Poset(tuple(names), down))
     return out
+
+
+# -- the collapse rule, every removal order
+
+def collapse_results_all_orders(t) -> frozenset[tuple]:
+    """The collapsed tuples that some order of removals reaches from ``t``,
+    by a search of every state removals reach.  A removal drops, of two
+    adjacent parts, one that contains the other."""
+    seen = {t}
+    results = set()
+    stack = [t]
+    while stack:
+        state = stack.pop()
+        moves = []
+        for i in range(len(state) - 1):
+            a, b = state[i], state[i + 1]
+            if a | b == b:
+                moves.append(state[:i + 1] + state[i + 2:])
+            if a | b == a:
+                moves.append(state[:i] + state[i + 1:])
+        if not moves:
+            results.add(state)
+        for move in moves:
+            if move not in seen:
+                seen.add(move)
+                stack.append(move)
+    return frozenset(results)

@@ -2,7 +2,7 @@ from __future__ import annotations
 
 import pytest
 
-from threadsets.catalog import catalog, names
+from threadsets.catalog import MAX_PARAM, catalog, names
 from threadsets.classify import DIM2_UNIQUE_EXTREMES, shape_of
 from threadsets.errors import BadParameter, UnknownCatalogEntry
 from threadsets.families import singleton_tuple, thread_sets
@@ -124,6 +124,7 @@ def test_unknown_entry_and_bad_parameters():
         catalog("zariski_xy", 0, 1)
     with pytest.raises(BadParameter):
         catalog("star", 999)
-    for name, param in [("chromatic", -1), ("diamond", 25), ("circle", 0)]:
+    for name, param in [("chromatic", -1), ("diamond", 25), ("circle", 0),
+                        ("chain", MAX_PARAM + 1)]:
         with pytest.raises(BadParameter):
             catalog(name, param)

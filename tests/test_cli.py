@@ -181,6 +181,27 @@ def test_catalog_emit_text_names_the_entry_as_verify_does(capsys, entry,
     assert out.splitlines()[0] == head
 
 
+@pytest.mark.parametrize("fmt", ["text", "json"])
+def test_catalog_emit_rejects_a_parameter_past_the_cap(capsys, monkeypatch,
+                                                       fmt):
+    # refused at the boundary: no poset is built
+    monkeypatch.setattr(cli.catalog_mod, "build_poset", None)
+    cap = cli.catalog_mod.MAX_PARAM
+    got = run(capsys, "catalog", "emit", "chain", str(cap + 1),
+              "--format", fmt)
+    assert got == (2, *_error_output(
+        fmt, "BadParameter",
+        f"chain parameters must be at most {cap}, got {cap + 1}"))
+
+
+def test_catalog_emit_takes_the_cap(capsys):
+    cap = cli.catalog_mod.MAX_PARAM
+    code, out, _ = run(capsys, "catalog", "emit", "circle", str(cap),
+                       "--format", "json")
+    assert code == 0
+    assert len(json.loads(out)["poset"]["elements"]) == cap + 1
+
+
 def test_catalog_emit_dot(capsys):
     code, out, _ = run(capsys, "catalog", "emit", "diamond", "2",
                        "--format", "dot")

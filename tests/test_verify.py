@@ -111,13 +111,13 @@ def test_run_suite_checks_collapse_laws_once_per_tuple(faulty, monkeypatch):
     if faulty:  # leaves tuples that start with {p0} uncollapsed
         monkeypatch.setattr(verify, "collapse",
                             lambda t: t if t[0] == 1 else collapse(t))
-    orders, probes = verify._collapse_results_all_orders, []
+    removals, probes = verify._collapse_by_removals, []
 
     def probe(t):
         probes.append(t)
-        return orders(t)
+        return removals(t)
 
-    monkeypatch.setattr(verify, "_collapse_results_all_orders", probe)
+    monkeypatch.setattr(verify, "_collapse_by_removals", probe)
     corpus, bounds = labeled_corpus(3), Bounds(max_k=3)
     attributes = set(vars(verify))
     reports = run_suite("operator-laws", corpus, bounds)
@@ -141,27 +141,6 @@ def test_run_suite_checks_collapse_laws_once_per_tuple(faulty, monkeypatch):
                    for r, (_, P) in zip(reports, corpus))
     else:
         assert all(r.passed for r in reports)
-
-
-def test_operator_laws_take_every_collapse_from_the_table(monkeypatch):
-    # each table entry costs collapse(t) and collapse(collapse(t)); the
-    # thread prune of an exhaustive report's tuple lies inside it part by
-    # part, so it is an earlier entry and its collapse is read, not made
-    calls, tables = [], []
-    monkeypatch.setattr(verify, "collapse",
-                        lambda t: calls.append(t) or collapse(t))
-    laws = verify._operator_laws
-
-    def recorded(P, bounds, name, lawful):
-        tables.append(lawful)
-        return laws(P, bounds, name, lawful)
-
-    monkeypatch.setattr(verify, "_operator_laws", recorded)
-    reports = run_suite("operator-laws", labeled_corpus(3), Bounds(max_k=3))
-    assert all(r.passed for r in reports)
-    assert len({id(table) for table in tables}) == 1
-    assert len(tables[0]) == 584
-    assert len(calls) == 2 * len(tables[0])
 
 
 def test_canonical_calls_no_reduction_operator(diamond, two_chains,
@@ -353,7 +332,6 @@ def test_bounds_reject_non_positive(field):
 
 
 def test_bounds_reject_max_k_past_the_cap():
-    # the confluence probe walks every removal order of a tuple
     assert Bounds(max_k=MAX_K).max_k == MAX_K
     for value in (MAX_K + 1, 20000):
         with pytest.raises(BadParameter, match="max_k must be at most"):

@@ -161,6 +161,12 @@ MUTANTS = (
                       "its place, since the kept part below it is "
                       "incomparable with it; the same output as collapse on "
                       "every tuple of 3-bit masks with k <= 5"),
+    Mutant("collapse-drops-inner", "threadsets/tuples.py",
+           "            kept.pop()  # strictly inside last: drop last, compare "
+           "again\n",
+           "            break\n",
+           "collapse drops a part strictly inside the last kept part instead "
+           "of the kept part, which contains it"),
     Mutant("d2-form2-test", "threadsets/classify.py",
            "        if f0 == d:\n", "        if f0 != d:\n",
            "classify_dim2 swaps D2_Form2 and D2_Form8 when {t} is a member"),
