@@ -4,12 +4,12 @@ Each suite checks one family of identities over a poset and a generated
 tuple corpus: operator laws of the reduction calculus, the thread-set
 monoid decomposition, the bucket form of the isomorphism conjecture, and
 classifier soundness.  Each suite run is one ``VerificationReport``: its
-sampler draws the tuples and the associativity triples, each space
-enumerated when it fits the budget and sampled with a reported seed
-otherwise, so every report is reproducible from its inputs and seed; and
-its tables intern the run's chain families as ints, so each tuple's
-thread sets are computed once, each pair of families composed once and
-each family classified once.  The collapse table: ``collapse`` never
+sampler draws the tuples, the associativity triples and the pairs of
+chains, each space enumerated when it fits the budget and sampled with a
+reported seed otherwise, so every report is reproducible from its inputs
+and seed; and its tables intern the run's chain families as ints, so each
+tuple's thread sets are computed once, each pair of families composed
+once and each family classified once.  The collapse table: ``collapse`` never
 reads the poset, so the operator-laws reports of one ``run_suite`` call
 share a table mapping each tuple on which its laws held to its
 ``collapse``; a tuple in it skips them, so a failing tuple fails in every
@@ -23,6 +23,7 @@ import time
 from collections import Counter
 from dataclasses import dataclass, replace
 from itertools import chain, product
+from math import isqrt
 from typing import Callable, Iterator
 
 from . import catalog as _catalog
@@ -40,6 +41,7 @@ from .tuples import (ZERO_TUPLE, SubsetTuple, canonical, collapse,
 
 FAILURE_CAP = 50  # recorded per report; the failure count is always exact
 SAMPLES = 2048  # cases drawn from a space that exceeds the budget
+PAIRED = isqrt(SAMPLES)  # chains whose pairs are drawn, as cases are
 # The longest tuples a run may ask for.  No check is exponential in the
 # tuple length k: the cost left is the monoid suite's
 # thread_sets_of_concatenation, which takes the thread sets of both slices
@@ -57,9 +59,10 @@ class Bounds:
 
     Tuples have lengths 1..``max_k``, and ``max_k`` is at most ``MAX_K``,
     since a tuple of k parts costs the monoid suite k^2 part checks.
-    A case space (the tuples, or the monoid suite's associativity triples)
-    is enumerated when it has at most ``budget`` cases; otherwise
-    ``SAMPLES`` cases are drawn from it with ``seed``, or
+    A case space (the tuples, or the monoid suite's associativity triples
+    or pairs of chains) is enumerated when it has at most ``budget``
+    cases; otherwise ``SAMPLES`` cases are drawn from it with ``seed``
+    (the pairs of ``PAIRED`` chains, for pairs of chains), or
     ``BudgetExceeded`` is raised when ``exhaustive`` is set.
     """
 
@@ -200,17 +203,26 @@ class VerificationReport:
         every tuple with a length in ``lengths`` when they fit the budget,
         else ``SAMPLES`` of them drawn with the seed.  Forced exhaustive
         mode raises ``BudgetExceeded`` instead of drawing."""
-        n, b = self.P.n, self.bounds
+        n = self.P.n
         space = sum((1 << n) ** k for k in lengths)
-        if space <= b.budget:
+        rng = self.sampler(space, what)
+        if rng is None:
             return space, _all_tuples(n, lengths), False
+        return SAMPLES, (_decode_tuple(rng.randrange(space), n, lengths)
+                         for _ in range(SAMPLES)), True
+
+    def sampler(self, space: int, what: str) -> random.Random | None:
+        """None when a space of ``space`` cases fits the budget, else the
+        generator, seeded and recorded, to draw ``SAMPLES`` of them with;
+        forced exhaustive mode raises ``BudgetExceeded`` instead."""
+        b = self.bounds
+        if space <= b.budget:
+            return None
         if b.exhaustive:
             raise BudgetExceeded(f"exhaustive mode forced on {space} {what} "
                                  f"with budget {b.budget}")
         self.seed = b.seed
-        rng = random.Random(b.seed)
-        return SAMPLES, (_decode_tuple(rng.randrange(space), n, lengths)
-                         for _ in range(SAMPLES)), True
+        return random.Random(b.seed)
 
     def corpus(self) -> Iterator[SubsetTuple]:
         """The tuple corpus, each tuple kept as the current case; ``mode``
@@ -385,8 +397,9 @@ def verify_thread_monoid(P: Poset, bounds: Bounds = Bounds(),
     sets are computed once, whether it is a corpus tuple or a slice, a
     reduction or a restriction of one, and each pair of families is
     composed once.  ``P.chains()`` is checked only when its 2^n bound fits
-    the budget, and so is ``compose`` on every pair of principal families
-    of its chains."""
+    the budget, and then ``compose`` on the pairs of principal families of
+    its chains, or of ``PAIRED`` of its chains drawn with the seed when its
+    pairs exceed the budget."""
     s = VerificationReport("monoid", P, bounds, name)
     of, times, same, family = s.of, s.product, s.same, s.family
     chain_set = None
@@ -398,12 +411,17 @@ def verify_thread_monoid(P: Poset, bounds: Bounds = Bounds(),
         # the cut lemma on generators: the principal families of C and D
         # compose to the one of C | D when D lies below all of C, else to
         # the empty family
-        principals = [s.intern(ChainFamily((C,))) for C in chains]
-        for C, x in zip(chains, principals):
+        paired = chains
+        rng = s.sampler(len(chains) ** 2, "chain pairs")
+        if rng is not None:
+            drawn = rng.sample(range(len(chains)), min(len(chains), PAIRED))
+            paired = [chains[i] for i in sorted(drawn)]
+        principals = [s.intern(ChainFamily((C,))) for C in paired]
+        for C, x in zip(paired, principals):
             floor = P.full
             for i in bits(C):
                 floor &= P.down[i]
-            for D, y in zip(chains, principals):
+            for D, y in zip(paired, principals):
                 cut = (ChainFamily((C | D,)) if D & ~floor == 0
                        else EMPTY_FAMILY)
                 got = family[times(x, y)]

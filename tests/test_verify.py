@@ -424,6 +424,33 @@ def test_monoid_suite_lists_chains_only_within_the_budget(monkeypatch):
     assert report.passed and report.mode == "sampled"
 
 
+def test_monoid_suite_draws_chain_pairs_past_the_budget(monkeypatch):
+    # chain(16) has 17 points: its 2^17 - 1 chains fit the default budget,
+    # their 1.7e10 pairs do not, so the cut check composes the pairs of
+    # PAIRED drawn chains only
+    calls = []
+    monkeypatch.setattr(verify, "compose",
+                        lambda P, U, V: calls.append(U) or compose(P, U, V))
+    P = catalog("chain", 16).poset
+    report = verify_thread_monoid(P)
+    assert report.passed and report.seed == 0
+    assert len(calls) < 2 ** 16
+    with pytest.raises(BudgetExceeded, match="chain pairs"):
+        verify_thread_monoid(P, Bounds(exhaustive=True))
+
+
+@pytest.mark.parametrize("n", [3, 16])  # every pair; the drawn pairs
+def test_monoid_suite_checks_compose_on_pairs_of_chains(n, monkeypatch):
+    def wide(P, U, V):  # the cut ignored on principal families
+        if len(U) == len(V) == 1:
+            return ChainFamily((min(U) | min(V),))
+        return compose(P, U, V)
+
+    monkeypatch.setattr(verify, "compose", wide)
+    report = verify_thread_monoid(catalog("chain", n).poset)
+    assert report.failures_by_property["compose_matches_cuts"] > 0
+
+
 def _union(F: ChainFamily) -> int:
     out = 0
     for g in F.generators:
