@@ -1,14 +1,18 @@
 """Catalog of example prime spectra with their named subset tuples.
 
-Every builder is deterministic in its integer parameters and stores the
-poset already in the Balmer orientation (order = prime inclusion).  For
-spectra usually presented through a Zariski spectrum the inclusion
-reversal is performed here, so threads always run downward.
+``catalog(name, *params)`` is the one check on an entry's parameters: it
+takes as many as the entry's ``_BUILDERS`` row has least values, each an
+``int`` (a ``bool`` is not one) from its least value to the row's
+largest, and raises ``BadParameter`` on anything else.  The builders behind it are pure
+constructors, deterministic in their parameters, and store the poset
+already in the Balmer orientation (order = prime inclusion).  For spectra
+usually presented through a Zariski spectrum the inclusion reversal is
+performed here, so threads always run downward.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from .errors import BadParameter, UnknownCatalogEntry
 from .families import singleton_tuple
@@ -29,8 +33,8 @@ class CatalogEntry:
     name: str
     params: tuple[int, ...]
     poset: Poset
-    tuples: dict[str, SubsetTuple] = field(default_factory=dict)
-    notes: str = ""
+    tuples: dict[str, SubsetTuple]
+    notes: str
 
     @property
     def label(self) -> str:
@@ -38,20 +42,21 @@ class CatalogEntry:
         return f"{self.name}({', '.join(map(str, self.params))})"
 
 
+# What a builder returns: the poset, its named tuples and the entry's notes.
+_Built = tuple[Poset, dict[str, SubsetTuple], str]
+
+
 def _chain_poset(n: int) -> Poset:
     names = [str(i) for i in range(n + 1)]
     return build_poset(names, [(str(i), str(i + 1)) for i in range(n)])
 
 
-def chain(n: int) -> CatalogEntry:
+def _chain(n: int) -> _Built:
     """Total order 0 < 1 < ... < n."""
-    if n < 0:
-        raise BadParameter("chain needs n >= 0")
-    return CatalogEntry("chain", (n,), _chain_poset(n),
-                        notes=f"total order on {n + 1} points, 0 minimal")
+    return _chain_poset(n), {}, f"total order on {n + 1} points, 0 minimal"
 
 
-def chromatic(n: int) -> CatalogEntry:
+def _chromatic(n: int) -> _Built:
     """Chromatic prime chain of K(i)-acyclics up to height n.
 
     The primes E_0 > E_1 > ... > E_n = 0 of the height-n localized stable
@@ -61,37 +66,28 @@ def chromatic(n: int) -> CatalogEntry:
     E_{a_1} > ... > E_{a_k}, spelled as a tuple by
     ``singleton_tuple(P, P.subset(str(n - a) for a in heights))``.
     """
-    if n < 0:
-        raise BadParameter("chromatic needs n >= 0")
     P = _chain_poset(n)
-    return CatalogEntry(
-        "chromatic", (n,), P, tuples={"phi_full": singleton_tuple(P, P.full)},
-        notes=("chromatic primes E_0 > ... > E_n of L_n Sp, label i = E_{n-i}; "
-               "inclusion order, 0 = E_n minimal"))
+    return (P, {"phi_full": singleton_tuple(P, P.full)},
+            "chromatic primes E_0 > ... > E_n of L_n Sp, label i = E_{n-i}; "
+            "inclusion order, 0 = E_n minimal")
 
 
-def star(k: int) -> CatalogEntry:
+def _star(k: int) -> _Built:
     """One maximal prime t over k pairwise incomparable minimal primes."""
-    if k < 0 or k > len(_MIDDLE_NAMES):
-        raise BadParameter(f"star needs 0 <= k <= {len(_MIDDLE_NAMES)}")
     leaves = list(_MIDDLE_NAMES[:k])
-    return CatalogEntry("star", (k,),
-                        build_poset(["t"] + leaves, [(x, "t") for x in leaves]),
-                        notes=f"irreducible dimension-1 spectrum, {k} closed points")
+    return (build_poset(["t"] + leaves, [(x, "t") for x in leaves]), {},
+            f"irreducible dimension-1 spectrum, {k} closed points")
 
 
-def diamond(k: int) -> CatalogEntry:
+def _diamond(k: int) -> _Built:
     """Unique extremes t > m with k incomparable primes of length 1 between."""
-    if k < 0 or k > len(_MIDDLE_NAMES):
-        raise BadParameter(f"diamond needs 0 <= k <= {len(_MIDDLE_NAMES)}")
     mids = list(_MIDDLE_NAMES[:k])
     rels = [(x, "t") for x in mids] + [("m", x) for x in mids] + [("m", "t")]
-    return CatalogEntry("diamond", (k,),
-                        build_poset(["t"] + mids + ["m"], rels),
-                        notes=f"unique extremes with {k} middle primes")
+    return (build_poset(["t"] + mids + ["m"], rels), {},
+            f"unique extremes with {k} middle primes")
 
 
-def zariski_xy(n_lambda: int, n_mu: int) -> CatalogEntry:
+def _zariski_xy(n_lambda: int, n_mu: int) -> _Built:
     """Truncated Balmer spectrum of D(k[x,y]/(xy)).
 
     Zariski primes of k[x,y]/(xy): (x), (y) and the maximal ideals
@@ -105,8 +101,6 @@ def zariski_xy(n_lambda: int, n_mu: int) -> CatalogEntry:
     O and B all closed points; ``pair`` is ({X,Y}, B).  Both have the same
     thread sets.
     """
-    if n_lambda < 1 or n_mu < 1:
-        raise BadParameter("zariski_xy needs n_lambda, n_mu >= 1")
     a_pts = [f"a{i}" for i in range(1, n_mu + 1)]
     b_pts = [f"b{j}" for j in range(1, n_lambda + 1)]
     rels = ([(p, "X") for p in a_pts] + [(p, "Y") for p in b_pts]
@@ -119,28 +113,24 @@ def zariski_xy(n_lambda: int, n_mu: int) -> CatalogEntry:
         "triple": (tops, P.subset(["X"]) | line_a, closed),
         "pair": (tops, closed),
     }
-    return CatalogEntry(
-        "zariski_xy", (n_lambda, n_mu), P, tuples=entry_tuples,
-        notes=("Spec k[x,y]/(xy) truncated; Balmer order is reversed Zariski "
-               "inclusion, O = (x,y)"))
+    return (P, entry_tuples,
+            "Spec k[x,y]/(xy) truncated; Balmer order is reversed Zariski "
+            "inclusion, O = (x,y)")
 
 
-def circle(n: int) -> CatalogEntry:
+def _circle(n: int) -> _Built:
     """Balmer spectrum of rational T-spectra, truncated to n finite subgroups.
 
     The whole circle group T sits above the trivial subgroup e and the
     cyclic subgroups C_2 ... C_n; no cotoral inclusions relate distinct
     finite subgroups.
     """
-    if n < 1:
-        raise BadParameter("circle needs n >= 1")
     mins = ["e"] + [f"C{i}" for i in range(2, n + 1)]
-    return CatalogEntry("circle", (n,),
-                        build_poset(["T"] + mins, [(x, "T") for x in mins]),
-                        notes="rational circle-equivariant spectrum, truncated")
+    return (build_poset(["T"] + mins, [(x, "T") for x in mins]), {},
+            "rational circle-equivariant spectrum, truncated")
 
 
-def torus2(n: int) -> CatalogEntry:
+def _torus2(n: int) -> _Built:
     """Balmer spectrum of rational T^2-spectra, truncated to n circle subgroups.
 
     T2 tops circles S_1 ... S_n; each S_i sits above the trivial subgroup e
@@ -149,8 +139,6 @@ def torus2(n: int) -> CatalogEntry:
     the tuples ``family`` = (A_0, ..., A_{n+1}) and ``reduced`` =
     (A_0, A_{n+1}), which share their thread sets.
     """
-    if n < 1:
-        raise BadParameter("torus2 needs n >= 1")
     circles = [f"S{i}" for i in range(1, n + 1)]
     finites = [f"F{i}" for i in range(1, n + 1)]
     rels = [(s, "T2") for s in circles]
@@ -166,20 +154,20 @@ def torus2(n: int) -> CatalogEntry:
         "family": tuple(subsets),
         "reduced": (subsets[0], subsets[-1]),
     }
-    return CatalogEntry(
-        "torus2", (n,), P, tuples=entry_tuples,
-        notes=("rational T^2-equivariant spectrum truncated to n circle "
-               "subgroups with private finite subgroups"))
+    return (P, entry_tuples,
+            "rational T^2-equivariant spectrum truncated to n circle "
+            "subgroups with private finite subgroups")
 
 
+# name -> (builder, least value of each parameter, largest value of any)
 _BUILDERS = {
-    "chain": (chain, 1),
-    "chromatic": (chromatic, 1),
-    "star": (star, 1),
-    "diamond": (diamond, 1),
-    "zariski_xy": (zariski_xy, 2),
-    "circle": (circle, 1),
-    "torus2": (torus2, 1),
+    "chain": (_chain, (0,), MAX_PARAM),
+    "chromatic": (_chromatic, (0,), MAX_PARAM),
+    "star": (_star, (0,), len(_MIDDLE_NAMES)),
+    "diamond": (_diamond, (0,), len(_MIDDLE_NAMES)),
+    "zariski_xy": (_zariski_xy, (1, 1), MAX_PARAM),
+    "circle": (_circle, (1,), MAX_PARAM),
+    "torus2": (_torus2, (1,), MAX_PARAM),
 }
 
 
@@ -188,16 +176,22 @@ def names() -> list[str]:
 
 
 def catalog(name: str, *params: int) -> CatalogEntry:
-    """Look up a catalog builder by name and apply integer parameters of at
-    most ``MAX_PARAM``."""
+    """The catalog entry ``name`` at ``params``: as many integers as the
+    entry takes, each from its least value to the entry's largest."""
     try:
-        builder, arity = _BUILDERS[name]
-    except KeyError:
+        builder, least, most = _BUILDERS[name]
+    except (KeyError, TypeError):  # TypeError: an unhashable name
         raise UnknownCatalogEntry(
             f"unknown catalog entry {name!r}; known: {', '.join(names())}") from None
-    if len(params) != arity:
-        raise BadParameter(f"{name} takes {arity} integer parameter(s)")
-    if any(param > MAX_PARAM for param in params):
-        raise BadParameter(f"{name} parameters must be at most {MAX_PARAM}, "
-                           f"got {max(params)}")
-    return builder(*params)
+    # a bool is an int to isinstance
+    if len(params) != len(least) or not all(
+            isinstance(p, int) and not isinstance(p, bool) for p in params):
+        raise BadParameter(f"{name} takes {len(least)} integer parameter(s), "
+                           f"got {params!r}")
+    for p in params:
+        if p > most:
+            raise BadParameter(f"{name} parameters must be at most {most}, got {p}")
+    for p, low in zip(params, least):
+        if p < low:
+            raise BadParameter(f"{name} parameters must be at least {low}, got {p}")
+    return CatalogEntry(name, params, *builder(*params))

@@ -331,8 +331,8 @@ def build_parser() -> argparse.ArgumentParser:
     ver.add_argument("--format", choices=("text", "json"), default="text")
     ver.add_argument("--seed", type=int, default=bounds.seed)
     ver.add_argument("--exhaustive", action="store_true",
-                     help="never sample tuples or associativity triples; "
-                          "fail with BudgetExceeded beyond --budget")
+                     help="never sample a case space; fail with "
+                          "BudgetExceeded beyond --budget")
     ver.add_argument("--max-k", type=int, default=bounds.max_k, dest="max_k")
     ver.add_argument("--budget", type=int, default=bounds.budget)
     return parser

@@ -8,6 +8,18 @@ from threadsets.errors import BadParameter, UnknownCatalogEntry
 from threadsets.families import singleton_tuple, thread_sets
 from threadsets.serialize import poset_to_dict
 
+# each entry's least parameters and the largest value of any parameter;
+# star and diamond name their middle primes from 24 letters
+RANGES = {
+    "chain": ((0,), MAX_PARAM),
+    "chromatic": ((0,), MAX_PARAM),
+    "star": ((0,), 24),
+    "diamond": ((0,), 24),
+    "zariski_xy": ((1, 1), MAX_PARAM),
+    "circle": ((1,), MAX_PARAM),
+    "torus2": ((1,), MAX_PARAM),
+}
+
 
 def test_names_are_sorted_and_complete():
     assert names() == sorted(names())
@@ -49,6 +61,10 @@ def test_star_and_diamond_shapes():
     assert star.labels(star.maximal_elements()) == ("t",)
     dia = catalog("diamond", 3).poset
     assert dia.n == 5 and shape_of(dia) == DIM2_UNIQUE_EXTREMES
+    # 24 middle primes, the most, each named by its own letter
+    assert catalog("star", 24).poset.n == 25
+    dia = catalog("diamond", 24).poset
+    assert dia.n == 26 and shape_of(dia) == DIM2_UNIQUE_EXTREMES
 
 
 def test_zariski_example_shape():
@@ -128,3 +144,19 @@ def test_unknown_entry_and_bad_parameters():
                         ("chain", MAX_PARAM + 1)]:
         with pytest.raises(BadParameter):
             catalog(name, param)
+    # only an int is a parameter: a bool is not one, nor is a numeral
+    assert set(RANGES) == set(names())
+    for name, (least, _) in RANGES.items():
+        for param in (True, "3", 2.5, None):
+            with pytest.raises(BadParameter):
+                catalog(name, *[param] * len(least))
+    # one past each end of every entry's range, in every position
+    for name, (least, most) in RANGES.items():
+        for i, low in enumerate(least):
+            for param in (low - 1, most + 1):
+                params = list(least)
+                params[i] = param
+                with pytest.raises(BadParameter):
+                    catalog(name, *params)
+    with pytest.raises(UnknownCatalogEntry):
+        catalog(["chain"], 1)
