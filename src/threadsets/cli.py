@@ -187,10 +187,12 @@ def _cmd_catalog(args) -> _Result:
         }
 
     def text() -> str:
-        lines = [f"{entry.label}: {entry.notes}",
+        # the entry's head and tuples are comments, so that --poset reads
+        # the text as the poset alone
+        lines = [f"# {entry.label}: {entry.notes}",
                  serialize.poset_to_text(entry.poset).rstrip()]
         for tname, t in entry.tuples.items():
-            lines.append(f"tuple {tname}: {tuple_text(entry.poset, t)}")
+            lines.append(f"# tuple {tname}: {tuple_text(entry.poset, t)}")
         return "\n".join(lines)
 
     return 0, payload, text

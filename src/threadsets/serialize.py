@@ -41,6 +41,11 @@ def _split_relation(text: str, line: int | None = None) -> tuple[str, str]:
 
 
 def poset_from_dict(data: Any) -> Poset:
+    """The poset of a poset document, or of a document with a ``poset``
+    field, which is read through it: ``catalog emit --format json`` writes
+    the entry's poset there."""
+    if isinstance(data, dict) and "poset" in data:
+        data = data["poset"]
     if (not isinstance(data, dict) or not isinstance(data.get("elements"), list)
             or not isinstance(data.get("relations"), list)):
         raise ParseError("poset document needs 'elements' and 'relations' lists")

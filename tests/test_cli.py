@@ -170,15 +170,31 @@ def test_catalog_emit_json(capsys):
 
 
 @pytest.mark.parametrize("entry, head", [
-    (["chain", "3"], "chain(3): total order on 4 points, 0 minimal"),
-    (["zariski_xy", "2", "1"], "zariski_xy(2, 1): Spec k[x,y]/(xy) truncated; "
-     "Balmer order is reversed Zariski inclusion, O = (x,y)"),
+    (["chain", "3"], "# chain(3): total order on 4 points, 0 minimal"),
+    (["zariski_xy", "2", "1"], "# zariski_xy(2, 1): Spec k[x,y]/(xy) "
+     "truncated; Balmer order is reversed Zariski inclusion, O = (x,y)"),
 ])
 def test_catalog_emit_text_names_the_entry_as_verify_does(capsys, entry,
                                                           head):
     code, out, _ = run(capsys, "catalog", "emit", *entry)
     assert code == 0
     assert out.splitlines()[0] == head
+
+
+@pytest.mark.parametrize("fmt", ["text", "json"])
+@pytest.mark.parametrize("entry", [
+    [name, *(str(low + extra) for low in cli.catalog_mod._BUILDERS[name][1])]
+    for name in cli.catalog_mod.names() for extra in (0, 2)], ids="-".join)
+def test_catalog_emit_output_reads_back_as_its_poset(write, capsys, fmt,
+                                                     entry):
+    # either format of catalog emit is a --poset file of the entry's poset:
+    # the text form's head and tuple lines are comments, and a JSON
+    # document is read through its poset field
+    code, emitted, _ = run(capsys, "catalog", "emit", *entry, "--format", fmt)
+    assert code == 0
+    poset = write(f"emitted.{fmt}", emitted)
+    dot = run(capsys, "catalog", "emit", *entry, "--format", "dot")
+    assert run(capsys, "dot", "--poset", poset) == dot
 
 
 @pytest.mark.parametrize("fmt", ["text", "json"])

@@ -20,7 +20,8 @@ from threadsets.families import (ChainFamily, chains_meeting, compose,
                                  minimize, thread_sets)
 from threadsets.poset import Poset, build_poset
 from threadsets.serialize import dumps, tuple_to_lists
-from threadsets.tuples import collapse, prune_downward, prune_to_threads
+from threadsets.tuples import (canonical, collapse, prune_downward,
+                              prune_to_threads, prune_upward)
 from threadsets.verify import (MAX_K, SAMPLES, Bounds, VerificationReport,
                                _all_tuples, _associativity, _decode_tuple,
                                all_posets, deepened, default_corpus,
@@ -139,6 +140,66 @@ def test_run_suite_checks_collapse_laws_once_per_tuple(faulty, monkeypatch):
         assert all(r.failures_by_property["collapse_collapses"]
                    == sum(t in failing for t in _all_tuples(P.n, range(1, 4)))
                    for r, (_, P) in zip(reports, corpus))
+    else:
+        assert all(r.passed for r in reports)
+
+
+@pytest.mark.parametrize("faulty", [False, True], ids=["real", "faulty"])
+def test_operator_laws_check_value_laws_once_per_value(faulty, monkeypatch):
+    # the laws that read only upward, downward, both or reduced run once per
+    # distinct value of a report on which they held; a value on which one
+    # failed is checked, and counted, again on every case that gives it
+    def canonical_of(P, t):  # the faulty one reverses canonical 2-tuples
+        r = canonical(P, t)
+        return r[::-1] if faulty and r == t and len(t) == 2 else r
+
+    operators = {"prune_upward": prune_upward,
+                 "prune_downward": prune_downward,
+                 "prune_to_threads": prune_to_threads,
+                 "canonical": canonical_of}
+    calls: dict[str, list] = {name: [] for name in operators}
+
+    def recording(name, operator):
+        def call(P, t):
+            calls[name].append(t)
+            return operator(P, t)
+        return call
+
+    for name, operator in operators.items():
+        monkeypatch.setattr(verify, name, recording(name, operator))
+    corpus, bounds = labeled_corpus(3), Bounds(max_k=3)
+    reports = run_suite("operator-laws", corpus, bounds)
+    for report, (name, P) in zip(reports, corpus):
+        for made in calls.values():
+            made.clear()
+        alone = verify_operator_laws(P, bounds, name)
+        assert report.to_dict() == alone.to_dict()
+        assert report.failures_by_property == alone.failures_by_property
+        cases = list(_all_tuples(P.n, range(1, 4)))
+        upward = [prune_upward(P, t) for t in cases]
+        downward = [prune_downward(P, t) for t in cases]
+        both = [prune_to_threads(P, t) for t in cases]
+        reduced = [collapse(b) for b in both]
+        expected = Counter()
+        for t, r in zip(cases, reduced):
+            expected["canonical_is_collapsed_thread_prune"] += (
+                canonical_of(P, t) != r)
+            expected["canonical_idempotent"] += canonical_of(P, r) != r
+        assert alone.failures_by_property == +expected
+        # each case derives its values; a law group calls its operator once
+        # per value that passed, and once per case on a value that failed
+        failing = [r for r in reduced if canonical_of(P, r) != r]
+        assert Counter(calls["prune_upward"]) == (
+            Counter(cases) + Counter(set(upward)) + Counter(downward))
+        assert Counter(calls["prune_downward"]) == (
+            Counter(cases) + Counter(set(downward)))
+        assert Counter(calls["prune_to_threads"]) == (
+            Counter(cases) + Counter(set(both)))
+        assert Counter(calls["canonical"]) == (
+            Counter(cases) + Counter(set(reduced) - set(failing))
+            + Counter(failing))
+    if faulty:
+        assert 0 < sum(not r.passed for r in reports) < len(reports)
     else:
         assert all(r.passed for r in reports)
 
